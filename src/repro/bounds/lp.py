@@ -48,12 +48,12 @@ from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.channel import relay_mask, relay_search, trace_path
 from repro.core.problem import Channel, resolve_users
 from repro.core.rates import swap_log_rate
 from repro.network.graph import QuantumNetwork
 import repro.obs.metrics as obs_metrics
 from repro.bounds.simplex import LPResult, simplex_solve
-from repro.utils.heap import IndexedMinHeap
 
 __all__ = [
     "BoundCertificate",
@@ -261,62 +261,24 @@ def _pricing_search(
 ) -> Tuple[Dict[Hashable, float], Dict[Hashable, Hashable]]:
     """Exact pricing: min-cost user→user paths under dual penalties.
 
-    Mirrors :func:`repro.core.channel.dijkstra` (same ``α·L − ln q``
-    weight space, users never relay) but charges an extra nonnegative
-    ``penalties[r]`` when transiting switch ``r``.  With *budgets*
-    given, only switches holding ≥ 2 qubits may relay (the capacitated
-    universe); with ``None`` every switch may relay (the uncapacitated
-    universe used to bound capacity-exempt methods).
+    Runs the channel-search kernel :func:`repro.core.channel.relay_search`
+    (same ``α·L − ln q`` weight space, users never relay) but charges an
+    extra nonnegative ``penalties[r]`` when transiting switch ``r``.
+    With *budgets* given, only switches holding ≥ 2 qubits may relay
+    (the capacitated universe); with ``None`` every switch may relay
+    (the uncapacitated universe used to bound capacity-exempt methods).
     """
-    alpha = network.params.alpha
+    graph = network.routing_snapshot()
     minus_ln_q = -swap_log_rate(network.params.swap_prob)
-
-    dist: Dict[Hashable, float] = {source: 0.0}
-    prev: Dict[Hashable, Hashable] = {}
-    visited: set = set()
-    heap = IndexedMinHeap()
-    heap.push(source, 0.0)
-    while len(heap):
-        node, node_dist = heap.pop_min()
-        if node in visited:
-            continue
-        visited.add(node)
-        if node != source:
-            if not network.is_switch(node):
-                continue
-            if budgets is not None and budgets.get(node, 0) < 2:
-                continue
-        transit_cost = (
-            0.0
-            if node == source
-            else minus_ln_q + penalties.get(node, 0.0)
-        )
-        if math.isinf(transit_cost):
-            continue  # q = 0: only the source's own fibers are usable
-        for fiber in network.incident_fibers(node):
-            neighbor = fiber.other_end(node)
-            if neighbor in visited:
-                continue
-            if (
-                network.is_switch(neighbor)
-                and budgets is not None
-                and budgets.get(neighbor, 0) < 2
-            ):
-                continue
-            candidate = node_dist + transit_cost + alpha * fiber.length
-            if candidate < dist.get(neighbor, math.inf):
-                dist[neighbor] = candidate
-                prev[neighbor] = node
-                heap.push(neighbor, candidate)
+    transit = [minus_ln_q + penalties.get(node, 0.0) for node in graph.ids]
+    if budgets is None:
+        relay = bytearray(graph.is_switch)
+    else:
+        relay = relay_mask(graph, budgets)
+    dist, prev, _, _, _ = relay_search(
+        graph, graph.index[source], network.params.alpha, transit, relay
+    )
     return dist, prev
-
-
-def _trace(prev: Dict[Hashable, Hashable], source, target) -> Tuple:
-    path = [target]
-    while path[-1] != source:
-        path.append(prev[path[-1]])
-    path.reverse()
-    return tuple(path)
 
 
 class _Master:
@@ -456,7 +418,7 @@ def solve_relaxation(
                 if duals is None:
                     # Seed round: the best channel per reachable pair
                     # unconditionally (reduced costs need duals).
-                    path = _trace(prev, source, target)
+                    path = trace_path(prev, source, target)
                     if master.add_column(
                         PathColumn(pair, Channel.from_path(network, path))
                     ):
@@ -475,7 +437,7 @@ def solve_relaxation(
                 slack += min(0.0, reduced)
                 worst = min(worst, reduced)
                 if reduced < -tolerance:
-                    path = _trace(prev, source, target)
+                    path = trace_path(prev, source, target)
                     column = PathColumn(
                         pair, Channel.from_path(network, path)
                     )

@@ -18,20 +18,53 @@ Implementation notes (equivalent reformulation):
   all destinations through the ``Prev`` array — the complexity
   optimization described after Theorem 3, giving
   ``O(|U|(|E| + |V| log |V|))`` for the all-pairs step.
+
+The search itself (:func:`relay_search`) runs on plain lists over the
+network's :meth:`~repro.network.graph.QuantumNetwork.routing_snapshot`
+(int node indices, per-node ``(neighbor, fiber_key, length)`` rows)
+with an inlined binary heap.  :func:`dijkstra` and the LP pricing
+search in :mod:`repro.bounds.lp` share it; they differ only in the
+per-node transit costs and relay mask they pass.
+
+Tie-order contract.  Equal-weight channels are resolved by scan and
+pop order, and every solver, cache entry and determinism digest
+inherits that resolution, so the kernel must reproduce exactly the
+plain dict / :class:`~repro.utils.heap.IndexedMinHeap` search that
+``tests/core/test_channel_reference.py`` keeps as its reference:
+
+* fibers are scanned in adjacency insertion order (the snapshot's row
+  order; :meth:`~repro.network.graph.QuantumNetwork.align_fiber_order`
+  drops the snapshot so rows follow a realignment);
+* the heap sifts exactly as ``IndexedMinHeap`` does — ``>=`` stops a
+  sift-up, strict ``<`` picks the child on a sift-down — so ties pop in
+  the same order;
+* candidate weights are computed as ``(dist + transit) + α·L`` in that
+  float order, since re-associating changes the last bit and with it
+  which path wins a tie;
+* the returned ``dist`` / ``prev`` dicts are filled in first-relaxation
+  order, so callers and cache entries see the same insertion order.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core.problem import Channel
 from repro.core.rates import swap_log_rate
 from repro.exec import cache as exec_cache
-from repro.network.graph import QuantumNetwork
+from repro.network.errors import UnknownNodeError
+from repro.network.graph import QuantumNetwork, RoutingSnapshot
 import repro.obs.metrics as obs_metrics
-from repro.utils.heap import IndexedMinHeap
 
 __all__ = [
     "dijkstra",
@@ -50,6 +83,142 @@ def _residual_qubits(
     if residual is None:
         return network.residual_qubits()
     return residual
+
+
+def relay_mask(
+    graph: RoutingSnapshot, qubits: Dict[Hashable, int]
+) -> bytearray:
+    """Per-node relay flags: switches holding ≥ 2 of *qubits* (line 11)."""
+    relay = bytearray(len(graph.ids))
+    for i, switch_id in graph.switches:
+        if qubits.get(switch_id, 0) >= 2:
+            relay[i] = 1
+    return relay
+
+
+def relay_search(
+    graph: RoutingSnapshot,
+    source: int,
+    alpha: float,
+    transit: Sequence[float],
+    relay: Sequence[int],
+    forbidden: Optional[Set[Tuple[Hashable, Hashable]]] = None,
+) -> Tuple[Dict[Hashable, float], Dict[Hashable, Hashable], int, int, int]:
+    """Min-weight search from node index *source* over *graph*.
+
+    Leaving node ``i`` other than the source costs ``transit[i]``
+    (``+inf`` forbids it); every fiber costs ``α·L``.  Only nodes with a
+    truthy ``relay[i]`` are expanded beyond the source, and a switch
+    that may not relay may not be entered either.  Users are always
+    enterable (as terminals); callers leave their ``relay`` flag 0 so
+    they never relay.  Fibers whose key is in *forbidden* are skipped.
+
+    Returns ``(dist, prev, heap_pops, edges_scanned, relaxations)``
+    with node ids as keys, in the tie order the module docstring
+    pins down.  Every popped node is settled, so ``heap_pops`` is also
+    the settled-node count.
+    """
+    ids = graph.ids
+    rows = graph.rows
+    is_switch = graph.is_switch
+    n = len(ids)
+    inf = math.inf
+    dist = [inf] * n
+    prev = [-1] * n
+    settled = bytearray(n)
+    pos = [-1] * n  # heap slot per node, -1 when not queued
+    first_relaxed: List[int] = []
+    keys = [0.0]
+    items = [source]
+    pos[source] = 0
+    heap_pops = edges_scanned = relaxations = 0
+
+    while items:
+        node = items[0]
+        node_dist = keys[0]
+        last = items.pop()
+        last_key = keys.pop()
+        pos[node] = -1
+        size = len(items)
+        if size:
+            # Sift *last* down from the root (IndexedMinHeap._sift_down).
+            i = 0
+            while True:
+                child = 2 * i + 1
+                if child >= size:
+                    break
+                child_key = keys[child]
+                right = child + 1
+                if right < size and keys[right] < (
+                    child_key if child_key < last_key else last_key
+                ):
+                    child = right
+                    child_key = keys[right]
+                elif not child_key < last_key:
+                    break
+                keys[i] = child_key
+                moved = items[child]
+                items[i] = moved
+                pos[moved] = i
+                i = child
+            keys[i] = last_key
+            items[i] = last
+            pos[last] = i
+        heap_pops += 1
+        settled[node] = 1
+        if node == source:
+            cost = 0.0
+        elif not relay[node]:
+            continue
+        else:
+            cost = transit[node]
+            if cost == inf:
+                continue  # q = 0: cannot extend beyond the source's links
+        row = rows[node]
+        edges_scanned += len(row)
+        base = node_dist + cost
+        for neighbor, key, length in row:
+            if settled[neighbor]:
+                continue
+            if forbidden is not None and key in forbidden:
+                continue
+            if is_switch[neighbor] and not relay[neighbor]:
+                continue
+            candidate = base + alpha * length
+            if candidate < dist[neighbor]:
+                if prev[neighbor] < 0:
+                    first_relaxed.append(neighbor)
+                dist[neighbor] = candidate
+                prev[neighbor] = node
+                relaxations += 1
+                # Insert or decrease-key, then sift up
+                # (IndexedMinHeap.push / _sift_up).
+                i = pos[neighbor]
+                if i < 0:
+                    i = len(items)
+                    items.append(neighbor)
+                    keys.append(candidate)
+                while i > 0:
+                    parent = (i - 1) >> 1
+                    parent_key = keys[parent]
+                    if candidate >= parent_key:
+                        break
+                    keys[i] = parent_key
+                    moved = items[parent]
+                    items[i] = moved
+                    pos[moved] = i
+                    i = parent
+                keys[i] = candidate
+                items[i] = neighbor
+                pos[neighbor] = i
+
+    dist_out: Dict[Hashable, float] = {ids[source]: 0.0}
+    prev_out: Dict[Hashable, Hashable] = {}
+    for i in first_relaxed:
+        node_id = ids[i]
+        dist_out[node_id] = dist[i]
+        prev_out[node_id] = ids[prev[i]]
+    return dist_out, prev_out, heap_pops, edges_scanned, relaxations
 
 
 def dijkstra(
@@ -78,9 +247,9 @@ def dijkstra(
     so argmax comparisons stay valid).
 
     Profiling: each call publishes ``core.dijkstra.calls`` /
-    ``.heap_pops`` / ``.edges_scanned`` / ``.relaxations`` counters to
-    the active :class:`~repro.obs.metrics.MetricsRegistry` (one batch
-    at return, so per-iteration cost is three local integer bumps).
+    ``.heap_pops`` / ``.edges_scanned`` / ``.relaxations`` /
+    ``.nodes_settled`` counters to the active
+    :class:`~repro.obs.metrics.MetricsRegistry` (one batch at return).
 
     Caching: when a :class:`~repro.exec.cache.ChannelCache` is active
     (:func:`repro.exec.cache.caching`), results are memoized under an
@@ -106,57 +275,27 @@ def dijkstra(
         warmed = cache.warm_lookup(cache_key, network)
         if warmed is not None:
             return warmed
-    alpha = network.params.alpha
+    graph = network.routing_snapshot()
+    start = graph.index.get(source)
+    if start is None:
+        raise UnknownNodeError(source)
+    relay = relay_mask(graph, qubits)
     minus_ln_q = -swap_log_rate(network.params.swap_prob)  # in [0, +inf]
-
-    dist: Dict[Hashable, float] = {source: 0.0}
-    prev: Dict[Hashable, Hashable] = {}
-    visited: Set[Hashable] = set()
-    heap = IndexedMinHeap()
-    heap.push(source, 0.0)
-    heap_pops = 0
-    edges_scanned = 0
-    relaxations = 0
-
-    while len(heap):
-        node, node_dist = heap.pop_min()
-        heap_pops += 1
-        if node in visited:
-            continue
-        visited.add(node)
-        # Only the source user and capable switches may relay onward.
-        if node != source:
-            if not network.is_switch(node):
-                continue
-            if qubits.get(node, 0) < 2:
-                continue
-        swap_cost = 0.0 if node == source else minus_ln_q
-        if math.isinf(swap_cost):
-            continue  # q = 0: cannot extend beyond the source's own links
-        for fiber in network.incident_fibers(node):
-            edges_scanned += 1
-            neighbor = fiber.other_end(node)
-            if neighbor in visited:
-                continue
-            if forbidden_fibers and fiber.key in forbidden_fibers:
-                continue
-            # A neighbor is enterable if it terminates (any user) or can
-            # potentially relay (switch with >= 2 residual qubits).
-            if network.is_switch(neighbor) and qubits.get(neighbor, 0) < 2:
-                continue
-            candidate = node_dist + swap_cost + alpha * fiber.length
-            if candidate < dist.get(neighbor, math.inf):
-                dist[neighbor] = candidate
-                prev[neighbor] = node
-                heap.push(neighbor, candidate)
-                relaxations += 1
+    dist, prev, heap_pops, edges_scanned, relaxations = relay_search(
+        graph,
+        start,
+        network.params.alpha,
+        [minus_ln_q] * len(graph.ids),
+        relay,
+        forbidden_fibers or None,
+    )
     metrics = obs_metrics.active()
     if metrics is not None:
         metrics.inc("core.dijkstra.calls")
         metrics.inc("core.dijkstra.heap_pops", heap_pops)
         metrics.inc("core.dijkstra.edges_scanned", edges_scanned)
         metrics.inc("core.dijkstra.relaxations", relaxations)
-        metrics.inc("core.dijkstra.nodes_settled", len(visited))
+        metrics.inc("core.dijkstra.nodes_settled", heap_pops)
     if cache is not None:
         cache.put(cache_key, (dist, prev))
     return dist, prev
@@ -176,24 +315,6 @@ def trace_path(
         path.append(prev[path[-1]])
     path.reverse()
     return tuple(path)
-
-
-#: Deprecated pre-1.1 private names, kept as importable aliases.
-_DEPRECATED_ALIASES = {"_dijkstra": dijkstra, "_trace_path": trace_path}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_ALIASES:
-        warnings.warn(
-            f"repro.core.channel.{name} is deprecated; use the public "
-            f"repro.core.channel.{name.lstrip('_')} instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _DEPRECATED_ALIASES[name]
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
 
 
 def find_best_channel(

@@ -21,6 +21,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Set,
     Tuple,
@@ -56,6 +57,24 @@ def _fiber_event(key: Tuple[Hashable, Hashable], restored: bool):
     return DeltaEvent.fiber_cut(*key)
 
 
+class RoutingSnapshot(NamedTuple):
+    """Int-indexed, read-only view of a network's routing structure.
+
+    Node ``i`` is ``ids[i]`` (insertion order) and ``index`` inverts
+    that.  ``rows[i]`` lists ``(neighbor_index, fiber_key, length)`` for
+    every fiber at node ``i``, in adjacency insertion order — the order
+    the channel search scans them in, which fixes its tie-breaking.
+    Lengths are raw kilometres, not ``α·L``, so the snapshot stays valid
+    across parameter changes.
+    """
+
+    ids: List[Hashable]
+    index: Dict[Hashable, int]
+    is_switch: List[bool]
+    switches: List[Tuple[int, Hashable]]  # (index, id) per switch
+    rows: List[List[Tuple[int, Tuple[Hashable, Hashable], float]]]
+
+
 @dataclass(frozen=True)
 class NetworkParams:
     """Physical parameters shared by the whole network.
@@ -88,6 +107,9 @@ class QuantumNetwork:
         self._adjacency: Dict[Hashable, Dict[Hashable, OpticalFiber]] = {}
         #: Memoized content hashes per scope; cleared on any mutation.
         self._fingerprints: Dict[str, str] = {}
+        #: Lazily built by :meth:`routing_snapshot`; dropped whenever
+        #: nodes, fibers or adjacency order change.
+        self._routing: Optional[RoutingSnapshot] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -132,6 +154,7 @@ class QuantumNetwork:
         routing fingerprint are now unreachable, so they stop crowding
         the LRU window.
         """
+        self._routing = None
         old_routing = self._fingerprints.pop("routing", None)
         self._fingerprints.clear()
         # Lazy imports: neither repro.exec.cache nor the incremental
@@ -208,7 +231,12 @@ class QuantumNetwork:
         with a fresh rebuild of the same topology.  Pass *nodes* to
         realign only those adjacency rows (removals never reorder, so
         after a re-add only the two endpoints can be out of order).
+
+        The reordering bypasses :meth:`_content_changed` (content is
+        unchanged), so it must drop the routing snapshot itself: the
+        snapshot's rows record the old scan order.
         """
+        self._routing = None
         ordered = {
             key: self._fibers[key]
             for key in reference._fibers
@@ -302,6 +330,34 @@ class QuantumNetwork:
         if node_id not in self._nodes:
             raise UnknownNodeError(node_id)
         return list(self._adjacency[node_id].values())
+
+    def routing_snapshot(self) -> RoutingSnapshot:
+        """The int-indexed routing view, built on first use and memoized.
+
+        Shared with :meth:`copy` clones until either side mutates; any
+        mutation or :meth:`align_fiber_order` drops it.
+        """
+        snapshot = self._routing
+        if snapshot is not None:
+            return snapshot
+        ids = list(self._nodes)
+        index = {node_id: i for i, node_id in enumerate(ids)}
+        is_switch = [
+            isinstance(self._nodes[node_id], QuantumSwitch) for node_id in ids
+        ]
+        # Reuse the stored key tuples rather than re-deriving them.
+        key_of = {id(fiber): key for key, fiber in self._fibers.items()}
+        rows = [
+            [
+                (index[other], key_of[id(fiber)], fiber.length)
+                for other, fiber in self._adjacency[node_id].items()
+            ]
+            for node_id in ids
+        ]
+        switches = [(i, ids[i]) for i in range(len(ids)) if is_switch[i]]
+        snapshot = RoutingSnapshot(ids, index, is_switch, switches, rows)
+        self._routing = snapshot
+        return snapshot
 
     def degree(self, node_id: Hashable) -> int:
         """Number of fibers incident to *node_id*."""
@@ -431,8 +487,10 @@ class QuantumNetwork:
             node_id: dict(neighbors)
             for node_id, neighbors in self._adjacency.items()
         }
-        # Content is identical, so memoized fingerprints carry over.
+        # Content is identical, so memoized fingerprints and the
+        # routing snapshot carry over.
         clone._fingerprints = dict(self._fingerprints)
+        clone._routing = self._routing
         return clone
 
     def with_switch_qubits(self, qubits: int) -> "QuantumNetwork":

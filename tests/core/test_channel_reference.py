@@ -1,0 +1,278 @@
+"""Reference equivalence for the Algorithm-1 channel search.
+
+Equal-weight channels are resolved by the search's tie order: which
+neighbor is relaxed first and which heap entry pops first.  Every
+solver, cache entry and determinism digest downstream inherits that
+order, so the production :func:`repro.core.channel.dijkstra` must not
+merely find *a* best channel — it must reproduce, byte for byte, the
+``(dist, prev)`` maps of the plain dict / :class:`IndexedMinHeap`
+search frozen below, including their insertion order and the
+``core.dijkstra.*`` counters it publishes.  The same holds for the LP
+pricing search, which runs the same kernel with per-switch penalties.
+
+Networks use small *integer* fiber lengths (and ``α`` / ``q`` values
+that keep weight sums exact) so that ties are common rather than rare.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Dict, Hashable, Optional, Set, Tuple
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.obs.metrics as obs_metrics
+from repro.bounds import lp
+from repro.core.channel import dijkstra
+from repro.core.rates import swap_log_rate
+from repro.network.graph import NetworkParams, QuantumNetwork
+from repro.utils.heap import IndexedMinHeap
+
+COUNTERS = (
+    "core.dijkstra.calls",
+    "core.dijkstra.heap_pops",
+    "core.dijkstra.edges_scanned",
+    "core.dijkstra.relaxations",
+    "core.dijkstra.nodes_settled",
+)
+
+
+def _reference_dijkstra(
+    network: QuantumNetwork,
+    source: Hashable,
+    qubits: Dict[Hashable, int],
+    forbidden_fibers: Optional[Set[Tuple[Hashable, Hashable]]],
+):
+    """The dict / IndexedMinHeap channel search, frozen as the reference."""
+    alpha = network.params.alpha
+    minus_ln_q = -swap_log_rate(network.params.swap_prob)
+
+    dist: Dict[Hashable, float] = {source: 0.0}
+    prev: Dict[Hashable, Hashable] = {}
+    visited: Set[Hashable] = set()
+    heap = IndexedMinHeap()
+    heap.push(source, 0.0)
+    heap_pops = 0
+    edges_scanned = 0
+    relaxations = 0
+
+    while len(heap):
+        node, node_dist = heap.pop_min()
+        heap_pops += 1
+        if node in visited:
+            continue
+        visited.add(node)
+        if node != source:
+            if not network.is_switch(node):
+                continue
+            if qubits.get(node, 0) < 2:
+                continue
+        swap_cost = 0.0 if node == source else minus_ln_q
+        if math.isinf(swap_cost):
+            continue
+        for fiber in network.incident_fibers(node):
+            edges_scanned += 1
+            neighbor = fiber.other_end(node)
+            if neighbor in visited:
+                continue
+            if forbidden_fibers and fiber.key in forbidden_fibers:
+                continue
+            if network.is_switch(neighbor) and qubits.get(neighbor, 0) < 2:
+                continue
+            candidate = node_dist + swap_cost + alpha * fiber.length
+            if candidate < dist.get(neighbor, math.inf):
+                dist[neighbor] = candidate
+                prev[neighbor] = node
+                heap.push(neighbor, candidate)
+                relaxations += 1
+    counters = {
+        "core.dijkstra.calls": 1,
+        "core.dijkstra.heap_pops": heap_pops,
+        "core.dijkstra.edges_scanned": edges_scanned,
+        "core.dijkstra.relaxations": relaxations,
+        "core.dijkstra.nodes_settled": len(visited),
+    }
+    return dist, prev, counters
+
+
+def _reference_pricing(
+    network: QuantumNetwork,
+    source: Hashable,
+    penalties: Dict[Hashable, float],
+    budgets: Optional[Dict[Hashable, int]],
+):
+    """The LP pricing search as it stood beside the channel search."""
+    alpha = network.params.alpha
+    minus_ln_q = -swap_log_rate(network.params.swap_prob)
+
+    dist: Dict[Hashable, float] = {source: 0.0}
+    prev: Dict[Hashable, Hashable] = {}
+    visited: set = set()
+    heap = IndexedMinHeap()
+    heap.push(source, 0.0)
+    while len(heap):
+        node, node_dist = heap.pop_min()
+        if node in visited:
+            continue
+        visited.add(node)
+        if node != source:
+            if not network.is_switch(node):
+                continue
+            if budgets is not None and budgets.get(node, 0) < 2:
+                continue
+        transit_cost = (
+            0.0
+            if node == source
+            else minus_ln_q + penalties.get(node, 0.0)
+        )
+        if math.isinf(transit_cost):
+            continue
+        for fiber in network.incident_fibers(node):
+            neighbor = fiber.other_end(node)
+            if neighbor in visited:
+                continue
+            if (
+                network.is_switch(neighbor)
+                and budgets is not None
+                and budgets.get(neighbor, 0) < 2
+            ):
+                continue
+            candidate = node_dist + transit_cost + alpha * fiber.length
+            if candidate < dist.get(neighbor, math.inf):
+                dist[neighbor] = candidate
+                prev[neighbor] = node
+                heap.push(neighbor, candidate)
+    return dist, prev
+
+
+@st.composite
+def tied_networks(draw):
+    """A random network with integer fiber lengths, in a random build order."""
+    n_users = draw(st.integers(1, 5))
+    n_switches = draw(st.integers(0, 10))
+    names = [f"u{i}" for i in range(n_users)] + [
+        f"s{i}" for i in range(n_switches)
+    ]
+    order = draw(st.permutations(names))
+    params = NetworkParams(
+        alpha=draw(st.sampled_from([1.0, 0.5, 0.1, 0.3, 1e-4])),
+        swap_prob=draw(st.sampled_from([0.0, 0.5, 1.0])),
+    )
+    network = QuantumNetwork(params)
+    for name in order:
+        if name.startswith("u"):
+            network.add_user(name)
+        else:
+            network.add_switch(name, qubits=draw(st.integers(0, 4)))
+    pairs = [
+        (a, b) for i, a in enumerate(order) for b in order[i + 1 :]
+    ]
+    chosen = draw(
+        st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))
+        if pairs
+        else st.just([])
+    )
+    for u, v in chosen:
+        network.add_fiber(u, v, length=float(draw(st.integers(1, 3))))
+    return network
+
+
+@st.composite
+def search_cases(draw):
+    network = draw(tied_networks())
+    switches = network.switch_ids
+    if draw(st.booleans()):
+        residual = None
+        qubits = network.residual_qubits()
+    else:
+        residual = {
+            s: draw(st.integers(0, 4))
+            for s in switches
+            if draw(st.booleans())
+        }
+        qubits = residual
+    fiber_keys = [f.key for f in network.fibers]
+    forbidden = None
+    if fiber_keys and draw(st.booleans()):
+        forbidden = set(
+            draw(st.lists(st.sampled_from(fiber_keys), unique=True))
+        )
+    allow_switch_source = bool(switches) and draw(st.booleans())
+    candidates = network.node_ids if allow_switch_source else network.user_ids
+    source = draw(st.sampled_from(candidates))
+    return network, source, residual, qubits, forbidden, allow_switch_source
+
+
+def _ordered(mapping):
+    return list(mapping.items())
+
+
+def _assert_matches_reference(
+    network, source, residual, qubits, forbidden, allow_switch_source
+):
+    expected_dist, expected_prev, expected_counters = _reference_dijkstra(
+        network, source, qubits, forbidden
+    )
+    with obs_metrics.collecting() as registry:
+        dist, prev = dijkstra(
+            network,
+            source,
+            residual,
+            forbidden_fibers=forbidden,
+            allow_switch_source=allow_switch_source,
+        )
+    assert _ordered(dist) == _ordered(expected_dist)
+    assert _ordered(prev) == _ordered(expected_prev)
+    counters = registry.counters()
+    assert {name: counters.get(name, 0) for name in COUNTERS} == (
+        expected_counters
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=search_cases())
+def test_dijkstra_matches_frozen_reference(case):
+    _assert_matches_reference(*case)
+
+
+def test_equal_keys_pop_in_reference_order():
+    """A fan of equal-weight relays: only the heap's tie rules order them.
+
+    Every switch reaches ``t`` at the same weight, so the first switch
+    popped wins ``t``, and each switch's private user ``p*`` enters
+    ``dist`` when that switch pops.  A sift that moves an entry on an
+    equal key pops the switches in a different order.
+    """
+    network = QuantumNetwork(NetworkParams(alpha=1.0, swap_prob=1.0))
+    network.add_user("u")
+    network.add_user("t")
+    for i in range(7):
+        network.add_switch(f"s{i}", qubits=2)
+        network.add_user(f"p{i}")
+        network.add_fiber("u", f"s{i}", length=1.0)
+        network.add_fiber(f"s{i}", f"p{i}", length=1.0)
+    for i in range(7):
+        network.add_fiber(f"s{i}", "t", length=1.0)
+    qubits = network.residual_qubits()
+    _assert_matches_reference(network, "u", None, qubits, None, False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=search_cases(), data=st.data())
+def test_pricing_matches_frozen_reference(case, data):
+    network, source, residual, qubits, _forbidden, _allow = case
+    if not network.is_user(source):
+        return
+    penalties = {
+        s: float(data.draw(st.integers(0, 3)))
+        for s in network.switch_ids
+        if data.draw(st.booleans())
+    }
+    budgets = data.draw(st.sampled_from([None, qubits]))
+    expected_dist, expected_prev = _reference_pricing(
+        network, source, penalties, budgets
+    )
+    dist, prev = lp._pricing_search(network, source, penalties, budgets)
+    assert _ordered(dist) == _ordered(expected_dist)
+    assert _ordered(prev) == _ordered(expected_prev)

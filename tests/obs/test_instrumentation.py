@@ -278,16 +278,13 @@ class TestCliFlags:
 
 
 class TestDeprecatedAliases:
-    def test_private_dijkstra_alias_warns(self):
-        import repro.core.channel as channel
-
-        with pytest.warns(DeprecationWarning):
-            assert channel._dijkstra is channel.dijkstra
-        with pytest.warns(DeprecationWarning):
-            assert channel._trace_path is channel.trace_path
+    """The pre-1.1 private names ``_dijkstra`` / ``_trace_path`` are gone."""
 
     def test_unknown_attribute_still_raises(self):
         import repro.core.channel as channel
 
         with pytest.raises(AttributeError):
             channel.no_such_name
+        for name in ("_dijkstra", "_trace_path"):
+            with pytest.raises(AttributeError):
+                getattr(channel, name)
