@@ -114,15 +114,19 @@ def _route_star(
     """Route channels center→every other user under residual capacity.
 
     Targets are admitted in descending single-shot rate order (the
-    baseline's greedy), re-routing after each admission since qubit
-    deductions change the landscape.  ``None`` when any user becomes
-    unreachable.
+    baseline's greedy).  The center's search is re-run only after an
+    admission takes some switch below 2 qubits, since only that changes
+    which switches may relay; until then the earlier result, minus the
+    admitted targets, is exactly what a new search would return.
+    ``None`` when any user becomes unreachable.
     """
     residual = network.residual_qubits()
     pending = [u for u in user_list if u != center]
     star: List[Channel] = []
+    found: Optional[Dict[Hashable, Channel]] = None
     while pending:
-        found = best_channels_from(network, center, pending, residual)
+        if found is None:
+            found = best_channels_from(network, center, pending, residual)
         best_target = None
         best_channel = None
         for target, channel in found.items():
@@ -134,6 +138,10 @@ def _route_star(
             return None
         for switch in best_channel.switches:
             residual[switch] -= 2
+            if residual[switch] < 2:
+                found = None
+        if found is not None:
+            del found[best_target]
         star.append(best_channel)
         pending.remove(best_target)
     return star

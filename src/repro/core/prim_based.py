@@ -7,12 +7,20 @@ qubits, and moves the newly connected user into the tree.  After
 ``|U| − 1`` successful rounds all users are entangled; if some round
 finds no channel the instance is declared infeasible (rate 0).
 
+Algorithm 1's search reads the residual budget only through its relay
+mask (switches with ≥ 2 free qubits), and a round's reservation changes
+that mask only when it takes some switch below 2.  Until then each
+connected user's earlier search result is still exact, so a round
+searches only from the newcomer; the first round that exhausts a switch
+drops every kept result.  With ``Q ≥ 2|U|`` no switch is ever exhausted
+and a solve runs ``|U| − 1`` searches.
+
 Unlike Algorithm 3 this needs no Algorithm 2 output to start from.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, List, Optional, Set
+from typing import Dict, Hashable, Iterable, List, Optional, Set
 
 from repro.core.channel import best_channels_from
 from repro.core.ledger import CapacityLedger
@@ -72,20 +80,30 @@ def solve_prim(
     ledger = CapacityLedger.adopt(residual, network)
     selected: List[Channel] = []
 
+    # Each source's search result, kept while the relay mask holds.
+    searched: Dict[Hashable, Dict[Hashable, Channel]] = {}
+
     try:
         with ledger.transaction():
             while remaining:
                 best: Optional[Channel] = None
                 for source in connected:
-                    found = best_channels_from(
-                        network, source, remaining, ledger
-                    )
-                    for channel in found.values():
-                        if best is None or channel_sort_key(channel) < channel_sort_key(best):
+                    found = searched.get(source)
+                    if found is None:
+                        found = searched[source] = best_channels_from(
+                            network, source, remaining, ledger
+                        )
+                    for target, channel in found.items():
+                        if target in remaining and (
+                            best is None
+                            or channel_sort_key(channel) < channel_sort_key(best)
+                        ):
                             best = channel
                 if best is None:
                     raise _Infeasible()
                 ledger.reserve_channel(best)
+                if any(ledger.get(switch, 0) < 2 for switch in best.switches):
+                    searched.clear()
                 newcomer = best.endpoints[1]
                 remaining.discard(newcomer)
                 connected.append(newcomer)
