@@ -17,23 +17,30 @@ layer on top of the routing algorithms:
   telemetry, the metrics an operator dimensioning switch memory cares
   about.
 
-**Resilient mode** (the robustness layer): give the scheduler a
-:class:`~repro.resilience.faults.FaultInjector` and/or a
-:class:`~repro.resilience.retry.RetryPolicy` and the run loop becomes
-fault-aware:
+Every run goes through one loop.  Reservations are taken and returned
+through a :class:`~repro.core.ledger.CapacityLedger`, so an overbooking
+bug raises instead of driving a switch's budget negative, and every
+request ends with exactly one disposition in the run's
+:class:`~repro.resilience.report.ResilienceReport`.  The scheduler's
+optional inputs switch further features on:
 
-* injected faults fire *mid-service*; reservations whose tree loses a
-  fiber or switch are re-routed in place via capacity-aware incremental
-  repair (:func:`repro.extensions.recovery.repair_solution`), keeping
-  their surviving channels' qubits reserved;
-* when no full repair exists, the scheduler **degrades gracefully**: it
-  keeps serving the largest user subset still spanned by the surviving
-  channels instead of hard-failing the whole group;
-* blocked requests are paced by the retry policy (backoff instead of
-  hammering every slot) and abandoned when their deadline passes;
-* everything is accounted in a deterministic
-  :class:`~repro.resilience.report.ResilienceReport` attached to the
-  result — every abandoned request is attributable to a cause.
+* a :class:`~repro.resilience.faults.FaultInjector` fires faults
+  *mid-service*; reservations whose tree loses a fiber or switch are
+  re-routed in place via capacity-aware incremental repair
+  (:func:`repro.extensions.recovery.repair_solution`), keeping their
+  surviving channels' qubits reserved.  When no full repair exists, the
+  scheduler **degrades gracefully**: it keeps serving the largest user
+  subset still spanned by the surviving channels;
+* a :class:`~repro.resilience.retry.RetryPolicy` paces blocked requests
+  (backoff instead of hammering every slot), and a request ``deadline``
+  abandons them once it passes;
+* an :class:`~repro.admission.AdmissionController` throttles, queues,
+  sheds, degrades or hedges requests before any qubits are reserved;
+* a :class:`~repro.tenancy.replicas.ReplicationPolicy` serves each
+  group on up to *k* redundant trees with mid-service failover.
+
+With none of them set, a blocked request is retried every slot until
+``arrival + max_wait`` and then rejected.
 """
 
 from __future__ import annotations
@@ -201,7 +208,7 @@ class OnlineResult:
 
 @dataclass
 class _Reservation:
-    """Mutable in-flight service record (resilient loop only)."""
+    """Mutable in-flight service record."""
 
     request: EntanglementRequest
     solution: MUERPSolution
@@ -276,8 +283,9 @@ class OnlineScheduler:
             ``"conflict_free"``.
         rng: Random source forwarded to the solver.
         fault_injector: Optional
-            :class:`~repro.resilience.faults.FaultInjector`; enables the
-            fault-aware run loop (mid-service repair + degradation).
+            :class:`~repro.resilience.faults.FaultInjector` whose faults
+            fire mid-service; broken trees are repaired in place or
+            degraded to a surviving user subset.
         retry_policy: Optional
             :class:`~repro.resilience.retry.RetryPolicy` pacing blocked
             requests' re-admission attempts.
@@ -336,119 +344,15 @@ class OnlineScheduler:
         names = [r.name for r in requests]
         if len(set(names)) != len(names):
             raise ValueError("request names must be unique")
-        resilient = (
-            self.fault_injector is not None
-            or self.retry_policy is not None
-            or self.admission is not None
-            or self.replication is not None
-            or any(r.deadline is not None for r in requests)
-        )
         with obs_trace.span(
-            "online.run",
-            method=self.method,
-            requests=len(requests),
-            resilient=resilient,
+            "online.run", method=self.method, requests=len(requests)
         ):
-            if resilient:
-                return self._run_resilient(requests)
-            return self._run_legacy(requests)
+            return self._run(requests)
 
     # ------------------------------------------------------------------
-    # Legacy (fault-free) loop — the paper-faithful loss system.
+    # The run loop — releases, faults, admission, routing, retries.
     # ------------------------------------------------------------------
-    def _run_legacy(
-        self, requests: Sequence[EntanglementRequest]
-    ) -> OnlineResult:
-        metrics = obs_metrics.active()
-        residual = self.network.residual_qubits()
-        budgets = dict(residual)
-        peak_usage: Dict[Hashable, int] = {s: 0 for s in residual}
-
-        #: (release_slot, usage dict) of active reservations.
-        active: List[Tuple[int, Dict[Hashable, int]]] = []
-        #: requests waiting for capacity, with their give-up slot.
-        waiting: List[Tuple[int, EntanglementRequest]] = []
-        outcomes: Dict[str, RequestOutcome] = {}
-
-        by_arrival: Dict[int, List[EntanglementRequest]] = {}
-        for request in requests:
-            by_arrival.setdefault(request.arrival, []).append(request)
-        if not requests:
-            return OnlineResult((), 0, peak_usage)
-        horizon = max(r.arrival + r.max_wait for r in requests) + 1
-
-        last_activity = 0
-        for slot in range(horizon + 1):
-            # 1. Release expired reservations.
-            still_active = []
-            for release_slot, usage in active:
-                if release_slot <= slot:
-                    for switch, qubits in usage.items():
-                        residual[switch] += qubits
-                else:
-                    still_active.append((release_slot, usage))
-            active = still_active
-
-            # 2. Gather this slot's candidates: new arrivals + waiters.
-            candidates = list(by_arrival.get(slot, []))
-            retained: List[Tuple[int, EntanglementRequest]] = []
-            for give_up, request in waiting:
-                candidates.append(request)
-            waiting = []
-
-            # 3. Try to admit each candidate (arrival order).
-            for request in candidates:
-                solution = self._route(request, residual)
-                if solution is not None:
-                    usage = solution.switch_usage()
-                    for switch, qubits in usage.items():
-                        residual[switch] -= qubits
-                        used_now = budgets[switch] - residual[switch]
-                        peak_usage[switch] = max(peak_usage[switch], used_now)
-                    release_slot = slot + request.hold
-                    active.append((release_slot, usage))
-                    if metrics is not None:
-                        metrics.inc("sim.online.admitted")
-                        metrics.observe(
-                            "sim.online.queue_wait_slots",
-                            slot - request.arrival,
-                        )
-                    outcomes[request.name] = RequestOutcome(
-                        request=request,
-                        accepted=True,
-                        solution=solution,
-                        start_slot=slot,
-                        release_slot=release_slot,
-                        disposition="served",
-                        served_users=tuple(sorted(request.users, key=repr)),
-                    )
-                    last_activity = max(last_activity, release_slot)
-                elif slot < request.arrival + request.max_wait:
-                    retained.append((request.arrival + request.max_wait, request))
-                else:
-                    if metrics is not None:
-                        metrics.inc("sim.online.rejected")
-                    outcomes[request.name] = RequestOutcome(
-                        request=request,
-                        accepted=False,
-                        solution=None,
-                        start_slot=None,
-                        release_slot=None,
-                        disposition="rejected",
-                    )
-            waiting = retained
-
-        ordered = tuple(outcomes[r.name] for r in requests)
-        return OnlineResult(
-            outcomes=ordered,
-            slots_simulated=max(horizon, last_activity),
-            peak_qubit_usage=peak_usage,
-        )
-
-    # ------------------------------------------------------------------
-    # Resilient loop — faults, retries, deadlines, degradation.
-    # ------------------------------------------------------------------
-    def _run_resilient(
+    def _run(
         self, requests: Sequence[EntanglementRequest]
     ) -> OnlineResult:
         from repro.admission.backpressure import (
@@ -516,68 +420,37 @@ class OnlineScheduler:
         if injector is not None:
             horizon = max(horizon, injector.schedule.last_slot)
 
-        def _close_served(res: _Reservation, slot: int) -> None:
-            served = tuple(sorted(res.solution.users, key=repr))
-            status = report_mod.DEGRADED if res.degraded else report_mod.SERVED
-            reason = (
-                f"degraded to {len(served)}/{len(res.request.users)} users"
-                if res.degraded
-                else ""
-            )
-            outcomes[res.request.name] = RequestOutcome(
-                request=res.request,
-                accepted=True,
-                solution=res.solution,
-                start_slot=res.start_slot,
-                release_slot=res.release_slot,
-                disposition=status,
-                degraded=res.degraded,
-                served_users=served,
-                reroutes=res.reroutes,
-                failovers=res.failovers,
-            )
-            report.close_request(
-                RequestDisposition(
-                    name=res.request.name,
-                    status=status,
-                    reason=reason,
-                    slot=slot,
-                    retries=res.retries,
-                    reroutes=res.reroutes,
-                    served_users=served,
-                    tenant=res.request.tenant or "",
-                    failovers=res.failovers,
-                )
-            )
-            if metrics is not None:
-                metrics.inc(f"sim.online.dispositions.{status}")
-                if res.request.tenant:
-                    metrics.inc(
-                        f"sim.online.tenant.{res.request.tenant}"
-                        f".dispositions.{status}"
-                    )
-            if admission is not None:
-                admission.on_closed(res.request, slot, status)
-            if res.hit_by_fault and not res.degraded:
-                report.record_recovery(res.request.name)
-
-        def _close_lost(
+        def _close(
             request: EntanglementRequest,
             status: str,
             reason: str,
             slot: int,
             retries: int = 0,
-            reroutes: int = 0,
-            start_slot: Optional[int] = None,
-            failovers: int = 0,
+            res: Optional[_Reservation] = None,
         ) -> None:
+            """Record *request*'s one outcome and disposition.
+
+            *res* is the request's reservation once it has started:
+            served (``SERVED``/``DEGRADED``) or abandoned mid-service.
+            """
+            served = status in (report_mod.SERVED, report_mod.DEGRADED)
+            served_users: Tuple[Hashable, ...] = ()
+            reroutes = failovers = 0
+            if res is not None:
+                retries = res.retries
+                reroutes = res.reroutes
+                failovers = res.failovers
+                if served:
+                    served_users = tuple(sorted(res.solution.users, key=repr))
             outcomes[request.name] = RequestOutcome(
                 request=request,
-                accepted=False,
-                solution=None,
-                start_slot=start_slot,
-                release_slot=None,
+                accepted=served,
+                solution=res.solution if served else None,
+                start_slot=None if res is None else res.start_slot,
+                release_slot=res.release_slot if served else None,
                 disposition=status,
+                degraded=status == report_mod.DEGRADED,
+                served_users=served_users,
                 reroutes=reroutes,
                 failovers=failovers,
             )
@@ -589,6 +462,7 @@ class OnlineScheduler:
                     slot=slot,
                     retries=retries,
                     reroutes=reroutes,
+                    served_users=served_users,
                     tenant=request.tenant or "",
                     failovers=failovers,
                 )
@@ -602,13 +476,53 @@ class OnlineScheduler:
                     )
             if admission is not None:
                 admission.on_closed(request, slot, status)
-            logger.info(
-                "request %s lost at slot %d: %s (%s)",
-                request.name,
-                slot,
-                status,
-                reason,
+            if not served:
+                logger.info(
+                    "request %s lost at slot %d: %s (%s)",
+                    request.name,
+                    slot,
+                    status,
+                    reason,
+                )
+            elif res.hit_by_fault and status == report_mod.SERVED:
+                report.record_recovery(request.name)
+
+        def _timed_out(request: EntanglementRequest, otherwise: str) -> str:
+            """Status of a request whose time ran out before service."""
+            if request.deadline is not None:
+                return report_mod.DEADLINE_EXCEEDED
+            return otherwise
+
+        def _audited(
+            res: _Reservation, solution: MUERPSolution, users
+        ) -> bool:
+            """Whether *solution* passes the verifier (recorded if run).
+
+            Trust-but-verify: a hand-stitched tree must pass the same
+            independent audit as any solver output before it re-enters
+            service.
+            """
+            if verifier is None:
+                return True
+            issues = verifier.audit(base, solution, users=users)
+            report.record_verification(
+                res.request.name,
+                not issues,
+                "; ".join(v.code for v in issues),
             )
+            return not issues
+
+        def _swap(res: _Reservation, solution: MUERPSolution) -> None:
+            """Move *res* onto *solution*'s qubits in one transaction.
+
+            An exception between release and reserve can never leak.
+            """
+            usage = solution.switch_usage()
+            with ledger.transaction():
+                ledger.release(res.usage)
+                ledger.reserve(usage)
+            res.solution = solution
+            res.usage = usage
 
         damaged = base
         active_sig: Tuple[frozenset, frozenset] = (frozenset(), frozenset())
@@ -649,7 +563,15 @@ class OnlineScheduler:
             for res in reservations:
                 if res.release_slot <= slot:
                     ledger.release(res.usage)
-                    _close_served(res, slot)
+                    if res.degraded:
+                        status = report_mod.DEGRADED
+                        reason = (
+                            f"degraded to {len(res.solution.users)}/"
+                            f"{len(res.request.users)} users"
+                        )
+                    else:
+                        status, reason = report_mod.SERVED, ""
+                    _close(res.request, status, reason, slot, res=res)
                 else:
                     still.append(res)
             reservations = still
@@ -760,29 +682,10 @@ class OnlineScheduler:
                         # topology once per broken reservation.
                         damaged=damaged,
                     )
-                    repaired_ok = rep.repaired
-                    if repaired_ok and verifier is not None:
-                        # Trust-but-verify: a hand-stitched repair must
-                        # pass the same independent audit as any solver
-                        # output before it re-enters service.
-                        issues = verifier.audit(
-                            base, rep.solution, users=res.solution.users
-                        )
-                        report.record_verification(
-                            res.request.name,
-                            not issues,
-                            "; ".join(v.code for v in issues),
-                        )
-                        repaired_ok = not issues
-                    if repaired_ok:
-                        new_usage = rep.solution.switch_usage()
-                        # Swap reservations atomically: an exception
-                        # between release and reserve can never leak.
-                        with ledger.transaction():
-                            ledger.release(res.usage)
-                            ledger.reserve(new_usage)
-                        res.solution = rep.solution
-                        res.usage = new_usage
+                    if rep.repaired and _audited(
+                        res, rep.solution, res.solution.users
+                    ):
+                        _swap(res, rep.solution)
                         res.reroutes += 1
                         if metrics is not None:
                             metrics.inc("sim.online.repairs")
@@ -813,26 +716,12 @@ class OnlineScheduler:
                             method=res.solution.method + "+degraded",
                             feasible=True,
                         )
-                        if verifier is not None:
-                            issues = verifier.audit(
-                                base,
-                                degraded_solution,
-                                users=served_subset,
-                            )
-                            report.record_verification(
-                                res.request.name,
-                                not issues,
-                                "; ".join(v.code for v in issues),
-                            )
-                            if issues:
-                                degraded_solution = None
+                        if not _audited(
+                            res, degraded_solution, served_subset
+                        ):
+                            degraded_solution = None
                     if degraded_solution is not None:
-                        new_usage = degraded_solution.switch_usage()
-                        with ledger.transaction():
-                            ledger.release(res.usage)
-                            ledger.reserve(new_usage)
-                        res.solution = degraded_solution
-                        res.usage = new_usage
+                        _swap(res, degraded_solution)
                         res.degraded = True
                         if metrics is not None:
                             metrics.inc("sim.online.degradations")
@@ -855,17 +744,14 @@ class OnlineScheduler:
                         detail_parts.append(
                             f"dark switches {sorted(darks, key=repr)!r}"
                         )
-                    _close_lost(
+                    _close(
                         res.request,
                         report_mod.ABANDONED,
                         f"mid-service fault at slot {slot} "
                         f"({' and '.join(detail_parts)}); repair infeasible "
                         "and no >=2-user subset survives",
                         slot,
-                        retries=res.retries,
-                        reroutes=res.reroutes,
-                        start_slot=res.start_slot,
-                        failovers=res.failovers,
+                        res=res,
                     )
                 reservations = surviving
 
@@ -881,14 +767,9 @@ class OnlineScheduler:
                         admission.observe_queue_wait(
                             entry.request, slot - entry.enqueued_slot
                         )
-                        status = (
-                            report_mod.DEADLINE_EXCEEDED
-                            if entry.request.deadline is not None
-                            else report_mod.SHED
-                        )
-                        _close_lost(
+                        _close(
                             entry.request,
-                            status,
+                            _timed_out(entry.request, report_mod.SHED),
                             "expired in admission queue after "
                             f"{slot - entry.enqueued_slot} slots without "
                             "a limiter slot",
@@ -940,7 +821,7 @@ class OnlineScheduler:
                             )
                     else:
                         admission.count_shed("brownout", request=request)
-                        _close_lost(
+                        _close(
                             request,
                             report_mod.SHED,
                             f"brownout tier {TIER_SHED!r} at slot {slot}: "
@@ -955,7 +836,7 @@ class OnlineScheduler:
                     )
                     continue
                 if decision.action == "shed":
-                    _close_lost(
+                    _close(
                         request,
                         report_mod.SHED,
                         f"shed by admission policy {decision.policy!r}"
@@ -967,7 +848,7 @@ class OnlineScheduler:
                 aqueue = admission.queue
                 if aqueue is None:
                     admission.count_shed("no-queue", request=request)
-                    _close_lost(
+                    _close(
                         request,
                         report_mod.SHED,
                         f"throttled by {decision.policy!r} "
@@ -985,7 +866,7 @@ class OnlineScheduler:
                         admission.observe_queue_wait(
                             victim.request, slot - victim.enqueued_slot
                         )
-                    _close_lost(
+                    _close(
                         victim.request,
                         report_mod.SHED,
                         f"evicted from full admission queue at slot "
@@ -999,14 +880,9 @@ class OnlineScheduler:
             for waiter in candidates:
                 request = waiter.request
                 if slot > request.last_start_slot:
-                    status = (
-                        report_mod.DEADLINE_EXCEEDED
-                        if request.deadline is not None
-                        else report_mod.REJECTED
-                    )
-                    _close_lost(
+                    _close(
                         request,
-                        status,
+                        _timed_out(request, report_mod.REJECTED),
                         f"not started by slot {request.last_start_slot}",
                         slot,
                         retries=waiter.retries,
@@ -1129,7 +1005,7 @@ class OnlineScheduler:
                 if self.retry_policy is not None:
                     delay = self.retry_policy.next_delay(waiter.attempts)
                     if delay is None:
-                        _close_lost(
+                        _close(
                             request,
                             report_mod.REJECTED,
                             f"retry policy exhausted after "
@@ -1142,14 +1018,9 @@ class OnlineScheduler:
                     delay = 0
                 next_slot = slot + 1 + delay
                 if next_slot > request.last_start_slot:
-                    status = (
-                        report_mod.DEADLINE_EXCEEDED
-                        if request.deadline is not None
-                        else report_mod.REJECTED
-                    )
-                    _close_lost(
+                    _close(
                         request,
-                        status,
+                        _timed_out(request, report_mod.REJECTED),
                         "blocked until give-up slot "
                         f"{request.last_start_slot}",
                         slot,
@@ -1202,12 +1073,12 @@ class OnlineScheduler:
     def _route(
         self,
         request: EntanglementRequest,
-        residual: "Dict[Hashable, int] | CapacityLedger",
+        ledger: CapacityLedger,
         network: Optional[QuantumNetwork] = None,
         method: Optional[str] = None,
         users: Optional[Tuple[Hashable, ...]] = None,
     ) -> Optional[MUERPSolution]:
-        """Route one request against *residual* without mutating it.
+        """Route one request against *ledger* without mutating it.
 
         *method* overrides the scheduler's solver (hedged attempts);
         *users* overrides the request's group (brownout degradation).
@@ -1215,11 +1086,7 @@ class OnlineScheduler:
         net = self.network if network is None else network
         group = request.users if users is None else users
         how = self.method if method is None else method
-        budget = (
-            residual.as_dict()
-            if isinstance(residual, CapacityLedger)
-            else dict(residual)
-        )
+        budget = ledger.as_dict()
         if how == "prim":
             solution = solve_prim(
                 net, group, rng=self.rng, residual=budget

@@ -2,7 +2,7 @@
 
 :func:`serve_tenants` wires together everything the tenancy layer
 adds — per-tenant SLO contracts, weighted-fair admission, k-redundant
-trees with mid-service failover — around the resilient
+trees with mid-service failover — around the
 :class:`~repro.sim.online.OnlineScheduler`, and returns a
 :class:`TenantServingResult` whose per-tenant table answers the
 operator questions: who got served, who absorbed the shed, did anyone
@@ -65,11 +65,8 @@ class TenantServingResult:
 
     def unattributed(self) -> List[str]:
         """Requests without exactly one disposition (must be [])."""
-        report = self.result.resilience
-        if report is None:
-            return [o.request.name for o in self.result.outcomes]
         names = {o.request.name for o in self.result.outcomes}
-        recorded = set(report.dispositions)
+        recorded = set(self.result.resilience.dispositions)
         return sorted(names.symmetric_difference(recorded))
 
     def to_dict(self) -> Dict[str, object]:
@@ -83,9 +80,8 @@ class TenantServingResult:
             "failovers": self.failovers(),
             "jain_index": round(self.jain_index(), 6),
             "tenants": self.tenant_table(),
+            "resilience": self.result.resilience.to_dict(),
         }
-        if self.result.resilience is not None:
-            out["resilience"] = self.result.resilience.to_dict()
         if self.result.admission is not None:
             out["admission"] = self.result.admission
         return out

@@ -13,6 +13,7 @@ import math
 
 import pytest
 
+import repro.obs.metrics as obs_metrics
 from repro.controller import EntanglementController
 from repro.core.prim_based import solve_prim
 from repro.network import NetworkBuilder, NetworkParams
@@ -511,15 +512,51 @@ class TestSchedulerResilience:
         assert disposition.status == "rejected"
         assert "retry policy exhausted" in disposition.reason
 
-    def test_legacy_path_unchanged_without_resilience_inputs(self, star_network):
-        requests = [
+    @staticmethod
+    def _contended_stream():
+        # req-0 holds the whole hub for 3 slots, so req-1 (no wait) is
+        # rejected and req-2, arriving as req-0 leaves, is served.
+        return [
             EntanglementRequest(
-                name="req-0", users=("alice", "bob", "carol"), arrival=0
-            )
+                name="req-0", users=("alice", "bob", "carol"), arrival=0, hold=3
+            ),
+            EntanglementRequest(name="req-1", users=("alice", "bob"), arrival=1),
+            EntanglementRequest(name="req-2", users=("alice", "carol"), arrival=3),
         ]
-        result = OnlineScheduler(star_network, rng=1).run(requests)
-        assert result.resilience is None  # legacy loop, no report
-        assert result.outcome_for("req-0").accepted
+
+    def test_fault_free_run_has_one_disposition_each(self, star_network):
+        result = OnlineScheduler(star_network, rng=1).run(
+            self._contended_stream()
+        )
+        report = result.resilience
+        statuses = {
+            name: disposition.status
+            for name, disposition in report.dispositions.items()
+        }
+        assert statuses == {
+            "req-0": "served",
+            "req-1": "rejected",
+            "req-2": "served",
+        }
+        assert report.faults_injected == 0
+        assert report.retries_spent == 0
+        assert report.reroutes == 0
+        assert [o.disposition for o in result.outcomes] == [
+            "served",
+            "rejected",
+            "served",
+        ]
+
+    def test_rejections_counted_under_dispositions_metric(self, star_network):
+        with obs_metrics.collecting() as registry:
+            result = OnlineScheduler(star_network, rng=1).run(
+                self._contended_stream()
+            )
+        rejected = sum(1 for o in result.outcomes if o.disposition == "rejected")
+        assert rejected == 1
+        counters = registry.counters()
+        assert counters["sim.online.dispositions.rejected"] == rejected
+        assert "sim.online.rejected" not in counters
 
 
 class TestLargestServedComponent:
