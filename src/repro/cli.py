@@ -11,7 +11,9 @@ Exit codes are distinct per failure class so scripts can branch on
 them: ``0`` success, ``1`` generic failure, ``2`` invalid input
 (:class:`~repro.utils.validation.ValidationError` / bad arguments),
 ``3`` solver failure (unknown solver, solver crash or timeout), ``4``
-verification failure (a produced solution violated a MUERP invariant).
+verification failure (a produced solution violated a MUERP invariant,
+or a safety gate failed: an overbooked switch, an unattributed request
+or a failed ``--verify-determinism`` check).
 """
 
 from __future__ import annotations
@@ -818,14 +820,14 @@ def _command_resilience(args: argparse.Namespace) -> int:
     ]
     print(f"capacity overbooked: {'YES ' + repr(overbooked) if overbooked else 'no'}")
     if overbooked:
-        return 1
+        return EXIT_VERIFICATION_ERROR
     if args.verify_determinism:
         second, _ = one_run()
         if second.resilience.to_dict() != report.to_dict():
             print("determinism check: FAILED (reports differ)")
-            return 1
+            return EXIT_VERIFICATION_ERROR
         print("determinism check: ok (identical reports)")
-    return 0
+    return EXIT_OK
 
 
 def _command_admit(args: argparse.Namespace) -> int:
@@ -905,7 +907,7 @@ def _command_admit(args: argparse.Namespace) -> int:
         f"{'YES ' + repr(unattributed) if unattributed else 'none'}"
     )
     if overbooked or unattributed:
-        return EXIT_FAILURE
+        return EXIT_VERIFICATION_ERROR
 
     if not args.no_baseline:
         baseline, _ = one_run(with_admission=False)
@@ -923,7 +925,7 @@ def _command_admit(args: argparse.Namespace) -> int:
         )
         if not same:
             print("determinism check: FAILED (reports differ)")
-            return EXIT_FAILURE
+            return EXIT_VERIFICATION_ERROR
         print("determinism check: ok (identical shed decisions)")
     return EXIT_OK
 
@@ -1014,7 +1016,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         ) == json.dumps(summary, sort_keys=True, default=repr)
         if not same:
             print("determinism check: FAILED (serving summaries differ)")
-            return EXIT_FAILURE
+            return EXIT_VERIFICATION_ERROR
         print("determinism check: ok (identical serving summaries)")
     return EXIT_OK
 

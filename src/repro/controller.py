@@ -13,7 +13,7 @@ loop over the library's layers:
 * **execute** — drive the discrete-event simulator until the tree
   succeeds, returning protocol telemetry;
 * **handle_failure** — incremental repair after fiber/switch loss, with
-  a from-scratch replan fallback when repair fails;
+  a from-scratch replan fallback when repair fails, both audited;
 * **serve** — the whole request lifecycle in one call.
 """
 
@@ -35,10 +35,11 @@ from repro.core.registry import (
     solve_robust,
 )
 from repro.core.tree import ValidationReport, validate_solution
-from repro.extensions.recovery import RepairReport, apply_failures, repair_solution
+from repro.extensions.recovery import apply_failures, recover
 from repro.network.graph import QuantumNetwork
 from repro.sim.engine import SlottedEntanglementSimulator, SlottedRunResult
 from repro.utils.rng import RngLike, ensure_rng
+from repro.verify.verifier import SolutionVerifier
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.admission.control import AdmissionController
@@ -124,6 +125,15 @@ class EntanglementController:
     def network(self) -> QuantumNetwork:
         """The controller's current view of the network (post-failures)."""
         return self._network
+
+    @property
+    def verifier(self) -> Optional[SolutionVerifier]:
+        """Audit for recovered trees (capacity unless the method is exempt)."""
+        if not self.verify:
+            return None
+        return SolutionVerifier(
+            enforce_capacity=self.method not in CAPACITY_EXEMPT_METHODS
+        )
 
     # ------------------------------------------------------------------
     # Planning
@@ -316,18 +326,19 @@ class EntanglementController:
     ) -> MUERPSolution:
         """Absorb failures into the network view and fix *solution*.
 
-        Tries incremental repair first (keeps surviving channels and
-        their reservations); falls back to a full replan on the damaged
-        network.  Returns the best feasible fix, or an infeasible
-        solution when the users are no longer connectable.
+        Runs :func:`~repro.extensions.recovery.recover` without its
+        degrade step: incremental repair (keeps surviving channels and
+        their reservations), else a full replan on the damaged network,
+        each audited by :attr:`verifier`.  Returns the fix, or an
+        infeasible solution when the users are no longer connectable.
         """
-        report: RepairReport = repair_solution(
-            self._network, solution, failed_fibers, failed_switches
+        self.absorb_failures(failed_fibers, failed_switches)
+        _, fixed, _ = recover(
+            self._network,
+            solution,
+            failed_fibers,
+            failed_switches,
+            replan=lambda: self.plan(sorted(solution.users, key=repr)),
+            verifier=self.verifier,
         )
-        self._network = apply_failures(
-            self._network, failed_fibers, failed_switches
-        )
-        if report.repaired:
-            return report.solution
-        fresh = self.plan(sorted(solution.users, key=repr))
-        return fresh
+        return fixed

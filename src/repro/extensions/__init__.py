@@ -24,6 +24,8 @@ from repro.extensions.multigroup import (
 from repro.extensions.recovery import (
     RepairReport,
     apply_failures,
+    channel_broken,
+    recover,
     repair_solution,
 )
 from repro.extensions.purification import (
@@ -53,6 +55,8 @@ __all__ = [
     "optimize_group_order",
     "RepairReport",
     "apply_failures",
+    "channel_broken",
+    "recover",
     "repair_solution",
     "PurificationOption",
     "purify_once",

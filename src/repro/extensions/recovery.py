@@ -7,11 +7,16 @@ a fiber is cut or a switch goes dark, keep every unaffected channel
 remaining capacity.
 
 :func:`repair_solution` implements that: it classifies channels into
-survivors and casualties, returns the casualties' qubits to the residual
-pool, and reconnects the split user components greedily by best
-capacity-aware channel (the same reconnection discipline as Algorithm
-3's Phase 2).  The result is either a valid repaired tree or an
-infeasible marker when the damage is fatal.
+survivors and casualties (:func:`channel_broken`), returns the
+casualties' qubits to the residual pool, and reconnects the split user
+components greedily by best capacity-aware channel (:func:`reconnect`,
+the same discipline as Algorithm 3's Phase 2).  The result is either a
+valid repaired tree or an infeasible marker when the damage is fatal.
+
+:func:`recover` is the one ladder every serving path shares: repair,
+then an optional replan, then degradation to the largest still-spanned
+user subset.  It returns only a tree that passed the caller's audit
+against the *damaged* view, and records every audit in the report.
 """
 
 from __future__ import annotations
@@ -20,7 +25,18 @@ import logging
 import math
 from contextlib import nullcontext as _nullcontext
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core.channel import best_channels_from
 from repro.core.optimal import channel_sort_key
@@ -29,7 +45,16 @@ from repro.network.graph import QuantumNetwork
 from repro.network.link import fiber_key
 from repro.utils.unionfind import UnionFind
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.resilience.report import ResilienceReport
+    from repro.verify.verifier import SolutionVerifier
+
 logger = logging.getLogger("repro.extensions.recovery")
+
+#: The :func:`recover` step that produced an installed tree.
+STEP_REPAIR = "repair"
+STEP_REPLAN = "replan"
+STEP_DEGRADE = "degrade"
 
 
 @dataclass(frozen=True)
@@ -133,7 +158,7 @@ def repair_solution(
     kept: List[Channel] = []
     broken: List[Channel] = []
     for channel in solution.channels:
-        if _channel_broken(channel, dead_fibers, dead_switches):
+        if channel_broken(channel, dead_fibers, dead_switches):
             broken.append(channel)
         else:
             kept.append(channel)
@@ -167,34 +192,18 @@ def repair_solution(
     for channel in kept:
         unions.union(*channel.endpoints)
 
-    new_channels: List[Channel] = []
-    while unions.n_components > 1:
-        best: Optional[Channel] = None
-        for index, source in enumerate(users):
-            targets = [
-                t for t in users[index + 1 :] if not unions.connected(source, t)
-            ]
-            if not targets:
-                continue
-            found = best_channels_from(damaged, source, targets, residual)
-            for candidate in found.values():
-                if best is None or channel_sort_key(candidate) < channel_sort_key(best):
-                    best = candidate
-        if best is None:
-            logger.info(
-                "repair failed: %d user components cannot be reconnected",
-                unions.n_components,
-            )
-            return RepairReport(
-                solution=infeasible_solution(users, solution.method + "+repair"),
-                kept_channels=tuple(kept),
-                broken_channels=tuple(broken),
-                new_channels=tuple(new_channels),
-            )
-        for switch in best.switches:
-            residual[switch] -= 2
-        unions.union(*best.endpoints)
-        new_channels.append(best)
+    new_channels = reconnect(damaged, users, unions, residual)
+    if unions.n_components > 1:
+        logger.info(
+            "repair failed: %d user components cannot be reconnected",
+            unions.n_components,
+        )
+        return RepairReport(
+            solution=infeasible_solution(users, solution.method + "+repair"),
+            kept_channels=tuple(kept),
+            broken_channels=tuple(broken),
+            new_channels=tuple(new_channels),
+        )
 
     repaired = MUERPSolution(
         channels=tuple(kept + new_channels),
@@ -211,14 +220,126 @@ def repair_solution(
     )
 
 
-def _channel_broken(
+def channel_broken(
     channel: Channel,
     dead_fibers: Set[Tuple[Hashable, Hashable]],
     dead_switches: Set[Hashable],
 ) -> bool:
+    """Whether *channel* uses a dead switch or a cut (``fiber_key``) fiber."""
     if any(s in dead_switches for s in channel.switches):
         return True
     return any(
         fiber_key(u, v) in dead_fibers
         for u, v in zip(channel.path, channel.path[1:])
     )
+
+
+def reconnect(
+    damaged: QuantumNetwork,
+    users: Sequence[Hashable],
+    unions: UnionFind,
+    residual: Dict[Hashable, int],
+) -> List[Channel]:
+    """Join *unions*' user components greedily, best channel first.
+
+    Updates *unions* and *residual* (two qubits per relay) in place and
+    returns the added channels; ``unions.n_components > 1`` afterwards
+    means some component could not be reached.  *users* fixes the
+    search order, and with it the tie-breaking.
+    """
+    added: List[Channel] = []
+    while unions.n_components > 1:
+        best: Optional[Channel] = None
+        for index, source in enumerate(users):
+            targets = [
+                t for t in users[index + 1 :] if not unions.connected(source, t)
+            ]
+            if not targets:
+                continue
+            found = best_channels_from(damaged, source, targets, residual)
+            for candidate in found.values():
+                if best is None or channel_sort_key(candidate) < channel_sort_key(best):
+                    best = candidate
+        if best is None:
+            break
+        for switch in best.switches:
+            residual[switch] -= 2
+        unions.union(*best.endpoints)
+        added.append(best)
+    return added
+
+
+def _largest_served_component(
+    users, channels: Sequence[Channel]
+) -> Tuple[Hashable, ...]:
+    """Largest user subset (>= 2) still spanned by *channels*, or ``()``.
+
+    Ties break toward the lexicographically-largest member list, so two
+    same-seed runs always degrade identically.
+    """
+    unions = UnionFind(sorted(users, key=repr))
+    for channel in channels:
+        unions.union(*channel.endpoints)
+    groups = [tuple(sorted(g, key=repr)) for g in unions.groups()]
+    best = max(groups, key=lambda m: (len(m), [repr(u) for u in m]), default=())
+    return best if len(best) >= 2 else ()
+
+
+def recover(
+    damaged: QuantumNetwork,
+    solution: MUERPSolution,
+    failed_fibers: Iterable[Tuple[Hashable, Hashable]] = (),
+    failed_switches: Iterable[Hashable] = (),
+    residual: Optional[Dict[Hashable, int]] = None,
+    replan: Optional[Callable[[], MUERPSolution]] = None,
+    allow_degradation: bool = False,
+    verifier: Optional["SolutionVerifier"] = None,
+    report: Optional["ResilienceReport"] = None,
+    name: str = "request",
+) -> Tuple[str, MUERPSolution, RepairReport]:
+    """Recover *solution*: repair, else *replan*, else degrade.
+
+    A step runs only when the one before yielded no tree that passes
+    *verifier*'s audit against *damaged* (the network minus every failed
+    element); each audit is recorded in *report* under *name*.  Repair
+    spends *residual* as in :func:`repair_solution`, *replan* is a
+    zero-argument planner, and *allow_degradation* adds the largest user
+    subset (>= 2) the surviving channels still span.  Returns ``(step,
+    solution, repair)``: a ``STEP_*`` name and its audited tree, or
+    ``""`` and an infeasible marker named after the last method tried,
+    plus the repair attempt the ladder started with.
+    """
+
+    def audited(candidate: MUERPSolution, users) -> bool:
+        if verifier is None:
+            return True
+        issues = verifier.audit(damaged, candidate, users=users)
+        if report is not None:
+            report.record_verification(
+                name, not issues, "; ".join(v.code for v in issues)
+            )
+        return not issues
+
+    rep = repair_solution(
+        damaged, solution, failed_fibers, failed_switches, residual, damaged
+    )
+    if rep.repaired and audited(rep.solution, solution.users):
+        return STEP_REPAIR, rep.solution, rep
+    last = rep.solution
+    if replan is not None:
+        last = replan()
+        if last.feasible and audited(last, last.users):
+            return STEP_REPLAN, last, rep
+    subset = ()
+    if allow_degradation:
+        subset = _largest_served_component(solution.users, rep.kept_channels)
+    if subset:
+        degraded = MUERPSolution(
+            channels=tuple(c for c in rep.kept_channels if c.endpoints[0] in subset),
+            users=frozenset(subset),
+            method=solution.method + "+degraded",
+            feasible=True,
+        )
+        if audited(degraded, subset):
+            return STEP_DEGRADE, degraded, rep
+    return "", infeasible_solution(solution.users, last.method), rep

@@ -32,13 +32,11 @@ from typing import (
     Hashable,
     Iterable,
     Optional,
-    Set,
     Tuple,
 )
 
-from repro.core.channel import best_channels_from
-from repro.core.optimal import channel_sort_key
 from repro.core.problem import Channel, MUERPSolution
+from repro.extensions.recovery import channel_broken, reconnect
 from repro.incremental.delta import region_of
 from repro.network.link import fiber_key
 from repro.utils.unionfind import UnionFind
@@ -56,20 +54,6 @@ __all__ = [
 DISJOINT = "disjoint"
 REPLACEABLE = "replaceable"
 STRUCTURAL = "structural"
-
-
-def channel_broken(
-    channel: Channel,
-    dead_fibers: Set[Tuple[Hashable, Hashable]],
-    dead_switches: Set[Hashable],
-) -> bool:
-    """Whether *channel* uses any failed fiber or switch."""
-    if any(s in dead_switches for s in channel.switches):
-        return True
-    return any(
-        fiber_key(u, v) in dead_fibers
-        for u, v in zip(channel.path, channel.path[1:])
-    )
 
 
 def broken_channels(
@@ -160,25 +144,11 @@ def splice_solution(
     if unions.n_components != 2:
         return None  # not a single-edge break of a spanning tree
 
-    best: Optional[Channel] = None
-    for index, source in enumerate(users):
-        targets = [
-            t
-            for t in users[index + 1 :]
-            if not unions.connected(source, t)
-        ]
-        if not targets:
-            continue
-        found = best_channels_from(damaged, source, targets, masked)
-        for candidate in found.values():
-            if best is None or channel_sort_key(candidate) < channel_sort_key(
-                best
-            ):
-                best = candidate
-    if best is None:
-        return None
+    added = reconnect(damaged, users, unions, masked)
+    if unions.n_components > 1:
+        return None  # no replacement inside the region
     return MUERPSolution(
-        channels=tuple(kept) + (best,),
+        channels=tuple(kept) + tuple(added),
         users=solution.users,
         method=_spliced_method(solution.method),
         feasible=True,

@@ -4,11 +4,14 @@
 against a live fault timeline: it executes the plan slot by slot with
 the fault-aware :class:`~repro.sim.engine.SlottedEntanglementSimulator`,
 and whenever a *permanent* injected fault kills a planned fiber or
-switch (signalled by :class:`TransientFaultError`), it repairs the tree
-incrementally, falls back to a full replan, and as a last resort
-degrades to the largest user subset the surviving channels still span.
-The whole history — faults, retries, re-routes, degradations — lands in
-a deterministic :class:`ResilienceReport`.
+switch (signalled by :class:`TransientFaultError`), it folds the loss
+into the controller's view and runs the shared recovery ladder
+(:func:`repro.extensions.recovery.recover`): incremental repair, then a
+full replan, then degradation to the largest user subset the surviving
+channels still span.  Each candidate must pass the controller's
+verifier audit against that damaged view before it is installed.  The
+whole history — faults, retries, re-routes, degradations,
+verifications — lands in a deterministic :class:`ResilienceReport`.
 
 This is what :meth:`repro.controller.EntanglementController.serve_resilient`
 delegates to; the ``repro resilience`` CLI subcommand builds on the
@@ -24,7 +27,7 @@ from typing import TYPE_CHECKING, Hashable, Iterable, List, Optional, Tuple
 import repro.obs.metrics as obs_metrics
 import repro.obs.trace as obs_trace
 from repro.core.problem import MUERPSolution
-from repro.extensions.recovery import repair_solution
+from repro.extensions.recovery import STEP_DEGRADE, STEP_REPAIR, recover
 from repro.network.errors import DeadlineExceededError, TransientFaultError
 from repro.resilience.faults import FaultInjector
 from repro.resilience.report import (
@@ -80,27 +83,6 @@ class ResilientServiceReport:
         return sum(run.slots_used for run in self.runs)
 
 
-def _degrade_to_subset(
-    solution: MUERPSolution, kept_channels
-) -> Optional[MUERPSolution]:
-    """Largest-subset degraded tree from surviving channels (or None)."""
-    from repro.sim.online import _largest_served_component
-
-    subset = _largest_served_component(solution.users, kept_channels)
-    if len(subset) < 2:
-        return None
-    members = set(subset)
-    channels = tuple(
-        c for c in kept_channels if c.endpoints[0] in members
-    )
-    return MUERPSolution(
-        channels=channels,
-        users=frozenset(subset),
-        method=solution.method + "+degraded",
-        feasible=True,
-    )
-
-
 def execute_with_resilience(
     controller,
     users: Optional[Iterable[Hashable]] = None,
@@ -116,7 +98,7 @@ def execute_with_resilience(
     Args:
         controller: An :class:`~repro.controller.EntanglementController`
             (duck-typed: needs ``plan``, ``absorb_failures``,
-            ``network``, ``rng``).
+            ``network``, ``rng``, ``verifier``).
         users: The user group to entangle (default: all users).
         injector: Fault timeline; ``None`` degenerates to plain serve.
         retry_policy: Per-slot retry pacing for the protocol engine.
@@ -248,6 +230,18 @@ def _execute_with_resilience(
     retries_here = 0
     faulted = False
 
+    def _account(segment: Optional[SlottedRunResult]) -> None:
+        """Fold one execution segment (possibly cut short) into the run."""
+        nonlocal slot_offset, retries_here
+        if segment is not None:
+            runs.append(segment)
+            slot_offset += segment.slots_used
+            retries_here += segment.retries_spent
+            report.record_retries(segment.retries_spent)
+        if injector is not None:
+            report.faults_injected = injector.faults_injected
+            report.faults_repaired = injector.faults_repaired
+
     def _finish(status: str, reason: str) -> ResilientServiceReport:
         served: Tuple[Hashable, ...] = ()
         if status in (SERVED, DEGRADED):
@@ -295,15 +289,7 @@ def _execute_with_resilience(
             )
         except TransientFaultError as fault:
             faulted = True
-            partial = fault.partial
-            if partial is not None:
-                runs.append(partial)
-                slot_offset += partial.slots_used
-                retries_here += partial.retries_spent
-                report.record_retries(partial.retries_spent)
-            if injector is not None:
-                report.faults_injected = injector.faults_injected
-                report.faults_repaired = injector.faults_repaired
+            _account(fault.partial)
             new_fibers = [
                 f for f in fault.fibers if f not in handled_fibers
             ]
@@ -320,79 +306,57 @@ def _execute_with_resilience(
                 report.fault_log.append(
                     f"slot {slot_offset}: plan lost switch {switch!r}"
                 )
-            rep = repair_solution(
-                controller.network, current, new_fibers, new_switches
-            )
             controller.absorb_failures(new_fibers, new_switches)
-            if rep.repaired:
-                current = rep.solution
-                reroutes_here += 1
-                report.record_reroute(
-                    request_name,
-                    f"slot {slot_offset}: incremental repair "
-                    f"({len(rep.new_channels)} new channels)",
+            step, fixed, rep = recover(
+                controller.network,
+                current,
+                new_fibers,
+                new_switches,
+                replan=lambda: controller.plan(sorted(current.users, key=repr)),
+                allow_degradation=True,
+                verifier=controller.verifier,
+                report=report,
+                name=request_name,
+            )
+            if not step:
+                return _finish(
+                    ABANDONED,
+                    f"fault at slot {slot_offset} unrepairable; no feasible "
+                    "replan or >=2-user subset",
                 )
-                continue
-            fresh = controller.plan(sorted(current.users, key=repr))
-            if fresh.feasible:
-                current = fresh
-                reroutes_here += 1
-                report.record_reroute(
-                    request_name,
-                    f"slot {slot_offset}: full replan after "
-                    "unrepairable fault",
-                )
-                continue
-            degraded = _degrade_to_subset(current, rep.kept_channels)
-            if degraded is not None:
-                current = degraded
+            current = fixed
+            if step == STEP_DEGRADE:
                 if metrics is not None:
                     metrics.inc("resilience.runtime.degradations")
                 report.record_degradation(
                     request_name,
                     f"slot {slot_offset}: continuing with "
-                    f"{len(degraded.users)} of {len(initial.users)} users",
+                    f"{len(current.users)} of {len(initial.users)} users",
                 )
                 continue
-            return _finish(
-                ABANDONED,
-                f"fault at slot {slot_offset} unrepairable; no feasible "
-                "replan or >=2-user subset",
+            reroutes_here += 1
+            how = (
+                f"incremental repair ({len(rep.new_channels)} new channels)"
+                if step == STEP_REPAIR
+                else "full replan after unrepairable fault"
             )
+            report.record_reroute(request_name, f"slot {slot_offset}: {how}")
+            continue
         except DeadlineExceededError as exc:
-            partial = exc.partial
-            if partial is not None:
-                runs.append(partial)
-                slot_offset += partial.slots_used
-                retries_here += partial.retries_spent
-                report.record_retries(partial.retries_spent)
-            if injector is not None:
-                report.faults_injected = injector.faults_injected
-                report.faults_repaired = injector.faults_repaired
+            _account(exc.partial)
             return _finish(
                 DEADLINE_EXCEEDED,
                 f"deadline slot {exc.deadline} passed before entanglement",
             )
 
-        runs.append(run)
-        slot_offset += run.slots_used
-        retries_here += run.retries_spent
-        report.record_retries(run.retries_spent)
-        if injector is not None:
-            report.faults_injected = injector.faults_injected
-            report.faults_repaired = injector.faults_repaired
+        _account(run)
+        if run.succeeded and set(current.users) < set(initial.users):
+            return _finish(
+                DEGRADED,
+                f"degraded to {len(current.users)}/{len(initial.users)} users",
+            )
         if run.succeeded:
-            status = (
-                DEGRADED
-                if set(current.users) < set(initial.users)
-                else SERVED
-            )
-            reason = (
-                f"degraded to {len(current.users)}/{len(initial.users)} users"
-                if status == DEGRADED
-                else ""
-            )
-            return _finish(status, reason)
+            return _finish(SERVED, "")
         if run.abort_reason == "retry-budget-exhausted":
             return _finish(
                 ABANDONED,

@@ -26,11 +26,12 @@ optional inputs switch further features on:
 
 * a :class:`~repro.resilience.faults.FaultInjector` fires faults
   *mid-service*; reservations whose tree loses a fiber or switch are
-  re-routed in place via capacity-aware incremental repair
-  (:func:`repro.extensions.recovery.repair_solution`), keeping their
-  surviving channels' qubits reserved.  When no full repair exists, the
-  scheduler **degrades gracefully**: it keeps serving the largest user
-  subset still spanned by the surviving channels;
+  re-routed in place by the shared recovery ladder
+  (:func:`repro.extensions.recovery.recover`): capacity-aware
+  incremental repair keeps their surviving channels' qubits reserved,
+  and when no full repair exists the scheduler **degrades gracefully**
+  to the largest user subset still spanned by the surviving channels.
+  Both are audited against the damaged view before they are installed;
 * a :class:`~repro.resilience.retry.RetryPolicy` paces blocked requests
   (backoff instead of hammering every slot), and a request ``deadline``
   abandons them once it passes;
@@ -55,11 +56,9 @@ import repro.obs.trace as obs_trace
 from repro.core.conflict_free import solve_conflict_free
 from repro.core.ledger import CapacityError, CapacityLedger
 from repro.core.prim_based import solve_prim
-from repro.core.problem import Channel, MUERPSolution
+from repro.core.problem import MUERPSolution
 from repro.network.graph import QuantumNetwork
-from repro.network.link import fiber_key
 from repro.utils.rng import RngLike, ensure_rng
-from repro.utils.unionfind import UnionFind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.admission.control import AdmissionController
@@ -235,45 +234,6 @@ class _Waiter:
     retries: int = 0
 
 
-def _solution_broken(
-    solution: MUERPSolution,
-    cuts: Set[Tuple[Hashable, Hashable]],
-    darks: Set[Hashable],
-) -> bool:
-    """Whether any channel of *solution* uses a failed element."""
-    for channel in solution.channels:
-        if any(s in darks for s in channel.switches):
-            return True
-        if any(
-            fiber_key(u, v) in cuts
-            for u, v in zip(channel.path, channel.path[1:])
-        ):
-            return True
-    return False
-
-
-def _largest_served_component(
-    users, channels: Sequence[Channel]
-) -> Tuple[Hashable, ...]:
-    """Largest user subset still spanned by *channels* (deterministic).
-
-    Ties break toward the lexicographically-smallest member set so two
-    same-seed runs always degrade identically.
-    """
-    unions = UnionFind(sorted(users, key=repr))
-    for channel in channels:
-        unions.union(*channel.endpoints)
-    best: Tuple[Hashable, ...] = ()
-    for group in unions.groups():
-        members = tuple(sorted(group, key=repr))
-        if (len(members), [repr(m) for m in members]) > (
-            len(best),
-            [repr(m) for m in best],
-        ) and len(members) >= 2:
-            best = members
-    return best
-
-
 class OnlineScheduler:
     """Slot-driven online admission and routing.
 
@@ -360,7 +320,13 @@ class OnlineScheduler:
             TIER_FULL,
             TIER_SHED,
         )
-        from repro.extensions.recovery import apply_failures, repair_solution
+        from repro.extensions.recovery import (
+            STEP_DEGRADE,
+            STEP_REPAIR,
+            apply_failures,
+            channel_broken,
+            recover,
+        )
         from repro.resilience import report as report_mod
         from repro.resilience.faults import _FIBER_KINDS, FaultKind
         from repro.resilience.report import (
@@ -492,25 +458,6 @@ class OnlineScheduler:
             if request.deadline is not None:
                 return report_mod.DEADLINE_EXCEEDED
             return otherwise
-
-        def _audited(
-            res: _Reservation, solution: MUERPSolution, users
-        ) -> bool:
-            """Whether *solution* passes the verifier (recorded if run).
-
-            Trust-but-verify: a hand-stitched tree must pass the same
-            independent audit as any solver output before it re-enters
-            service.
-            """
-            if verifier is None:
-                return True
-            issues = verifier.audit(base, solution, users=users)
-            report.record_verification(
-                res.request.name,
-                not issues,
-                "; ".join(v.code for v in issues),
-            )
-            return not issues
 
         def _swap(res: _Reservation, solution: MUERPSolution) -> None:
             """Move *res* onto *solution*'s qubits in one transaction.
@@ -656,8 +603,9 @@ class OnlineScheduler:
                         res.replicas = None
                         if metrics is not None:
                             metrics.inc("sim.online.replicas_exhausted")
-                    if not _solution_broken(
-                        res.solution, fired_cuts, fired_darks
+                    if not any(
+                        channel_broken(c, fired_cuts, fired_darks)
+                        for c in res.solution.channels
                     ):
                         if metrics is not None:
                             metrics.inc(
@@ -671,21 +619,23 @@ class OnlineScheduler:
                     avail = ledger.as_dict()
                     for switch, qubits in res.usage.items():
                         avail[switch] = avail.get(switch, 0) + qubits
-                    rep = repair_solution(
-                        base,
+                    step, fixed, rep = recover(
+                        # Step 0 rebuilt the damaged view for this fault
+                        # signature; every broken reservation reuses it.
+                        damaged,
                         res.solution,
                         cuts,
                         darks,
                         residual=avail,
-                        # Step 0 rebuilt the damaged view for this fault
-                        # signature; reuse it instead of re-copying the
-                        # topology once per broken reservation.
-                        damaged=damaged,
+                        allow_degradation=self.allow_degradation,
+                        verifier=verifier,
+                        report=report,
+                        name=res.request.name,
                     )
-                    if rep.repaired and _audited(
-                        res, rep.solution, res.solution.users
-                    ):
-                        _swap(res, rep.solution)
+                    if step:
+                        _swap(res, fixed)
+                        surviving.append(res)
+                    if step == STEP_REPAIR:
                         res.reroutes += 1
                         if metrics is not None:
                             metrics.inc("sim.online.repairs")
@@ -695,43 +645,17 @@ class OnlineScheduler:
                             f"{len(rep.broken_channels)} broken channels "
                             f"re-routed",
                         )
-                        surviving.append(res)
                         continue
-                    served_subset: Tuple[Hashable, ...] = ()
-                    if self.allow_degradation:
-                        served_subset = _largest_served_component(
-                            res.solution.users, rep.kept_channels
-                        )
-                    degraded_solution: Optional[MUERPSolution] = None
-                    if len(served_subset) >= 2:
-                        members = set(served_subset)
-                        channels = tuple(
-                            c
-                            for c in rep.kept_channels
-                            if c.endpoints[0] in members
-                        )
-                        degraded_solution = MUERPSolution(
-                            channels=channels,
-                            users=frozenset(served_subset),
-                            method=res.solution.method + "+degraded",
-                            feasible=True,
-                        )
-                        if not _audited(
-                            res, degraded_solution, served_subset
-                        ):
-                            degraded_solution = None
-                    if degraded_solution is not None:
-                        _swap(res, degraded_solution)
+                    if step == STEP_DEGRADE:
                         res.degraded = True
                         if metrics is not None:
                             metrics.inc("sim.online.degradations")
                         report.record_degradation(
                             res.request.name,
                             f"slot {slot}: serving "
-                            f"{len(served_subset)}/{len(res.request.users)} "
+                            f"{len(fixed.users)}/{len(res.request.users)} "
                             f"users after unrepairable fault",
                         )
-                        surviving.append(res)
                         continue
                     # Abandon: no repair, no viable subset.
                     ledger.release(res.usage)

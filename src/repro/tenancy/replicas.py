@@ -30,11 +30,10 @@ from typing import (
 
 from repro.core.ledger import CapacityLedger
 from repro.core.problem import MUERPSolution
-from repro.extensions.recovery import apply_failures
+from repro.extensions.recovery import apply_failures, channel_broken
 from repro.extensions.redundancy import RedundantTree, add_redundancy
 from repro.network.graph import QuantumNetwork
 from repro.network.link import fiber_key
-from repro.sim.online import _solution_broken
 
 #: Failover events a replica set can report for one fault signature.
 INTACT = "intact"  #: no replica touched
@@ -121,7 +120,7 @@ class ReplicaSet:
         return [
             i
             for i, solution in enumerate(self.replicas)
-            if _solution_broken(solution, cuts, darks)
+            if any(channel_broken(c, cuts, darks) for c in solution.channels)
         ]
 
     def handle_faults(

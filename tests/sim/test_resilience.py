@@ -10,12 +10,15 @@ without ever overbooking switch capacity.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
 import repro.obs.metrics as obs_metrics
 from repro.controller import EntanglementController
 from repro.core.prim_based import solve_prim
+from repro.extensions import recovery
+from repro.extensions.recovery import _largest_served_component
 from repro.network import NetworkBuilder, NetworkParams
 from repro.network.errors import DeadlineExceededError, TransientFaultError
 from repro.network.link import fiber_key
@@ -33,11 +36,7 @@ from repro.resilience.report import (
 )
 from repro.resilience.retry import FixedRetryPolicy
 from repro.sim.engine import SlottedEntanglementSimulator
-from repro.sim.online import (
-    EntanglementRequest,
-    OnlineScheduler,
-    _largest_served_component,
-)
+from repro.sim.online import EntanglementRequest, OnlineScheduler
 from repro.utils.rng import ensure_rng
 
 
@@ -629,3 +628,80 @@ class TestControllerResilience:
         assert report.served_users == ("alice", "bob")
         assert report.report.disposition_of("request").status == SERVED
         assert report.windows_used == sum(r.slots_used for r in report.runs)
+
+
+# ----------------------------------------------------------------------
+# Audited recovery: a corrupted repair never re-enters service
+# ----------------------------------------------------------------------
+class TestAuditedRecovery:
+    """Every path audits a recovered tree against the *damaged* view."""
+
+    def test_serve_resilient_rejects_repair_missing_a_channel(
+        self, two_path_network, monkeypatch
+    ):
+        real_repair = recovery.repair_solution
+
+        def drop_one_channel(*args, **kwargs):
+            rep = real_repair(*args, **kwargs)
+            corrupted = replace(
+                rep.solution, channels=rep.solution.channels[:-1]
+            )
+            return replace(rep, solution=corrupted)
+
+        monkeypatch.setattr(recovery, "repair_solution", drop_one_channel)
+        controller = EntanglementController(
+            two_path_network, method="prim", rng=5
+        )
+        served = controller.serve_resilient(
+            ("alice", "bob"),
+            injector=_injector(
+                FaultEvent(0, FaultKind.FIBER_CUT, ("alice", "mid"))
+            ),
+        )
+        report = served.report
+        assert report.verifications == 2  # the rejected repair, the replan
+        assert report.verification_failures == 1
+        (rejection,) = [
+            line for line in report.fault_log if line.startswith("verify[")
+        ]
+        assert rejection.startswith("verify[request]: REJECTED")
+        assert "channel-count" in rejection and "spanning" in rejection
+        assert any("full replan" in line for line in report.fault_log)
+        assert served.entangled
+        (channel,) = served.final_solution.channels
+        assert channel.switches == ()  # the direct fiber, freshly planned
+        assert report.disposition_of("request").status == SERVED
+
+    def test_online_rejects_repair_over_the_cut_fiber(
+        self, two_path_network, monkeypatch
+    ):
+        real_repair = recovery.repair_solution
+
+        def keep_broken_tree(network, solution, *args, **kwargs):
+            rep = real_repair(network, solution, *args, **kwargs)
+            stale = replace(solution, method=solution.method + "+repair")
+            return replace(rep, solution=stale)
+
+        monkeypatch.setattr(recovery, "repair_solution", keep_broken_tree)
+        requests = [
+            EntanglementRequest(
+                name="r0", users=("alice", "bob"), arrival=0, hold=10
+            )
+        ]
+        scheduler = OnlineScheduler(
+            two_path_network,
+            rng=1,
+            fault_injector=_injector(
+                FaultEvent(2, FaultKind.FIBER_CUT, ("alice", "mid"))
+            ),
+        )
+        result = scheduler.run(requests)
+        report = result.resilience
+        assert report.verifications == 1
+        assert report.verification_failures == 1
+        assert any(
+            line.startswith("verify[r0]: REJECTED path")
+            for line in report.fault_log
+        )
+        # The only channel broke, so no subset survives to degrade to.
+        assert result.outcome_for("r0").disposition == ABANDONED

@@ -305,6 +305,72 @@ class TestExitCodes:
         assert "--checkpoint" in capsys.readouterr().err
 
 
+#: Small serving scenarios; each runs twice under --verify-determinism.
+_GATED_RUNS = {
+    "resilience": [
+        "resilience", "--switches", "12", "--users", "4",
+        "--horizon", "10", "--faults", "3", "--seed", "5",
+    ],
+    "admit": [
+        "admit", "--switches", "12", "--users", "5", "--horizon", "10",
+        "--arrival-rate", "3", "--seed", "2", "--no-baseline",
+    ],
+    "serve": [
+        "serve", "--switches", "12", "--users", "5", "--horizon", "10",
+        "--arrival-rate", "3", "--faults", "2", "--seed", "2",
+    ],
+}
+
+
+class TestSafetyGateExitCodes:
+    """A failed safety gate exits with the verification-failure code."""
+
+    @pytest.mark.parametrize("command", sorted(_GATED_RUNS))
+    def test_determinism_mismatch_exits_4(self, command, monkeypatch, capsys):
+        from repro.resilience.report import ResilienceReport
+
+        real_to_dict = ResilienceReport.to_dict
+        calls = iter(range(1_000_000))
+
+        def drifting_to_dict(self):
+            # Every summary differs from the last: a replay can never
+            # match the first run.
+            return {**real_to_dict(self), "drift": next(calls)}
+
+        monkeypatch.setattr(ResilienceReport, "to_dict", drifting_to_dict)
+        code = main(_GATED_RUNS[command] + ["--verify-determinism"])
+        assert code == EXIT_VERIFICATION_ERROR
+        assert "determinism check: FAILED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["resilience", "admit"])
+    def test_overbooked_switch_exits_4(self, command, monkeypatch, capsys):
+        from dataclasses import replace
+
+        from repro.sim.online import OnlineScheduler
+
+        real_run = OnlineScheduler.run
+
+        def overbooking_run(self, requests):
+            result = real_run(self, requests)
+            peaks = {s: 10**6 for s in result.peak_qubit_usage}
+            return replace(result, peak_qubit_usage=peaks)
+
+        monkeypatch.setattr(OnlineScheduler, "run", overbooking_run)
+        code = main(_GATED_RUNS[command])
+        assert code == EXIT_VERIFICATION_ERROR
+        assert "capacity overbooked: YES" in capsys.readouterr().out
+
+    def test_unattributed_request_exits_4(self, monkeypatch, capsys):
+        from repro.resilience.report import ResilienceReport
+
+        monkeypatch.setattr(
+            ResilienceReport, "close_request", lambda self, disposition: None
+        )
+        code = main(_GATED_RUNS["admit"])
+        assert code == EXIT_VERIFICATION_ERROR
+        assert "unattributed requests: YES" in capsys.readouterr().out
+
+
 class TestRobustSolveCommand:
     def test_robust_prints_audit(self, capsys):
         code = main(
