@@ -27,9 +27,16 @@ violations — quantified by :func:`steiner_violation_rate` and the
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.core.problem import (
     Channel,
@@ -42,9 +49,14 @@ from repro.core.tree import switch_usage
 from repro.network.graph import QuantumNetwork
 from repro.utils.rng import RngLike
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
+
 
 def _weighted_graph(network: QuantumNetwork) -> nx.Graph:
     """Fiber graph with Algorithm-1 weights ``α·L − ln q`` per edge."""
+    import networkx as nx
+
     alpha = network.params.alpha
     minus_ln_q = -swap_log_rate(network.params.swap_prob)
     graph = nx.Graph()
@@ -62,6 +74,8 @@ def steiner_tree_nodes(
     network: QuantumNetwork, users: List[Hashable]
 ) -> Optional[nx.Graph]:
     """Approximate Steiner tree over *users* (None if disconnected)."""
+    import networkx as nx
+
     graph = _weighted_graph(network)
     try:
         from networkx.algorithms.approximation import steiner_tree

@@ -458,12 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=2,
         help="fiber-hop radius of the splice search region",
     )
-    incremental_parser.add_argument(
-        "--scope",
-        default="region",
-        choices=("region", "fingerprint"),
-        help="cache-invalidation scope for structural events",
-    )
     incremental_parser.add_argument("--seed", type=int, default=7)
     incremental_parser.add_argument(
         "--skip-baseline",
@@ -1230,9 +1224,7 @@ def _command_incremental(args: argparse.Namespace) -> int:
     aggregate digests must be byte-identical — a mismatch exits with
     ``EXIT_VERIFICATION_ERROR``, exactly like a failed solution audit.
     """
-    from repro.exec import cache as exec_cache
-    from repro.incremental import IncrementalRouter, tracking
-    from repro.incremental.warmstart import WarmStartIndex
+    from repro.incremental import IncrementalRouter
     from repro.sim.workload import ChurnSpec, generate_churn
 
     try:
@@ -1251,34 +1243,18 @@ def _command_incremental(args: argparse.Namespace) -> int:
         network = generate(args.topology, config, rng=args.seed)
         users = tuple(sorted(network.user_ids, key=repr))
         events = generate_churn(network, spec, rng=args.seed + 1)
-        if mode == "from_scratch":
-            router = IncrementalRouter(
-                network,
-                users=users,
-                method=args.method,
-                seed=args.seed,
-                mode=mode,
-                radius=args.radius,
-            )
-            router.run(events)
-            return router, None
-        cache = exec_cache.ChannelCache()
-        cache.warmstart = WarmStartIndex()
-        with exec_cache.caching(cache), tracking(
-            scope=args.scope, radius=args.radius
-        ):
-            router = IncrementalRouter(
-                network,
-                users=users,
-                method=args.method,
-                seed=args.seed,
-                mode="incremental",
-                radius=args.radius,
-            )
-            router.run(events)
-        return router, cache
+        router = IncrementalRouter(
+            network,
+            users=users,
+            method=args.method,
+            seed=args.seed,
+            mode=mode,
+            radius=args.radius,
+        )
+        router.run(events)
+        return router
 
-    inc, cache = one_run("incremental")
+    inc = one_run("incremental")
     print(
         f"incremental: {len(inc.outcomes)} events applied, "
         f"final tree {'feasible' if inc.solution.feasible else 'INFEASIBLE'} "
@@ -1286,19 +1262,10 @@ def _command_incremental(args: argparse.Namespace) -> int:
     )
     for name in sorted(inc.counters):
         print(f"  {name}: {inc.counters[name]}")
-    if cache is not None:
-        stats = cache.stats()
-        print(
-            f"  cache: {stats.hits} hits / {stats.misses} misses, "
-            f"{stats.invalidations} invalidations "
-            f"{stats.invalidations_by_cause}"
-        )
-        if cache.warmstart is not None:
-            print(f"  warmstart: {cache.warmstart.stats()}")
     print(f"digest: {inc.digest()}")
 
     if not args.skip_baseline:
-        ref, _ = one_run("from_scratch")
+        ref = one_run("from_scratch")
         if ref.digest() != inc.digest():
             print(
                 "equivalence check: FAILED (incremental and from-scratch "
@@ -1307,7 +1274,7 @@ def _command_incremental(args: argparse.Namespace) -> int:
             return EXIT_VERIFICATION_ERROR
         print("equivalence check: ok (byte-identical aggregates)")
     if args.verify_determinism:
-        again, _ = one_run("incremental")
+        again = one_run("incremental")
         if again.digest() != inc.digest():
             print("determinism check: FAILED (replay digest differs)")
             return EXIT_VERIFICATION_ERROR

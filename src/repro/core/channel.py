@@ -34,7 +34,7 @@ plain dict / :class:`~repro.utils.heap.IndexedMinHeap` search that
 
 * fibers are scanned in adjacency insertion order (the snapshot's row
   order; :meth:`~repro.network.graph.QuantumNetwork.align_fiber_order`
-  drops the snapshot so rows follow a realignment);
+  marks the realigned rows stale, so the next search rebuilds them);
 * the heap sifts exactly as ``IndexedMinHeap`` does — ``>=`` stops a
   sift-up, strict ``<`` picks the child on a sift-down — so ties pop in
   the same order;

@@ -82,6 +82,7 @@ __all__ = [
     "enable",
     "disable",
     "caching",
+    "bypassed",
 ]
 
 #: Minimum free qubits a switch needs to relay a channel (Def. 3);
@@ -502,6 +503,25 @@ def caching(
         _active_cache = current
     try:
         yield current
+    finally:
+        with _state_lock:
+            _active_cache = previous
+
+
+@contextmanager
+def bypassed() -> Iterator[None]:
+    """Scope with no active cache; restores the prior one on exit.
+
+    For callers whose searches never repeat an exact key, such as the
+    incremental router: every structural event changes the routing
+    fingerprint and every capacity crossing changes the blocked set, so
+    a lookup would only pay for its key.
+    """
+    global _active_cache
+    with _state_lock:
+        previous, _active_cache = _active_cache, None
+    try:
+        yield
     finally:
         with _state_lock:
             _active_cache = previous

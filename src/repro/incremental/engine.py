@@ -8,10 +8,9 @@ execute the *same policy code* and are required to produce byte-identical
 aggregates (:meth:`digest`):
 
 * ``mode="incremental"`` — the hot path: the damaged topology view is
-  maintained by applying each delta in place (O(degree) per event), the
-  break classification tests only the firing element, and channel
-  searches benefit from whatever exact cache / warm-start index the
-  caller activated;
+  maintained by applying each delta in place (O(degree) per event,
+  routing snapshot included) and the break classification tests only
+  the firing element;
 * ``mode="from_scratch"`` — the reference: every event rebuilds the
   damaged view with a full :func:`~repro.extensions.recovery.
   apply_failures` copy and re-derives the break set against *all*
@@ -28,6 +27,15 @@ the byte-equality contract (a fresh solve after a tree-disjoint cut may
 legitimately pick a different equal-rate tree); it exists so the churn
 benchmark can price what "recompute from scratch on every change"
 costs against the classify/splice/escalate ladder.
+
+All modes run with no channel cache: the initial solve and every
+:meth:`IncrementalRouter.apply` sit under
+:func:`repro.exec.cache.bypassed`, whatever cache the caller activated.
+An exact cache key can never repeat here — every structural event
+changes the routing fingerprint and every capacity crossing changes the
+blocked set — so each lookup would pay for a fingerprint and a key and
+never hit.  Sweeps (:class:`~repro.exec.engine.ExecutionEngine`) keep
+the cache.
 
 Capacity-crossing events model *external* load: a crossing to blocked
 reserves the switch's free qubits down to below the relay threshold on
@@ -47,6 +55,7 @@ from repro.core.conflict_free import solve_conflict_free
 from repro.core.ledger import CapacityLedger, QUBITS_PER_CHANNEL
 from repro.core.prim_based import solve_prim
 from repro.core.problem import MUERPSolution, infeasible_solution
+from repro.exec import cache as exec_cache
 from repro.extensions.recovery import apply_failures
 from repro.incremental.events import DeltaEvent, DeltaKind
 from repro.incremental.tree import (
@@ -163,13 +172,14 @@ class IncrementalRouter:
         #: Per-event rebuilt view (from-scratch mode).
         self._fs_view: Optional[QuantumNetwork] = None
 
-        self.solution = self._solve_full(
-            self._damaged_view(), self.ledger.as_dict(), event_index=-1
-        )
         self.usage: Dict[Hashable, int] = {}
-        if self.solution.feasible:
-            self.usage = self.solution.switch_usage()
-            self.ledger.reserve(self.usage)
+        with exec_cache.bypassed():
+            self.solution = self._solve_full(
+                self._damaged_view(), self.ledger.as_dict(), event_index=-1
+            )
+            if self.solution.feasible:
+                self.usage = self.solution.switch_usage()
+                self.ledger.reserve(self.usage)
 
     # ------------------------------------------------------------------
     # Damaged-view maintenance
@@ -244,18 +254,23 @@ class IncrementalRouter:
     # Event application
     # ------------------------------------------------------------------
     def apply(self, event: DeltaEvent) -> EventOutcome:
-        """Apply one delta; returns the recorded outcome."""
+        """Apply one delta; returns the recorded outcome.
+
+        Runs with no channel cache active (see the module docs).
+        """
         index = self._events_applied
         self._events_applied += 1
-        if event.kind is DeltaKind.CAPACITY_CROSSING:
-            classification, action = self._apply_capacity(event)
-        else:
-            # Maintaining the router's own damaged view is bookkeeping
-            # over an already-published event; under an active bus it
-            # must not re-publish or re-run cache hygiene.
-            with self._bus_guard():
-                self._apply_structural(event)
-            classification, action = self._maintain_tree(event, index)
+        with exec_cache.bypassed():
+            if event.kind is DeltaKind.CAPACITY_CROSSING:
+                classification, action = self._apply_capacity(event)
+            else:
+                # Maintaining the router's own damaged view is
+                # bookkeeping over an already-published event; under an
+                # active bus it must not re-publish or re-run cache
+                # hygiene.
+                with self._bus_guard():
+                    self._apply_structural(event)
+                classification, action = self._maintain_tree(event, index)
         outcome = EventOutcome(
             index=index,
             kind=event.kind.value,

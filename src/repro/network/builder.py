@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Hashable, Iterable, Optional, Tuple
 
 from repro.network.graph import NetworkParams, QuantumNetwork
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 
 class NetworkBuilder:

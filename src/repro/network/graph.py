@@ -16,6 +16,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Dict,
     Hashable,
     Iterable,
@@ -27,8 +28,6 @@ from typing import (
     Tuple,
 )
 
-import networkx as nx
-
 from repro.network.errors import (
     DuplicateFiberError,
     DuplicateNodeError,
@@ -37,6 +36,9 @@ from repro.network.errors import (
 from repro.network.link import OpticalFiber, fiber_key
 from repro.network.node import Node, QuantumSwitch, QuantumUser
 from repro.utils.validation import require_positive, require_probability
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 
 def _fiber_event(key: Tuple[Hashable, Hashable], restored: bool):
@@ -107,9 +109,11 @@ class QuantumNetwork:
         self._adjacency: Dict[Hashable, Dict[Hashable, OpticalFiber]] = {}
         #: Memoized content hashes per scope; cleared on any mutation.
         self._fingerprints: Dict[str, str] = {}
-        #: Lazily built by :meth:`routing_snapshot`; dropped whenever
-        #: nodes, fibers or adjacency order change.
+        #: Lazily built by :meth:`routing_snapshot`; dropped when a node
+        #: is added.  Fiber changes and row realignments only list their
+        #: endpoints in ``_stale_rows``, patched on the next use.
         self._routing: Optional[RoutingSnapshot] = None
+        self._stale_rows: Set[Hashable] = set()
 
     # ------------------------------------------------------------------
     # Construction
@@ -140,6 +144,8 @@ class QuantumNetwork:
             raise DuplicateNodeError(node.id)
         self._nodes[node.id] = node
         self._adjacency[node.id] = {}
+        self._routing = None
+        self._stale_rows.clear()
         self._content_changed()
 
     def _content_changed(self, event=None) -> None:
@@ -154,7 +160,6 @@ class QuantumNetwork:
         routing fingerprint are now unreachable, so they stop crowding
         the LRU window.
         """
-        self._routing = None
         old_routing = self._fingerprints.pop("routing", None)
         self._fingerprints.clear()
         # Lazy imports: neither repro.exec.cache nor the incremental
@@ -203,6 +208,7 @@ class QuantumNetwork:
         self._fibers[key] = fiber
         self._adjacency[u][v] = fiber
         self._adjacency[v][u] = fiber
+        self._rows_changed(u, v)
         self._content_changed(event=_fiber_event(key, restored=True))
         return fiber
 
@@ -215,6 +221,7 @@ class QuantumNetwork:
             raise UnknownNodeError((u, v)) from None
         del self._adjacency[u][v]
         del self._adjacency[v][u]
+        self._rows_changed(u, v)
         self._content_changed(event=_fiber_event(key, restored=False))
         return fiber
 
@@ -223,30 +230,24 @@ class QuantumNetwork:
         reference: "QuantumNetwork",
         nodes: Optional[Iterable[Hashable]] = None,
     ) -> None:
-        """Reorder fiber iteration to match *reference*.
+        """Reorder adjacency rows to match *reference*.
 
         Path algorithms that scan incident fibers break equal-cost ties
-        by insertion order, so a view that removes and later re-adds a
+        by adjacency order, so a view that removes and later re-adds a
         fiber must restore the reference ordering to stay byte-identical
         with a fresh rebuild of the same topology.  Pass *nodes* to
-        realign only those adjacency rows (removals never reorder, so
-        after a re-add only the two endpoints can be out of order).
+        realign only those rows (removals never reorder, so after a
+        re-add only the two endpoints can be out of order); without it
+        every row is realigned.  Each row costs O(degree).
 
-        The reordering bypasses :meth:`_content_changed` (content is
-        unchanged), so it must drop the routing snapshot itself: the
-        snapshot's rows record the old scan order.
+        Only adjacency rows are realigned: the fiber dict keeps its
+        order, which no search reads (the snapshot maps keys by fiber
+        identity and :meth:`fingerprint` sorts them).  The realigned
+        rows of the routing snapshot are marked stale, and the
+        reordering bypasses :meth:`_content_changed`: content is
+        unchanged.
         """
-        self._routing = None
-        ordered = {
-            key: self._fibers[key]
-            for key in reference._fibers
-            if key in self._fibers
-        }
-        for key, fiber in self._fibers.items():
-            ordered.setdefault(key, fiber)
-        self._fibers = ordered
-        node_ids = self._adjacency if nodes is None else nodes
-        for node_id in node_ids:
+        for node_id in self._adjacency if nodes is None else nodes:
             row = self._adjacency.get(node_id)
             if row is None:
                 continue
@@ -257,6 +258,13 @@ class QuantumNetwork:
             for other, fiber in row.items():
                 aligned.setdefault(other, fiber)
             self._adjacency[node_id] = aligned
+            self._rows_changed(node_id)
+
+    def _rows_changed(self, *nodes: Hashable) -> None:
+        """Mark the snapshot rows of *nodes* for :meth:`routing_snapshot`
+        to rebuild; a no-op while no snapshot exists."""
+        if self._routing is not None:
+            self._stale_rows.update(nodes)
 
     # ------------------------------------------------------------------
     # Queries
@@ -334,11 +342,15 @@ class QuantumNetwork:
     def routing_snapshot(self) -> RoutingSnapshot:
         """The int-indexed routing view, built on first use and memoized.
 
-        Shared with :meth:`copy` clones until either side mutates; any
-        mutation or :meth:`align_fiber_order` drops it.
+        Shared with :meth:`copy` clones (copy-on-write).  Adding a node
+        drops it; a fiber change or a row realignment only marks the
+        endpoints' rows stale, and the next call rebuilds just those
+        rows into a new snapshot, so one held by a clone never changes.
         """
         snapshot = self._routing
         if snapshot is not None:
+            if self._stale_rows:
+                snapshot = self._patched(snapshot)
             return snapshot
         ids = list(self._nodes)
         index = {node_id: i for i, node_id in enumerate(ids)}
@@ -356,6 +368,20 @@ class QuantumNetwork:
         ]
         switches = [(i, ids[i]) for i in range(len(ids)) if is_switch[i]]
         snapshot = RoutingSnapshot(ids, index, is_switch, switches, rows)
+        self._routing = snapshot
+        return snapshot
+
+    def _patched(self, snapshot: RoutingSnapshot) -> RoutingSnapshot:
+        """*snapshot* with the stale rows rebuilt from the adjacency."""
+        index = snapshot.index
+        rows = list(snapshot.rows)
+        for node_id in self._stale_rows:
+            rows[index[node_id]] = [
+                (index[other], fiber.key, fiber.length)
+                for other, fiber in self._adjacency[node_id].items()
+            ]
+        self._stale_rows.clear()
+        snapshot = snapshot._replace(rows=rows)
         self._routing = snapshot
         return snapshot
 
@@ -491,6 +517,7 @@ class QuantumNetwork:
         # routing snapshot carry over.
         clone._fingerprints = dict(self._fingerprints)
         clone._routing = self._routing
+        clone._stale_rows = set(self._stale_rows)
         return clone
 
     def with_switch_qubits(self, qubits: int) -> "QuantumNetwork":
@@ -527,6 +554,8 @@ class QuantumNetwork:
         switches, ``qubits``.  Edge attributes: ``length`` and ``p`` (the
         link success probability under this network's ``alpha``).
         """
+        import networkx as nx
+
         graph = nx.Graph()
         for node in self._nodes.values():
             attrs = {"kind": node.kind.value, "position": node.position}

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Tuple
 
-import networkx as nx
-
 from repro.network.graph import QuantumNetwork
 
 
@@ -49,6 +47,8 @@ class TopologyStats:
 
 def topology_stats(network: QuantumNetwork) -> TopologyStats:
     """Compute :class:`TopologyStats` for *network*."""
+    import networkx as nx
+
     graph = network.to_networkx()
     degrees = [d for _, d in graph.degree()]
     connected = network.is_connected() and len(graph) > 0
@@ -88,6 +88,8 @@ def degree_histogram(network: QuantumNetwork) -> Dict[int, int]:
 def bridge_fibers(network: QuantumNetwork) -> List[Tuple[Hashable, Hashable]]:
     """Fibers whose removal disconnects the graph (the structural part
     of the paper's "critical edges")."""
+    import networkx as nx
+
     graph = network.to_networkx()
     return [tuple(edge) for edge in nx.bridges(graph)]
 
@@ -97,6 +99,8 @@ def user_eccentricity_km(network: QuantumNetwork) -> Dict[Hashable, float]:
 
     A rough indicator of which users will anchor low-rate channels.
     """
+    import networkx as nx
+
     graph = network.to_networkx()
     users = network.user_ids
     result: Dict[Hashable, float] = {}

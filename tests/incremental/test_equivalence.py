@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.channel import dijkstra
 from repro.exec import cache as exec_cache
 from repro.exec.cache import ChannelCache
 from repro.incremental import IncrementalRouter
@@ -59,6 +60,7 @@ def _run(
     caching: bool = False,
     warmstart: bool = False,
     bus_scope: str = "",
+    cache=None,
 ):
     network = _network(kind, seed)
     users = tuple(sorted(network.user_ids, key=repr))
@@ -70,7 +72,8 @@ def _run(
         router = IncrementalRouter(network, **router_args)
         router.run(events)
         return router
-    cache = ChannelCache()
+    if cache is None:
+        cache = ChannelCache()
     if warmstart:
         cache.warmstart = WarmStartIndex()
     cache_ctx = (
@@ -127,10 +130,20 @@ def test_incremental_equals_from_scratch(seed, n_events, mix, kind):
     mix=MIXES,
 )
 def test_cache_and_warmstart_never_change_results(seed, n_events, mix):
+    """The router bypasses an ambient cache: it is never consulted."""
     plain = _run("grid", seed, n_events, mix, "prim", "incremental")
+    cache = ChannelCache()
     cached = _run(
-        "grid", seed, n_events, mix, "prim", "incremental", caching=True
+        "grid",
+        seed,
+        n_events,
+        mix,
+        "prim",
+        "incremental",
+        caching=True,
+        cache=cache,
     )
+    warm_cache = ChannelCache()
     warmed = _run(
         "grid",
         seed,
@@ -141,39 +154,92 @@ def test_cache_and_warmstart_never_change_results(seed, n_events, mix):
         caching=True,
         warmstart=True,
         bus_scope="region",
+        cache=warm_cache,
     )
     assert plain.digest() == cached.digest()
     assert plain.digest() == warmed.digest()
+    assert cache.stats().lookups == 0
+    assert warm_cache.stats().lookups == 0
+    assert warm_cache.warmstart.lookups == 0
+
+
+def _scoped_searches(seed, steps, scope):
+    """Channel searches across live fiber cuts and restores.
+
+    Each step searches from every user, cuts one fiber, searches,
+    restores and realigns the fiber and searches again, with the step's
+    switch held below the relay threshold.  The realignment matters:
+    cache keys ignore adjacency order, so without it a restored fiber
+    could be served a tie resolved under the old order.  Under *scope*
+    the searches run with an active cache and bus (the path the router
+    bypasses); without it, with neither.  Returns the searches in call
+    order and the cache stats.
+    """
+    network = _network("waxman", seed)
+    reference = network.copy()
+    fibers = sorted(network.fibers, key=lambda f: repr(f.key))
+    switches = sorted(network.switch_ids, key=repr)
+    users = sorted(network.user_ids, key=repr)
+    cache = ChannelCache()
+    cache_ctx = exec_cache.caching(cache) if scope else _null()
+    bus_ctx = (
+        incremental_delta.tracking(scope=scope, radius=1)
+        if scope
+        else _null()
+    )
+    results = []
+    with cache_ctx, bus_ctx:
+        for step in steps:
+            fiber = fibers[step % len(fibers)]
+            residual = network.residual_qubits()
+            residual[switches[step % len(switches)]] = 0
+            for phase in ("before", "cut", "restored"):
+                if phase == "cut":
+                    network.remove_fiber(fiber.u, fiber.v)
+                elif phase == "restored":
+                    network.add_fiber(fiber.u, fiber.v, fiber.length)
+                    network.align_fiber_order(
+                        reference, nodes=(fiber.u, fiber.v)
+                    )
+                for user in users:
+                    dist, prev = dijkstra(network, user, residual)
+                    results.append((list(dist.items()), list(prev.items())))
+    return results, cache.stats()
 
 
 @settings(max_examples=6, deadline=None, derandomize=True)
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
-    n_events=st.integers(min_value=1, max_value=20),
-    mix=MIXES,
+    steps=st.lists(
+        st.integers(min_value=0, max_value=10_000), min_size=1, max_size=8
+    ),
 )
-def test_region_and_fingerprint_scopes_agree(seed, n_events, mix):
-    region = _run(
-        "grid",
-        seed,
-        n_events,
-        mix,
-        "prim",
-        "incremental",
-        caching=True,
-        bus_scope="region",
+def test_region_and_fingerprint_scopes_agree(seed, steps):
+    """Bus scoping is cache hygiene only: it never changes a result.
+
+    The router runs with no cache, so this drives live mutations and
+    searches directly, the path sweeps and other callers still cache.
+    """
+    plain, _ = _scoped_searches(seed, steps, "")
+    region, region_stats = _scoped_searches(seed, steps, "region")
+    fingerprint, fingerprint_stats = _scoped_searches(
+        seed, steps, "fingerprint"
     )
-    fingerprint = _run(
-        "grid",
-        seed,
-        n_events,
-        mix,
-        "prim",
-        "incremental",
-        caching=True,
-        bus_scope="fingerprint",
-    )
-    assert region.digest() == fingerprint.digest()
+    assert region == plain
+    assert fingerprint == plain
+    # Every search went through the cache.  Region hygiene drops a
+    # subset of what fingerprint hygiene drops, so it never hits less.
+    assert region_stats.lookups == fingerprint_stats.lookups == len(plain)
+    assert region_stats.hits >= fingerprint_stats.hits
+
+
+def test_region_scope_serves_entries_the_fingerprint_scope_drops():
+    plain, _ = _scoped_searches(0, [3, 5], "")
+    region, region_stats = _scoped_searches(0, [3, 5], "region")
+    fingerprint, fingerprint_stats = _scoped_searches(0, [3, 5], "fingerprint")
+    assert region == fingerprint == plain
+    assert region_stats.hits > 0
+    assert fingerprint_stats.hits == 0
 
 
 @settings(max_examples=6, deadline=None, derandomize=True)
@@ -215,3 +281,30 @@ def test_replay_is_deterministic(seed, n_events, mix):
     first = _run("grid", seed, n_events, mix, "prim", "incremental")
     second = _run("grid", seed, n_events, mix, "prim", "incremental")
     assert first.digest() == second.digest()
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    n_events=st.integers(min_value=1, max_value=25),
+    mix=MIXES,
+)
+def test_damaged_view_fiber_order_is_never_read(seed, n_events, mix):
+    """Restores realign only the two adjacency rows, never ``_fibers``.
+
+    That is sound only while no consumer of the damaged view reads the
+    order of its fiber dict: reversing it after every event must leave
+    the digest equal to the from-scratch reference.
+    """
+    network = _network("waxman", seed)
+    users = tuple(sorted(network.user_ids, key=repr))
+    events = _events(network, seed, n_events, mix)
+    router = IncrementalRouter(
+        network, users=users, method="prim", seed=seed, radius=2
+    )
+    for event in events:
+        router.apply(event)
+        damaged = router._damaged
+        damaged._fibers = dict(reversed(list(damaged._fibers.items())))
+    ref = _run("waxman", seed, n_events, mix, "prim", "from_scratch")
+    assert router.digest() == ref.digest()

@@ -8,6 +8,10 @@ tests of the underlying modules still pass.
 from __future__ import annotations
 
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +43,19 @@ class TestTopLevel:
             "topology_stats",
         ):
             assert callable(getattr(repro, name)), name
+
+    def test_import_leaves_networkx_unloaded(self):
+        """Only the functions that use networkx import it."""
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        code = "import sys, repro; sys.exit('networkx' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=60,
+        )
+        assert result.returncode == 0
 
 
 class TestSubpackageSurfaces:

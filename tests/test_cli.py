@@ -473,3 +473,23 @@ class TestExperimentCheckpointFlags:
             ]
         )
         assert code == EXIT_OK
+
+
+class TestIncrementalCommand:
+    def test_equivalence_and_determinism_pass(self, capsys):
+        code = main(
+            [
+                "incremental",
+                "--switches",
+                "16",
+                "--users",
+                "4",
+                "--events",
+                "20",
+                "--verify-determinism",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert "equivalence check: ok" in out
+        assert "determinism check: ok" in out
