@@ -13,7 +13,9 @@ them: ``0`` success, ``1`` generic failure, ``2`` invalid input
 ``3`` solver failure (unknown solver, solver crash or timeout), ``4``
 verification failure (a produced solution violated a MUERP invariant,
 or a safety gate failed: an overbooked switch, an unattributed request
-or a failed ``--verify-determinism`` check).
+or a failed ``--verify-determinism`` check).  :func:`_safety_gate` and
+:func:`_determinism_gate` are the only places that print those gates'
+lines, so every gated subcommand reports them the same way.
 """
 
 from __future__ import annotations
@@ -49,34 +51,157 @@ EXIT_VERIFICATION_ERROR = 4
 EXIT_INTERRUPTED = 130
 
 
-def _obs_parent() -> argparse.ArgumentParser:
-    """Shared ``--metrics``/``--trace`` flags for every subcommand.
+def _add_obs_args(
+    parser: argparse.ArgumentParser, suppress: bool = False
+) -> None:
+    """The ``--metrics``/``--metrics-format``/``--trace`` flags.
 
-    The same options exist on the top-level parser (with real
-    defaults); the per-subcommand copies use ``argparse.SUPPRESS`` so
-    ``repro --metrics m.json solve`` and ``repro solve --metrics
-    m.json`` both work, with the subcommand position winning.
+    The top-level parser carries them with real defaults; every
+    subcommand gets a copy with ``suppress=True`` (``argparse.SUPPRESS``
+    defaults) so ``repro --metrics m.json solve`` and ``repro solve
+    --metrics m.json`` both work, with the subcommand position winning.
     """
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
+
+    def default(value):
+        return argparse.SUPPRESS if suppress else value
+
+    parser.add_argument(
         "--metrics",
         metavar="FILE",
-        default=argparse.SUPPRESS,
+        default=default(None),
         help="write solver/runtime metrics to FILE after the command",
     )
-    parent.add_argument(
+    parser.add_argument(
         "--metrics-format",
         choices=("json", "prom"),
-        default=argparse.SUPPRESS,
+        default=default("json"),
         help="metrics file format (default json; prom = Prometheus text)",
     )
-    parent.add_argument(
+    parser.add_argument(
         "--trace",
         metavar="FILE",
-        default=argparse.SUPPRESS,
+        default=default(None),
         help="write spans as JSONL to FILE after the command",
     )
-    return parent
+
+
+#: Topology flags: argparse dest -> (type, :class:`TopologyConfig` field).
+_TOPOLOGY_FLAGS = {
+    "switches": (int, "n_switches"),
+    "users": (int, "n_users"),
+    "degree": (float, "avg_degree"),
+    "qubits": (int, "qubits_per_switch"),
+    "swap_prob": (float, "swap_prob"),
+}
+
+
+#: Every topology flag at the paper's defaults (``solve``, ``bounds``).
+_PAPER_TOPOLOGY = dict(
+    switches=50, users=10, degree=6.0, qubits=4, swap_prob=0.9
+)
+
+
+def _add_topology_args(parser: argparse.ArgumentParser, **defaults) -> None:
+    """``--topology``, ``--seed`` and the topology flags named in ``defaults``.
+
+    ``switches=40`` adds ``--switches`` with default 40.  A flag left
+    out is not added at all, so each subcommand keeps exactly the
+    options it has always had, and :func:`_network` leaves the missing
+    fields at their :class:`TopologyConfig` defaults.
+    """
+    parser.add_argument("--topology", default="waxman")
+    parser.add_argument("--seed", type=int, default=7)
+    for dest, default in defaults.items():
+        parser.add_argument(
+            "--" + dest.replace("_", "-"),
+            type=_TOPOLOGY_FLAGS[dest][0],
+            default=default,
+        )
+
+
+def _network(args: argparse.Namespace):
+    """Generate the network that the topology flags in ``args`` describe."""
+    config = TopologyConfig(
+        **{
+            field: getattr(args, dest)
+            for dest, (_, field) in _TOPOLOGY_FLAGS.items()
+            if hasattr(args, dest)
+        }
+    )
+    return generate(args.topology, config, rng=args.seed)
+
+
+def _add_serving_args(
+    parser: argparse.ArgumentParser, switches: int, users: int
+) -> None:
+    """Topology flags plus ``--method`` for the online serving demos."""
+    _add_topology_args(parser, switches=switches, users=users, qubits=4)
+    parser.add_argument(
+        "--method", default="prim", choices=("prim", "conflict_free")
+    )
+
+
+def _add_workload_args(
+    parser: argparse.ArgumentParser, horizon: int, arrival_rate: float
+) -> None:
+    """Arrival horizon and rate of the serving demos' workload."""
+    parser.add_argument(
+        "--horizon", type=int, default=horizon, help="arrival horizon (slots)"
+    )
+    parser.add_argument(
+        "--arrival-rate",
+        type=float,
+        default=arrival_rate,
+        help="mean requests per slot (raise it to overload the network)",
+    )
+
+
+def _add_admission_args(
+    parser: argparse.ArgumentParser, tenants: int, queue_size: int
+) -> None:
+    """Tenants, patience and per-tenant admission limits."""
+    parser.add_argument(
+        "--tenants",
+        type=int,
+        default=tenants,
+        help="tenant labels for per-tenant limits (0 = untenanted)",
+    )
+    parser.add_argument(
+        "--max-wait", type=int, default=5, help="blocked-request patience"
+    )
+    parser.add_argument(
+        "--rate",
+        type=float,
+        default=1.0,
+        help="token-bucket refill per tenant per slot",
+    )
+    parser.add_argument(
+        "--burst", type=float, default=4.0, help="token-bucket capacity"
+    )
+    parser.add_argument(
+        "--bulkhead",
+        type=int,
+        default=32,
+        help="max in-system requests per tenant",
+    )
+    parser.add_argument(
+        "--queue-size",
+        type=int,
+        default=queue_size,
+        help="admission queue bound",
+    )
+
+
+#: The subcommands with ``--verify-determinism`` (checked by
+#: :func:`_determinism_gate`), and what each re-runs for the check.
+_DETERMINISM_RERUNS = {
+    "exec": "the sweep serially (1 worker, no cache)",
+    "resilience": "the scenario",
+    "admit": "the scenario",
+    "incremental": "the incremental replay",
+    "serve": "the scenario",
+    "bounds": "the relaxation and the rounding solver",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,46 +213,19 @@ def build_parser() -> argparse.ArgumentParser:
             "(ICDCS 2024 reproduction)"
         ),
     )
-    parser.add_argument(
-        "--metrics",
-        metavar="FILE",
-        default=None,
-        help="write solver/runtime metrics to FILE after the command",
-    )
-    parser.add_argument(
-        "--metrics-format",
-        choices=("json", "prom"),
-        default="json",
-        help="metrics file format (default json; prom = Prometheus text)",
-    )
-    parser.add_argument(
-        "--trace",
-        metavar="FILE",
-        default=None,
-        help="write spans as JSONL to FILE after the command",
-    )
-    obs_parent = _obs_parent()
+    _add_obs_args(parser)
+    obs_parent = argparse.ArgumentParser(add_help=False)
+    _add_obs_args(obs_parent, suppress=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser(
-        "list",
-        help="list solvers, topologies and experiments",
-        parents=[obs_parent],
-    )
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=summary, parents=[obs_parent])
 
-    solve_parser = sub.add_parser(
-        "solve",
-        help="generate one network and route it",
-        parents=[obs_parent],
-    )
-    solve_parser.add_argument("--topology", default="waxman")
+    command("list", "list solvers, topologies and experiments")
+
+    solve_parser = command("solve", "generate one network and route it")
+    _add_topology_args(solve_parser, **_PAPER_TOPOLOGY)
     solve_parser.add_argument("--method", default="conflict_free")
-    solve_parser.add_argument("--switches", type=int, default=50)
-    solve_parser.add_argument("--users", type=int, default=10)
-    solve_parser.add_argument("--degree", type=float, default=6.0)
-    solve_parser.add_argument("--qubits", type=int, default=4)
-    solve_parser.add_argument("--swap-prob", type=float, default=0.9)
-    solve_parser.add_argument("--seed", type=int, default=7)
     solve_parser.add_argument(
         "--show-channels", action="store_true", help="print channel paths"
     )
@@ -148,18 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
         "implies --robust semantics only when --robust is given)",
     )
 
-    obs_parser = sub.add_parser(
-        "obs",
-        help="run an instrumented demo solve and print its metrics",
-        parents=[obs_parent],
+    obs_parser = command(
+        "obs", "run an instrumented demo solve and print its metrics"
     )
-    obs_parser.add_argument("--topology", default="waxman")
+    _add_topology_args(obs_parser, switches=40, users=8, degree=6.0, qubits=4)
     obs_parser.add_argument("--method", default="conflict_free")
-    obs_parser.add_argument("--switches", type=int, default=40)
-    obs_parser.add_argument("--users", type=int, default=8)
-    obs_parser.add_argument("--degree", type=float, default=6.0)
-    obs_parser.add_argument("--qubits", type=int, default=4)
-    obs_parser.add_argument("--seed", type=int, default=7)
     obs_parser.add_argument(
         "--format",
         choices=("json", "prom"),
@@ -167,10 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="stdout format for the metric snapshot",
     )
 
-    experiment_parser = sub.add_parser(
-        "experiment",
-        help="run a named experiment (fig5, fig6a, …)",
-        parents=[obs_parent],
+    experiment_parser = command(
+        "experiment", "run a named experiment (fig5, fig6a, …)"
     )
     experiment_parser.add_argument("name", choices=sorted(EXPERIMENTS))
     experiment_parser.add_argument(
@@ -210,11 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(only meaningful with --workers)",
     )
 
-    exec_parser = sub.add_parser(
+    exec_parser = command(
         "exec",
-        help="run a named experiment through the parallel execution "
+        "run a named experiment through the parallel execution "
         "engine and report shard/cache statistics",
-        parents=[obs_parent],
     )
     exec_parser.add_argument("name", choices=sorted(EXPERIMENTS))
     exec_parser.add_argument(
@@ -241,46 +329,25 @@ def build_parser() -> argparse.ArgumentParser:
         help="LRU bound on cached channel searches (per process)",
     )
     exec_parser.add_argument(
-        "--verify-determinism",
-        action="store_true",
-        help="also run serially (1 worker, no cache) and fail unless "
-        "the results are byte-identical",
-    )
-    exec_parser.add_argument(
         "--chaos",
         action="store_true",
         help="chaos soak: deterministically inject worker kills, hangs "
         "and checkpoint truncation mid-sweep and let the shard "
         "supervisor recover (requires --workers >= 2)",
     )
-    exec_parser.add_argument(
-        "--chaos-kills",
-        type=int,
-        default=3,
-        metavar="N",
-        help="worker-kill budget for --chaos (default 3)",
-    )
-    exec_parser.add_argument(
-        "--chaos-hangs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker-hang budget for --chaos (default 1)",
-    )
-    exec_parser.add_argument(
-        "--chaos-truncations",
-        type=int,
-        default=1,
-        metavar="N",
-        help="shard-checkpoint truncation budget for --chaos (default 1)",
-    )
-    exec_parser.add_argument(
-        "--chaos-seed",
-        type=int,
-        default=0,
-        metavar="N",
-        help="shuffle seed for the chaos action order (default 0)",
-    )
+    for flag, default, what in (
+        ("kills", 3, "worker-kill budget"),
+        ("hangs", 1, "worker-hang budget"),
+        ("truncations", 1, "shard-checkpoint truncation budget"),
+        ("seed", 0, "shuffle seed for the chaos action order"),
+    ):
+        exec_parser.add_argument(
+            f"--chaos-{flag}",
+            type=int,
+            default=default,
+            metavar="N",
+            help=f"{what} for --chaos (default {default})",
+        )
     exec_parser.add_argument(
         "--hang-timeout",
         type=float,
@@ -290,50 +357,27 @@ def build_parser() -> argparse.ArgumentParser:
         "makes no progress for this long (default 120; 2 under --chaos)",
     )
 
-    stats_parser = sub.add_parser(
-        "stats",
-        help="generate one network and print its topology stats",
-        parents=[obs_parent],
+    stats_parser = command(
+        "stats", "generate one network and print its topology stats"
     )
-    stats_parser.add_argument("--topology", default="waxman")
-    stats_parser.add_argument("--switches", type=int, default=50)
-    stats_parser.add_argument("--users", type=int, default=10)
-    stats_parser.add_argument("--degree", type=float, default=6.0)
-    stats_parser.add_argument("--seed", type=int, default=7)
+    _add_topology_args(stats_parser, switches=50, users=10, degree=6.0)
 
-    montecarlo_parser = sub.add_parser(
-        "montecarlo",
-        help="validate a routed tree's rate by simulation",
-        parents=[obs_parent],
+    montecarlo_parser = command(
+        "montecarlo", "validate a routed tree's rate by simulation"
     )
-    montecarlo_parser.add_argument("--topology", default="waxman")
+    _add_topology_args(montecarlo_parser, switches=50, users=10)
     montecarlo_parser.add_argument("--method", default="conflict_free")
-    montecarlo_parser.add_argument("--switches", type=int, default=50)
-    montecarlo_parser.add_argument("--users", type=int, default=10)
     montecarlo_parser.add_argument("--trials", type=int, default=100_000)
-    montecarlo_parser.add_argument("--seed", type=int, default=7)
 
-    resilience_parser = sub.add_parser(
+    resilience_parser = command(
         "resilience",
-        help="run a chaos scenario: online service under injected faults",
-        parents=[obs_parent],
+        "run a chaos scenario: online service under injected faults",
     )
-    resilience_parser.add_argument("--topology", default="waxman")
-    resilience_parser.add_argument(
-        "--method", default="prim", choices=("prim", "conflict_free")
-    )
-    resilience_parser.add_argument("--switches", type=int, default=40)
-    resilience_parser.add_argument("--users", type=int, default=10)
-    resilience_parser.add_argument("--qubits", type=int, default=4)
+    _add_serving_args(resilience_parser, switches=40, users=10)
     resilience_parser.add_argument(
         "--faults", type=int, default=10, help="fault events to inject"
     )
-    resilience_parser.add_argument(
-        "--horizon", type=int, default=40, help="arrival/fault horizon (slots)"
-    )
-    resilience_parser.add_argument(
-        "--arrival-rate", type=float, default=0.6, help="requests per slot"
-    )
+    _add_workload_args(resilience_parser, horizon=40, arrival_rate=0.6)
     resilience_parser.add_argument(
         "--retry",
         default="backoff",
@@ -345,61 +389,13 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="abandon faulted requests instead of serving user subsets",
     )
-    resilience_parser.add_argument("--seed", type=int, default=7)
-    resilience_parser.add_argument(
-        "--verify-determinism",
-        action="store_true",
-        help="run the scenario twice and fail unless reports are identical",
-    )
 
-    admit_parser = sub.add_parser(
-        "admit",
-        help="overload demo: online serving behind admission control",
-        parents=[obs_parent],
+    admit_parser = command(
+        "admit", "overload demo: online serving behind admission control"
     )
-    admit_parser.add_argument("--topology", default="waxman")
-    admit_parser.add_argument(
-        "--method", default="prim", choices=("prim", "conflict_free")
-    )
-    admit_parser.add_argument("--switches", type=int, default=40)
-    admit_parser.add_argument("--users", type=int, default=10)
-    admit_parser.add_argument("--qubits", type=int, default=4)
-    admit_parser.add_argument(
-        "--horizon", type=int, default=40, help="arrival horizon (slots)"
-    )
-    admit_parser.add_argument(
-        "--arrival-rate",
-        type=float,
-        default=3.0,
-        help="requests per slot (crank this up to overload the network)",
-    )
-    admit_parser.add_argument(
-        "--tenants",
-        type=int,
-        default=3,
-        help="tenant labels for per-tenant rate limiting (0 = untenanted)",
-    )
-    admit_parser.add_argument(
-        "--max-wait", type=int, default=5, help="blocked-request patience"
-    )
-    admit_parser.add_argument(
-        "--rate",
-        type=float,
-        default=1.0,
-        help="token-bucket refill per tenant per slot",
-    )
-    admit_parser.add_argument(
-        "--burst", type=float, default=4.0, help="token-bucket capacity"
-    )
-    admit_parser.add_argument(
-        "--bulkhead",
-        type=int,
-        default=32,
-        help="max in-system requests per tenant",
-    )
-    admit_parser.add_argument(
-        "--queue-size", type=int, default=8, help="admission queue bound"
-    )
+    _add_serving_args(admit_parser, switches=40, users=10)
+    _add_workload_args(admit_parser, horizon=40, arrival_rate=3.0)
+    _add_admission_args(admit_parser, tenants=3, queue_size=8)
     admit_parser.add_argument(
         "--shed-policy",
         default="drop-newest",
@@ -411,36 +407,18 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         help="victim selection when the admission queue is full",
     )
-    admit_parser.add_argument("--seed", type=int, default=7)
     admit_parser.add_argument(
         "--no-baseline",
         action="store_true",
         help="skip the no-admission comparison run",
     )
-    admit_parser.add_argument(
-        "--verify-determinism",
-        action="store_true",
-        help=(
-            "run the scenario twice and fail unless reports and "
-            "admission stats are byte-identical"
-        ),
-    )
 
-    incremental_parser = sub.add_parser(
+    incremental_parser = command(
         "incremental",
-        help=(
-            "delta-aware routing demo: replay a churn stream "
-            "incrementally and against the from-scratch reference"
-        ),
-        parents=[obs_parent],
+        "delta-aware routing demo: replay a churn stream "
+        "incrementally and against the from-scratch reference",
     )
-    incremental_parser.add_argument("--topology", default="waxman")
-    incremental_parser.add_argument(
-        "--method", default="prim", choices=("prim", "conflict_free")
-    )
-    incremental_parser.add_argument("--switches", type=int, default=40)
-    incremental_parser.add_argument("--users", type=int, default=8)
-    incremental_parser.add_argument("--qubits", type=int, default=4)
+    _add_serving_args(incremental_parser, switches=40, users=8)
     incremental_parser.add_argument(
         "--events", type=int, default=60, help="churn events to generate"
     )
@@ -458,48 +436,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=2,
         help="fiber-hop radius of the splice search region",
     )
-    incremental_parser.add_argument("--seed", type=int, default=7)
-    incremental_parser.add_argument(
-        "--skip-baseline",
-        action="store_true",
-        help="skip the from-scratch reference run (no equivalence check)",
-    )
-    incremental_parser.add_argument(
-        "--verify-determinism",
-        action="store_true",
-        help=(
-            "replay the incremental run twice and fail unless the "
-            "aggregate digests are byte-identical"
-        ),
-    )
 
-    serve_parser = sub.add_parser(
+    serve_parser = command(
         "serve",
-        help=(
-            "multi-tenant demo: SLO-guarded serving with k-redundant "
-            "trees, weighted-fair shedding and chaos faults"
-        ),
-        parents=[obs_parent],
+        "multi-tenant demo: SLO-guarded serving with k-redundant "
+        "trees, weighted-fair shedding and chaos faults",
     )
-    serve_parser.add_argument("--topology", default="waxman")
-    serve_parser.add_argument(
-        "--method", default="prim", choices=("prim", "conflict_free")
-    )
-    serve_parser.add_argument("--switches", type=int, default=25)
-    serve_parser.add_argument("--users", type=int, default=10)
-    serve_parser.add_argument("--qubits", type=int, default=4)
-    serve_parser.add_argument(
-        "--horizon", type=int, default=48, help="arrival horizon (slots)"
-    )
-    serve_parser.add_argument(
-        "--arrival-rate",
-        type=float,
-        default=2.0,
-        help="mean requests per slot (Poisson)",
-    )
-    serve_parser.add_argument(
-        "--tenants", type=int, default=4, help="number of tenant labels"
-    )
+    _add_serving_args(serve_parser, switches=25, users=10)
+    _add_workload_args(serve_parser, horizon=48, arrival_rate=2.0)
     serve_parser.add_argument(
         "--tenant-skew",
         type=float,
@@ -519,9 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="slots per diurnal cycle",
     )
     serve_parser.add_argument(
-        "--max-wait", type=int, default=5, help="blocked-request patience"
-    )
-    serve_parser.add_argument(
         "--replicas",
         type=int,
         default=2,
@@ -533,54 +474,19 @@ def build_parser() -> argparse.ArgumentParser:
         default=12,
         help="chaos faults injected over the horizon (0 = no chaos)",
     )
-    serve_parser.add_argument(
-        "--rate",
-        type=float,
-        default=1.0,
-        help="token-bucket refill per tenant per slot",
-    )
-    serve_parser.add_argument(
-        "--burst", type=float, default=4.0, help="token-bucket capacity"
-    )
-    serve_parser.add_argument(
-        "--bulkhead",
-        type=int,
-        default=32,
-        help="max in-system requests per tenant",
-    )
-    serve_parser.add_argument(
-        "--queue-size", type=int, default=16, help="admission queue bound"
-    )
-    serve_parser.add_argument("--seed", type=int, default=7)
+    _add_admission_args(serve_parser, tenants=4, queue_size=16)
     serve_parser.add_argument(
         "--json",
         action="store_true",
         help="emit the full serving summary as JSON instead of the table",
     )
-    serve_parser.add_argument(
-        "--verify-determinism",
-        action="store_true",
-        help=(
-            "run the scenario twice and fail unless the serving "
-            "summaries are byte-identical"
-        ),
-    )
 
-    bounds_parser = sub.add_parser(
+    bounds_parser = command(
         "bounds",
-        help=(
-            "certify one network: LP relaxation bound, per-method "
-            "optimality gaps and the rounding-based solver"
-        ),
-        parents=[obs_parent],
+        "certify one network: LP relaxation bound, per-method "
+        "optimality gaps and the rounding-based solver",
     )
-    bounds_parser.add_argument("--topology", default="waxman")
-    bounds_parser.add_argument("--switches", type=int, default=50)
-    bounds_parser.add_argument("--users", type=int, default=10)
-    bounds_parser.add_argument("--degree", type=float, default=6.0)
-    bounds_parser.add_argument("--qubits", type=int, default=4)
-    bounds_parser.add_argument("--swap-prob", type=float, default=0.9)
-    bounds_parser.add_argument("--seed", type=int, default=7)
+    _add_topology_args(bounds_parser, **_PAPER_TOPOLOGY)
     bounds_parser.add_argument(
         "--backend",
         choices=("auto", "simplex", "scipy"),
@@ -600,34 +506,67 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit the certificate and gaps as JSON instead of a table",
     )
-    bounds_parser.add_argument(
-        "--verify-determinism",
-        action="store_true",
-        help=(
-            "solve the relaxation and the rounding solver twice and "
-            "fail unless certificates and trees are byte-identical"
-        ),
-    )
 
+    for name, rerun in _DETERMINISM_RERUNS.items():
+        sub.choices[name].add_argument(
+            "--verify-determinism",
+            action="store_true",
+            help=f"re-run {rerun} and fail (exit 4) unless the results "
+            "are byte-identical",
+        )
     return parser
 
 
-def _command_list() -> int:
+def _determinism_gate(first, rerun, canonical, ok: str, failed: str) -> int:
+    """The ``--verify-determinism`` check every gated subcommand shares.
+
+    Calls ``rerun()`` for a second result and compares ``canonical`` of
+    it with ``canonical(first)``.  Prints ``determinism check: ok
+    (<ok>)`` and returns ``EXIT_OK`` when they are equal; otherwise
+    prints ``determinism check: FAILED (<failed>)`` and returns
+    ``EXIT_VERIFICATION_ERROR``.
+    """
+    if canonical(rerun()) == canonical(first):
+        status, code = f"ok ({ok})", EXIT_OK
+    else:
+        status, code = f"FAILED ({failed})", EXIT_VERIFICATION_ERROR
+    print(f"determinism check: {status}")
+    return code
+
+
+def _safety_gate(result, network) -> int:
+    """The serving safety gates of ``resilience``, ``admit`` and ``serve``.
+
+    ``result`` is an :class:`~repro.sim.online.OnlineResult` or a
+    :class:`~repro.tenancy.serving.TenantServingResult`, which both
+    decide overbooking and attribution through ``OnlineResult``.
+    Prints the ``capacity overbooked:`` and ``unattributed requests:``
+    lines and returns ``EXIT_VERIFICATION_ERROR`` if either gate fails.
+    """
+    overbooked = result.overbooked_switches(network)
+    unattributed = result.unattributed()
+    print(
+        "capacity overbooked: "
+        f"{'YES ' + repr(overbooked) if overbooked else 'no'}"
+    )
+    print(
+        "unattributed requests: "
+        f"{'YES ' + repr(unattributed) if unattributed else 'none'}"
+    )
+    if overbooked or unattributed:
+        return EXIT_VERIFICATION_ERROR
+    return EXIT_OK
+
+
+def _command_list(args: argparse.Namespace) -> int:
     print("solvers:     ", ", ".join(sorted(SOLVERS)))
     print("topologies:  ", ", ".join(sorted(GENERATORS)))
     print("experiments: ", ", ".join(sorted(EXPERIMENTS)))
-    return 0
+    return EXIT_OK
 
 
 def _command_solve(args: argparse.Namespace) -> int:
-    config = TopologyConfig(
-        n_switches=args.switches,
-        n_users=args.users,
-        avg_degree=args.degree,
-        qubits_per_switch=args.qubits,
-        swap_prob=args.swap_prob,
-    )
-    network = generate(args.topology, config, rng=args.seed)
+    network = _network(args)
     if args.robust:
         chain = (args.method,) + tuple(
             m for m in (args.fallback or ()) if m != args.method
@@ -635,28 +574,25 @@ def _command_solve(args: argparse.Namespace) -> int:
         result = solve_robust(
             network, rng=args.seed, chain=chain, timeout_s=60.0
         )
-        solution = result.solution
-        print(network)
-        print(solution)
-        print(result.audit.render())
-        if not result.audit.succeeded and any(
+        solution, report = result.solution, result.audit.render()
+        ok = result.audit.succeeded or not any(
             a.status == "invalid" for a in result.audit.attempts
-        ):
-            return EXIT_VERIFICATION_ERROR
-        if solution.feasible and args.show_channels:
-            for channel in solution.channels:
-                print(f"  {channel}")
-        return EXIT_OK
-    solution = solve(args.method, network, rng=args.seed)
-    report = validate_solution(
-        network,
-        solution,
-        enforce_capacity=args.method not in CAPACITY_EXEMPT_METHODS,
-    )
+        )
+    else:
+        solution = solve(args.method, network, rng=args.seed)
+        report = validate_solution(
+            network,
+            solution,
+            enforce_capacity=args.method not in CAPACITY_EXEMPT_METHODS,
+        )
+        ok = report.ok
     print(network)
     print(solution)
-    if not report.ok:
+    # The robust audit always prints; a plain solve's report only when
+    # the verifier rejected the tree.
+    if args.robust or not ok:
         print(report)
+    if not ok:
         return EXIT_VERIFICATION_ERROR
     if solution.feasible and args.show_channels:
         for channel in solution.channels:
@@ -674,13 +610,7 @@ def _command_obs(args: argparse.Namespace) -> int:
 
     import repro.obs as obs
 
-    config = TopologyConfig(
-        n_switches=args.switches,
-        n_users=args.users,
-        avg_degree=args.degree,
-        qubits_per_switch=args.qubits,
-    )
-    network = generate(args.topology, config, rng=args.seed)
+    network = _network(args)
     result = solve_robust(
         network, rng=args.seed, chain=(args.method,), timeout_s=60.0
     )
@@ -700,34 +630,26 @@ def _command_obs(args: argparse.Namespace) -> int:
 def _command_stats(args: argparse.Namespace) -> int:
     from repro.network.statistics import degree_histogram, topology_stats
 
-    config = TopologyConfig(
-        n_switches=args.switches,
-        n_users=args.users,
-        avg_degree=args.degree,
-    )
-    network = generate(args.topology, config, rng=args.seed)
+    network = _network(args)
     stats = topology_stats(network)
     print(network)
     print(stats.describe())
     print("degree histogram:")
     for degree, count in sorted(degree_histogram(network).items()):
         print(f"  {degree:3d}: {'#' * count} ({count})")
-    return 0
+    return EXIT_OK
 
 
 def _command_montecarlo(args: argparse.Namespace) -> int:
     from repro.sim.protocol import simulate_solution
 
-    config = TopologyConfig(
-        n_switches=args.switches, n_users=args.users
-    )
-    network = generate(args.topology, config, rng=args.seed)
+    network = _network(args)
     solution = solve(args.method, network, rng=args.seed)
     print(network)
     print(solution)
     if not solution.feasible:
         print("infeasible; nothing to simulate")
-        return 1
+        return EXIT_FAILURE
     result = simulate_solution(
         network, solution, trials=args.trials, rng=args.seed
     )
@@ -738,7 +660,7 @@ def _command_montecarlo(args: argparse.Namespace) -> int:
         f"(95% CI [{low:.3e}, {high:.3e}], {args.trials} trials)\n"
         f"consistent:           {'yes' if result.consistent else 'NO'}"
     )
-    return 0 if result.consistent else 1
+    return EXIT_OK if result.consistent else EXIT_FAILURE
 
 
 def _command_resilience(args: argparse.Namespace) -> int:
@@ -751,12 +673,7 @@ def _command_resilience(args: argparse.Namespace) -> int:
     from repro.sim.online import OnlineScheduler
     from repro.sim.workload import WorkloadSpec, generate_workload
 
-    config = TopologyConfig(
-        n_switches=args.switches,
-        n_users=args.users,
-        qubits_per_switch=args.qubits,
-    )
-    network = generate(args.topology, config, rng=args.seed)
+    network = _network(args)
     spec = WorkloadSpec(
         arrival_rate=args.arrival_rate,
         horizon=args.horizon,
@@ -796,7 +713,6 @@ def _command_resilience(args: argparse.Namespace) -> int:
         return scheduler.run(requests), requests
 
     result, requests = one_run()
-    report = result.resilience
     print(network)
     print(
         f"workload: {len(requests)} requests over {args.horizon} slots, "
@@ -806,22 +722,17 @@ def _command_resilience(args: argparse.Namespace) -> int:
         f"acceptance: {result.n_accepted}/{len(result.outcomes)} "
         f"({result.acceptance_ratio:.1%}), {result.n_degraded} degraded"
     )
-    print(report.render())
-    overbooked = [
-        s
-        for s, peak in result.peak_qubit_usage.items()
-        if peak > (network.qubits_of(s) or 0)
-    ]
-    print(f"capacity overbooked: {'YES ' + repr(overbooked) if overbooked else 'no'}")
-    if overbooked:
-        return EXIT_VERIFICATION_ERROR
-    if args.verify_determinism:
-        second, _ = one_run()
-        if second.resilience.to_dict() != report.to_dict():
-            print("determinism check: FAILED (reports differ)")
-            return EXIT_VERIFICATION_ERROR
-        print("determinism check: ok (identical reports)")
-    return EXIT_OK
+    print(result.resilience.render())
+    code = _safety_gate(result, network)
+    if code != EXIT_OK or not args.verify_determinism:
+        return code
+    return _determinism_gate(
+        result,
+        lambda: one_run()[0],
+        lambda run: run.resilience.to_dict(),
+        ok="identical reports",
+        failed="reports differ",
+    )
 
 
 def _command_admit(args: argparse.Namespace) -> int:
@@ -832,12 +743,7 @@ def _command_admit(args: argparse.Namespace) -> int:
     from repro.sim.online import OnlineScheduler
     from repro.sim.workload import WorkloadSpec, generate_workload
 
-    config = TopologyConfig(
-        n_switches=args.switches,
-        n_users=args.users,
-        qubits_per_switch=args.qubits,
-    )
-    network = generate(args.topology, config, rng=args.seed)
+    network = _network(args)
     spec = WorkloadSpec(
         arrival_rate=args.arrival_rate,
         horizon=args.horizon,
@@ -881,27 +787,9 @@ def _command_admit(args: argparse.Namespace) -> int:
     )
     print("admission stats:")
     print(json.dumps(result.admission, indent=2, sort_keys=True))
-
-    # Safety gates the overload scenario must hold:
-    overbooked = [
-        s
-        for s, peak in result.peak_qubit_usage.items()
-        if peak > (network.qubits_of(s) or 0)
-    ]
-    print(
-        "capacity overbooked: "
-        f"{'YES ' + repr(overbooked) if overbooked else 'no'}"
-    )
-    report = result.resilience
-    unattributed = [
-        r.name for r in requests if r.name not in report.dispositions
-    ]
-    print(
-        "unattributed requests: "
-        f"{'YES ' + repr(unattributed) if unattributed else 'none'}"
-    )
-    if overbooked or unattributed:
-        return EXIT_VERIFICATION_ERROR
+    code = _safety_gate(result, network)
+    if code != EXIT_OK:
+        return code
 
     if not args.no_baseline:
         baseline, _ = one_run(with_admission=False)
@@ -910,18 +798,18 @@ def _command_admit(args: argparse.Namespace) -> int:
             f"{len(baseline.outcomes)} accepted "
             f"({baseline.acceptance_ratio:.1%})"
         )
-    if args.verify_determinism:
-        second, _ = one_run(with_admission=True)
-        same = (
-            second.resilience.to_dict() == report.to_dict()
-            and json.dumps(second.admission, sort_keys=True, default=repr)
-            == json.dumps(result.admission, sort_keys=True, default=repr)
-        )
-        if not same:
-            print("determinism check: FAILED (reports differ)")
-            return EXIT_VERIFICATION_ERROR
-        print("determinism check: ok (identical shed decisions)")
-    return EXIT_OK
+    if not args.verify_determinism:
+        return EXIT_OK
+    return _determinism_gate(
+        result,
+        lambda: one_run(with_admission=True)[0],
+        lambda run: (
+            run.resilience.to_dict(),
+            json.dumps(run.admission, sort_keys=True, default=repr),
+        ),
+        ok="identical shed decisions",
+        failed="reports differ",
+    )
 
 
 def _command_serve(args: argparse.Namespace) -> int:
@@ -932,12 +820,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     from repro.sim.workload import WorkloadSpec, generate_workload
     from repro.tenancy import ReplicationPolicy, serve_tenants
 
-    config = TopologyConfig(
-        n_switches=args.switches,
-        n_users=args.users,
-        qubits_per_switch=args.qubits,
-    )
-    network = generate(args.topology, config, rng=args.seed)
+    network = _network(args)
     spec = WorkloadSpec(
         arrival_rate=args.arrival_rate,
         horizon=args.horizon,
@@ -977,8 +860,8 @@ def _command_serve(args: argparse.Namespace) -> int:
         return served, requests
 
     served, requests = one_run()
-    summary = served.to_dict()
     if args.json:
+        summary = served.to_dict()
         print(json.dumps(summary, indent=2, sort_keys=True, default=repr))
     else:
         print(network)
@@ -988,31 +871,36 @@ def _command_serve(args: argparse.Namespace) -> int:
             f"tenant(s), skew {args.tenant_skew})"
         )
         print(served.render())
-
-    # Safety gates the multi-tenant scenario must hold:
-    overbooked = served.overbooked_switches(network)
-    print(
-        "capacity overbooked: "
-        f"{'YES ' + repr(overbooked) if overbooked else 'no'}"
+    code = _safety_gate(served, network)
+    if code != EXIT_OK or not args.verify_determinism:
+        return code
+    return _determinism_gate(
+        served,
+        lambda: one_run()[0],
+        lambda run: json.dumps(run.to_dict(), sort_keys=True, default=repr),
+        ok="identical serving summaries",
+        failed="serving summaries differ",
     )
-    unattributed = served.unattributed()
-    print(
-        "unattributed requests: "
-        f"{'YES ' + repr(unattributed) if unattributed else 'none'}"
-    )
-    if overbooked or unattributed:
-        return EXIT_VERIFICATION_ERROR
 
-    if args.verify_determinism:
-        second, _ = one_run()
-        same = json.dumps(
-            second.to_dict(), sort_keys=True, default=repr
-        ) == json.dumps(summary, sort_keys=True, default=repr)
-        if not same:
-            print("determinism check: FAILED (serving summaries differ)")
-            return EXIT_VERIFICATION_ERROR
-        print("determinism check: ok (identical serving summaries)")
-    return EXIT_OK
+
+def _interrupted(engine) -> int:
+    """Report what an interrupted sweep kept; ``engine`` may be ``None``.
+
+    Tells ``--resume`` users exactly what state was kept: checkpointed
+    trials resume for free, unflushed ones re-run.
+    """
+    print()
+    if engine is None:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
+    print(f"interrupted: {engine.stats.describe()}", file=sys.stderr)
+    if engine.stats.unflushed_trials:
+        print(
+            f"unflushed trial(s) {engine.stats.unflushed_trials} had no "
+            "checkpoint on disk and will re-run on --resume",
+            file=sys.stderr,
+        )
+    return EXIT_INTERRUPTED
 
 
 def _command_experiment(args: argparse.Namespace) -> int:
@@ -1055,21 +943,7 @@ def _command_experiment(args: argparse.Namespace) -> int:
         with scope, engine_cm, engine_scope:
             result = run_named(args.name, base)
     except KeyboardInterrupt:
-        # Tell --resume users exactly what state was kept: checkpointed
-        # trials resume for free, unflushed ones re-run.
-        print()
-        if engine is not None:
-            print(f"interrupted: {engine.stats.describe()}", file=sys.stderr)
-            if engine.stats.unflushed_trials:
-                print(
-                    f"unflushed trial(s) {engine.stats.unflushed_trials} "
-                    "had no checkpoint on disk and will re-run on "
-                    "--resume",
-                    file=sys.stderr,
-                )
-        else:
-            print("interrupted", file=sys.stderr)
-        return EXIT_INTERRUPTED
+        return _interrupted(engine)
     if args.markdown:
         from repro.analysis import report
         from repro.experiments.sweeps import SweepResult
@@ -1081,7 +955,7 @@ def _command_experiment(args: argparse.Namespace) -> int:
             print(report.edge_removal_markdown(result, f"experiment {args.name}"))
         elif hasattr(result, "to_table"):
             print(result.to_table(title=f"experiment {args.name}").render())
-        return 0
+        return EXIT_OK
     if hasattr(result, "to_table"):
         print(result.to_table(title=f"experiment {args.name}").render())
     else:  # pragma: no cover - all catalogue entries render tables
@@ -1095,7 +969,7 @@ def _command_experiment(args: argparse.Namespace) -> int:
         )
         print()
         print(chart)
-    return 0
+    return EXIT_OK
 
 
 def _command_exec(args: argparse.Namespace) -> int:
@@ -1177,15 +1051,7 @@ def _command_exec(args: argparse.Namespace) -> int:
             stack.enter_context(executing(engine))
             result = run_named(args.name, base)
     except KeyboardInterrupt:
-        print()
-        print(f"interrupted: {engine.stats.describe()}", file=sys.stderr)
-        if engine.stats.unflushed_trials:
-            print(
-                f"unflushed trial(s) {engine.stats.unflushed_trials} had "
-                "no checkpoint on disk and will re-run on --resume",
-                file=sys.stderr,
-            )
-        return EXIT_INTERRUPTED
+        return _interrupted(engine)
     elapsed = _time.perf_counter() - started
 
     if hasattr(result, "to_table"):
@@ -1198,22 +1064,21 @@ def _command_exec(args: argparse.Namespace) -> int:
     if chaos is not None:
         print(chaos.summary())
 
-    if args.verify_determinism:
+    if not args.verify_determinism:
+        return EXIT_OK
+
+    def serial_run():
         reference_engine = ExecutionEngine(workers=1, use_cache=False)
         with reference_engine, executing(reference_engine):
-            reference = run_named(args.name, base)
-        canonical = lambda r: json.dumps(  # noqa: E731
-            result_payload(r), sort_keys=True
-        )
-        if canonical(result) != canonical(reference):
-            print(
-                "determinism check FAILED: parallel result diverges "
-                "from the serial reference",
-                file=sys.stderr,
-            )
-            return EXIT_VERIFICATION_ERROR
-        print("determinism check: ok (byte-identical to serial run)")
-    return EXIT_OK
+            return run_named(args.name, base)
+
+    return _determinism_gate(
+        result,
+        serial_run,
+        lambda run: json.dumps(result_payload(run), sort_keys=True),
+        ok="byte-identical to serial run",
+        failed="parallel result diverges from the serial reference",
+    )
 
 
 def _command_incremental(args: argparse.Namespace) -> int:
@@ -1233,14 +1098,9 @@ def _command_incremental(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"bad --fault-mix / --events: {exc}", file=sys.stderr)
         return EXIT_VALIDATION_ERROR
-    config = TopologyConfig(
-        n_switches=args.switches,
-        n_users=args.users,
-        qubits_per_switch=args.qubits,
-    )
 
     def one_run(mode: str):
-        network = generate(args.topology, config, rng=args.seed)
+        network = _network(args)
         users = tuple(sorted(network.user_ids, key=repr))
         events = generate_churn(network, spec, rng=args.seed + 1)
         router = IncrementalRouter(
@@ -1264,22 +1124,22 @@ def _command_incremental(args: argparse.Namespace) -> int:
         print(f"  {name}: {inc.counters[name]}")
     print(f"digest: {inc.digest()}")
 
-    if not args.skip_baseline:
-        ref = one_run("from_scratch")
-        if ref.digest() != inc.digest():
-            print(
-                "equivalence check: FAILED (incremental and from-scratch "
-                "aggregates differ)"
-            )
-            return EXIT_VERIFICATION_ERROR
-        print("equivalence check: ok (byte-identical aggregates)")
-    if args.verify_determinism:
-        again = one_run("incremental")
-        if again.digest() != inc.digest():
-            print("determinism check: FAILED (replay digest differs)")
-            return EXIT_VERIFICATION_ERROR
-        print("determinism check: ok (identical replay)")
-    return EXIT_OK
+    if one_run("from_scratch").digest() != inc.digest():
+        print(
+            "equivalence check: FAILED (incremental and from-scratch "
+            "aggregates differ)"
+        )
+        return EXIT_VERIFICATION_ERROR
+    print("equivalence check: ok (byte-identical aggregates)")
+    if not args.verify_determinism:
+        return EXIT_OK
+    return _determinism_gate(
+        inc,
+        lambda: one_run("incremental"),
+        lambda router: router.digest(),
+        ok="identical replay",
+        failed="replay digest differs",
+    )
 
 
 def _command_bounds(args: argparse.Namespace) -> int:
@@ -1308,45 +1168,40 @@ def _command_bounds(args: argparse.Namespace) -> int:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION_ERROR
 
-    config = TopologyConfig(
-        n_switches=args.switches,
-        n_users=args.users,
-        avg_degree=args.degree,
-        qubits_per_switch=args.qubits,
-        swap_prob=args.swap_prob,
-    )
-    network = generate(args.topology, config, rng=args.seed)
+    network = _network(args)
     relaxation = solve_relaxation(network, backend=args.backend)
     uncap = solve_relaxation(
         network, backend=args.backend, capacitated=False
     )
     certificate = relaxation.certificate
 
-    def _comparable(cert):
-        return dataclasses.replace(cert, solve_seconds=0.0)
+    def rounding():
+        return solve_lp_rounding(network, rng=args.seed, backend=args.backend)
+
+    def rerun():
+        return solve_relaxation(network, backend=args.backend), rounding()
+
+    def canonical(run):
+        # Everything but the certificate's wall-clock solve time.
+        relaxed, rounded = run
+        return (
+            dataclasses.replace(relaxed.certificate, solve_seconds=0.0),
+            relaxed.columns,
+            relaxed.values,
+            rounded.channels,
+            rounded.log_rate,
+        )
 
     if args.verify_determinism:
-        again = solve_relaxation(network, backend=args.backend)
-        rounded_a = solve_lp_rounding(
-            network, rng=args.seed, backend=args.backend
+        code = _determinism_gate(
+            (relaxation, rounding()),
+            rerun,
+            canonical,
+            ok="identical certificate and tree",
+            failed="relaxation or rounding differs",
         )
-        rounded_b = solve_lp_rounding(
-            network, rng=args.seed, backend=args.backend
-        )
-        if (
-            _comparable(again.certificate) != _comparable(certificate)
-            or again.columns != relaxation.columns
-            or again.values != relaxation.values
-        ):
-            print("determinism check: FAILED (relaxation differs)")
-            return EXIT_VERIFICATION_ERROR
-        if (
-            rounded_a.channels != rounded_b.channels
-            or rounded_a.log_rate != rounded_b.log_rate
-        ):
-            print("determinism check: FAILED (rounding differs)")
-            return EXIT_VERIFICATION_ERROR
-        print("determinism check: ok (identical certificate and tree)")
+        if code != EXIT_OK:
+            return code
 
     methods = tuple(args.method or ("conflict_free", "prim", "lp_rounding"))
     rows = []
@@ -1415,32 +1270,21 @@ def _command_bounds(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "list":
-        return _command_list()
-    if args.command == "exec":
-        return _command_exec(args)
-    if args.command == "solve":
-        return _command_solve(args)
-    if args.command == "obs":
-        return _command_obs(args)
-    if args.command == "experiment":
-        return _command_experiment(args)
-    if args.command == "stats":
-        return _command_stats(args)
-    if args.command == "montecarlo":
-        return _command_montecarlo(args)
-    if args.command == "resilience":
-        return _command_resilience(args)
-    if args.command == "admit":
-        return _command_admit(args)
-    if args.command == "serve":
-        return _command_serve(args)
-    if args.command == "incremental":
-        return _command_incremental(args)
-    if args.command == "bounds":
-        return _command_bounds(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+#: Subcommand name -> handler.
+_COMMANDS = {
+    "list": _command_list,
+    "solve": _command_solve,
+    "obs": _command_obs,
+    "experiment": _command_experiment,
+    "exec": _command_exec,
+    "stats": _command_stats,
+    "montecarlo": _command_montecarlo,
+    "resilience": _command_resilience,
+    "admit": _command_admit,
+    "serve": _command_serve,
+    "incremental": _command_incremental,
+    "bounds": _command_bounds,
+}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -1465,7 +1309,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     registry = obs.enable() if collect_metrics else None
     tracer = obs.enable_tracer() if trace_path else None
     try:
-        return _dispatch(args)
+        return _COMMANDS[args.command](args)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION_ERROR

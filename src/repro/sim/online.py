@@ -204,6 +204,26 @@ class OnlineResult:
                 return outcome
         raise KeyError(f"no outcome for request {name!r}")
 
+    def overbooked_switches(self, network: QuantumNetwork) -> List[Hashable]:
+        """Switches whose peak usage exceeded their budget (must be [])."""
+        return [
+            switch
+            for switch, peak in sorted(
+                self.peak_qubit_usage.items(), key=repr
+            )
+            if peak > (network.qubits_of(switch) or 0)
+        ]
+
+    def unattributed(self) -> List[str]:
+        """Requests without exactly one disposition (must be []).
+
+        Every run records a :class:`ResilienceReport`; a request with
+        an outcome but no disposition, or a disposition for a request
+        that has no outcome, is unattributed.
+        """
+        names = {o.request.name for o in self.outcomes}
+        return sorted(names.symmetric_difference(self.resilience.dispositions))
+
 
 @dataclass
 class _Reservation:

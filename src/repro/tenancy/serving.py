@@ -55,19 +55,11 @@ class TenantServingResult:
         self, network: "QuantumNetwork"
     ) -> List[object]:
         """Switches whose peak usage exceeded their budget (must be [])."""
-        return [
-            switch
-            for switch, peak in sorted(
-                self.result.peak_qubit_usage.items(), key=repr
-            )
-            if peak > (network.qubits_of(switch) or 0)
-        ]
+        return self.result.overbooked_switches(network)
 
     def unattributed(self) -> List[str]:
         """Requests without exactly one disposition (must be [])."""
-        names = {o.request.name for o in self.result.outcomes}
-        recorded = set(self.result.resilience.dispositions)
-        return sorted(names.symmetric_difference(recorded))
+        return self.result.unattributed()
 
     def to_dict(self) -> Dict[str, object]:
         """Deterministic serializable summary (the soak artifact core)."""

@@ -305,7 +305,7 @@ class TestExitCodes:
         assert "--checkpoint" in capsys.readouterr().err
 
 
-#: Small serving scenarios; each runs twice under --verify-determinism.
+#: Small serving scenarios, gated on overbooking and attribution.
 _GATED_RUNS = {
     "resilience": [
         "resilience", "--switches", "12", "--users", "4",
@@ -321,28 +321,85 @@ _GATED_RUNS = {
     ],
 }
 
+#: Small runs of every subcommand gated by --verify-determinism.
+_DETERMINISM_RUNS = {
+    **_GATED_RUNS,
+    "exec": ["exec", "fig6b", "--networks", "2", "--seed", "2"],
+    "incremental": [
+        "incremental", "--switches", "16", "--users", "4", "--events", "20",
+    ],
+    "bounds": [
+        "bounds", "--switches", "12", "--users", "4", "--qubits", "2",
+        "--backend", "simplex",
+    ],
+}
+
+
+def _drift(monkeypatch, command):
+    """Make a same-seed rerun of ``command`` differ from its first run."""
+    calls = iter(range(1_000_000))
+    if command == "exec":
+        import repro.exec.engine as engine
+
+        real_payload = engine.result_payload
+        monkeypatch.setattr(
+            engine,
+            "result_payload",
+            lambda result: {**real_payload(result), "drift": next(calls)},
+        )
+    elif command == "incremental":
+        import repro.sim.workload as workload
+
+        real_churn = workload.generate_churn
+
+        def drifting_churn(network, spec=None, rng=None):
+            # The incremental run and its from-scratch reference get the
+            # same stream; the replay loses its last event.
+            events = real_churn(network, spec, rng=rng)
+            return events if next(calls) < 2 else events[:-1]
+
+        monkeypatch.setattr(workload, "generate_churn", drifting_churn)
+    elif command == "bounds":
+        import dataclasses
+
+        import repro.bounds.rounding as rounding
+
+        real_rounding = rounding.solve_lp_rounding
+
+        def drifting_rounding(*args, **kwargs):
+            solution = real_rounding(*args, **kwargs)
+            return dataclasses.replace(
+                solution,
+                extra_log_rate=solution.extra_log_rate - next(calls),
+            )
+
+        monkeypatch.setattr(rounding, "solve_lp_rounding", drifting_rounding)
+    else:
+        from repro.resilience.report import ResilienceReport
+
+        real_to_dict = ResilienceReport.to_dict
+        monkeypatch.setattr(
+            ResilienceReport,
+            "to_dict",
+            # Every summary differs from the last: a replay can never
+            # match the first run.
+            lambda self: {**real_to_dict(self), "drift": next(calls)},
+        )
+
 
 class TestSafetyGateExitCodes:
     """A failed safety gate exits with the verification-failure code."""
 
-    @pytest.mark.parametrize("command", sorted(_GATED_RUNS))
+    @pytest.mark.parametrize("command", sorted(_DETERMINISM_RUNS))
     def test_determinism_mismatch_exits_4(self, command, monkeypatch, capsys):
-        from repro.resilience.report import ResilienceReport
-
-        real_to_dict = ResilienceReport.to_dict
-        calls = iter(range(1_000_000))
-
-        def drifting_to_dict(self):
-            # Every summary differs from the last: a replay can never
-            # match the first run.
-            return {**real_to_dict(self), "drift": next(calls)}
-
-        monkeypatch.setattr(ResilienceReport, "to_dict", drifting_to_dict)
-        code = main(_GATED_RUNS[command] + ["--verify-determinism"])
+        _drift(monkeypatch, command)
+        code = main(_DETERMINISM_RUNS[command] + ["--verify-determinism"])
         assert code == EXIT_VERIFICATION_ERROR
-        assert "determinism check: FAILED" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert out.count("determinism check: FAILED (") == 1
+        assert "determinism check: ok" not in out
 
-    @pytest.mark.parametrize("command", ["resilience", "admit"])
+    @pytest.mark.parametrize("command", sorted(_GATED_RUNS))
     def test_overbooked_switch_exits_4(self, command, monkeypatch, capsys):
         from dataclasses import replace
 
@@ -360,15 +417,25 @@ class TestSafetyGateExitCodes:
         assert code == EXIT_VERIFICATION_ERROR
         assert "capacity overbooked: YES" in capsys.readouterr().out
 
-    def test_unattributed_request_exits_4(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("command", sorted(_GATED_RUNS))
+    def test_unattributed_request_exits_4(self, command, monkeypatch, capsys):
         from repro.resilience.report import ResilienceReport
 
         monkeypatch.setattr(
             ResilienceReport, "close_request", lambda self, disposition: None
         )
-        code = main(_GATED_RUNS["admit"])
+        code = main(_GATED_RUNS[command])
         assert code == EXIT_VERIFICATION_ERROR
         assert "unattributed requests: YES" in capsys.readouterr().out
+
+    def test_unattributed_is_two_way(self):
+        """A disposition without an outcome is unattributed too."""
+        from repro.resilience.report import ResilienceReport
+        from repro.sim.online import OnlineResult
+
+        report = ResilienceReport()
+        report.dispositions["ghost"] = object()
+        assert OnlineResult((), 0, {}, report).unattributed() == ["ghost"]
 
 
 class TestRobustSolveCommand:
