@@ -61,8 +61,9 @@ def test_parallel_scaling(bench_config, results_dir, capsys):
     # process-spawn overhead.
     config = bench_config
 
-    # Uncached serial reference: the legacy code path defines both the
-    # baseline wall-clock and the canonical result bytes.
+    # Uncached serial reference: with no engine given, run_fig8a runs
+    # on the uncached serial engine, which defines both the baseline
+    # wall-clock and the canonical result bytes.
     reference, reference_seconds = _timed_sweep(config, QUBIT_COUNTS)
     reference_bytes = _canonical(reference)
 

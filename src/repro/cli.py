@@ -101,6 +101,19 @@ _PAPER_TOPOLOGY = dict(
 )
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be >= 1 (exit 2 otherwise)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_topology_args(parser: argparse.ArgumentParser, **defaults) -> None:
     """``--topology``, ``--seed`` and the topology flags named in ``defaults``.
 
@@ -285,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     experiment_parser.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="shard trials over N processes via the execution engine "
@@ -307,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     exec_parser.add_argument("name", choices=sorted(EXPERIMENTS))
     exec_parser.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=1,
         metavar="N",
         help="worker processes (1 = in-process serial backend)",
@@ -323,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     exec_parser.add_argument(
         "--cache-size",
-        type=int,
+        type=_positive_int,
         default=4096,
         metavar="N",
         help="LRU bound on cached channel searches (per process)",
@@ -1067,14 +1080,11 @@ def _command_exec(args: argparse.Namespace) -> int:
     if not args.verify_determinism:
         return EXIT_OK
 
-    def serial_run():
-        reference_engine = ExecutionEngine(workers=1, use_cache=False)
-        with reference_engine, executing(reference_engine):
-            return run_named(args.name, base)
-
+    # With no ambient engine, run_named runs on an uncached serial
+    # engine: the reference path.
     return _determinism_gate(
         result,
-        serial_run,
+        lambda: run_named(args.name, base),
         lambda run: json.dumps(result_payload(run), sort_keys=True),
         ok="byte-identical to serial run",
         failed="parallel result diverges from the serial reference",

@@ -5,10 +5,12 @@ Two pillars (docs/PARALLELISM.md):
 * :mod:`repro.exec.shard` / :mod:`repro.exec.engine` — deterministic
   partitioning of experiment grids into independent shards and an
   :class:`~repro.exec.engine.ExecutionEngine` that runs them serially
-  (the default — byte-identical to the pre-parallel code path) or
-  across a ``ProcessPoolExecutor``, with per-shard checkpoint files
-  merged through :class:`~repro.experiments.checkpoint.CheckpointStore`
-  so ``--workers N`` produces the same aggregates for every N.
+  (the default) or across a ``ProcessPoolExecutor``, with per-shard
+  checkpoint files merged through
+  :class:`~repro.experiments.checkpoint.CheckpointStore` so
+  ``--workers N`` produces the same aggregates for every N.  Every
+  entry point resolves its engine with
+  :func:`~repro.exec.engine.engine_for`.
 * :mod:`repro.exec.cache` — :class:`~repro.exec.cache.ChannelCache`, an
   exact-key LRU memo of Algorithm-1 channel searches, invalidated by
   ledger reserve/release threshold crossings, topology mutations and
@@ -36,6 +38,7 @@ __all__ = [
     "EngineStats",
     "executing",
     "active_engine",
+    "engine_for",
     "parallel_slots_to_success",
     "ChaosInjector",
     "ChaosSchedule",
@@ -51,6 +54,7 @@ _LAZY = {
     "EngineStats": "repro.exec.engine",
     "executing": "repro.exec.engine",
     "active_engine": "repro.exec.engine",
+    "engine_for": "repro.exec.engine",
     "parallel_slots_to_success": "repro.exec.montecarlo",
     "ChaosInjector": "repro.exec.chaos",
     "ChaosSchedule": "repro.exec.chaos",

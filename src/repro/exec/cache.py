@@ -234,6 +234,13 @@ class ChannelCache:
 
         *qubits* is the effective residual map the search will consult
         (a plain dict or a :class:`~repro.core.ledger.CapacityLedger`).
+
+        The routing fingerprint sorts fibers, so the key ignores
+        adjacency order, while the search breaks equal-cost ties by
+        adjacency order.  A caller that removes and re-adds a fiber must
+        call :meth:`~repro.network.graph.QuantumNetwork.align_fiber_order`
+        before a cached search; otherwise a hit can return a tie
+        resolved under the old row order.
         """
         blocked = frozenset(
             switch

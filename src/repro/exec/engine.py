@@ -7,9 +7,10 @@ and reassembles results in canonical item order.  Two backends:
 
 * **serial** (``workers=1``, the default): shards run in-process, in
   shard order, sharing the engine's persistent
-  :class:`~repro.exec.cache.ChannelCache`.  Because the plan and the
-  per-item RNGs are index-derived, this produces byte-identical results
-  to the pre-engine serial code path.
+  :class:`~repro.exec.cache.ChannelCache` (or none, with
+  ``use_cache=False``).  Because the plan and the per-item RNGs are
+  index-derived, this produces byte-identical results to the process
+  backend; the uncached serial engine is the reference path.
 * **process** (``workers>1``): shards run on a lazily-created
   ``ProcessPoolExecutor``.  Each worker process owns one process-global
   channel cache (installed by the pool initializer), so repeated-graph
@@ -47,11 +48,17 @@ without threading an engine through every signature::
         with executing(engine):
             run_fig6a()                # trials now shard across 4 procs
     print(engine.stats.describe())
+
+Every entry point that runs a work grid (``run_experiment``, ``sweep``,
+``run_named``, ``run_fig7b``, ``parallel_slots_to_success``) resolves
+its engine through :func:`engine_for`, so there is exactly one way a
+grid runs.
 """
 
 from __future__ import annotations
 
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
@@ -68,6 +75,7 @@ from typing import (
 )
 
 import repro.obs.metrics as obs_metrics
+import repro.obs.trace as obs_trace
 from repro.exec.cache import CacheStats, ChannelCache
 from repro.exec import cache as exec_cache
 from repro.exec.shard import Shard, ShardPlan
@@ -84,6 +92,7 @@ __all__ = [
     "ExecutionEngine",
     "ShardResult",
     "active_engine",
+    "engine_for",
     "executing",
     "result_payload",
 ]
@@ -242,10 +251,10 @@ def _run_experiment_shard(
 ) -> ShardResult:
     """Run the experiment trials of *shard*; checkpoint each locally.
 
-    Uses :func:`repro.experiments.runner.run_trial`, the same work unit
-    the serial runner executes, so a shard's rates are bit-equal to the
-    serial loop's for the same trial indices.  *progress* is the
-    supervisor-injected heartbeat callback.
+    Each trial is :func:`repro.experiments.runner.run_trial`, which
+    depends only on ``(config, trial)``, so a shard's rates are bit-equal
+    whichever process runs it.  *progress* is the supervisor-injected
+    heartbeat callback.
     """
     from repro.experiments.checkpoint import CheckpointStore
     from repro.experiments.runner import run_trial
@@ -254,9 +263,15 @@ def _run_experiment_shard(
     store = (
         CheckpointStore(checkpoint_path) if checkpoint_path is not None else None
     )
+    metrics = obs_metrics.active()
     results: Dict[int, Dict[str, float]] = {}
     for done, trial in enumerate(shard.items, start=1):
+        started = time.perf_counter()
         rates = run_trial(config, trial)
+        if metrics is not None:
+            metrics.observe(
+                "experiments.trial_seconds", time.perf_counter() - started
+            )
         results[trial] = rates
         if store is not None:
             store.record(config, trial, rates)
@@ -277,9 +292,9 @@ class ExecutionEngine:
     """Runs sharded work grids serially or across a process pool.
 
     Args:
-        workers: Process count.  ``1`` (default) runs in-process and is
-            byte-identical to the legacy serial path; ``N > 1`` uses a
-            ``ProcessPoolExecutor`` with ``N`` workers.
+        workers: Process count.  ``1`` (default) runs in-process;
+            ``N > 1`` uses a ``ProcessPoolExecutor`` with ``N`` workers.
+            Results are byte-identical either way.
         use_cache: Memoize channel searches (serial: one engine-lifetime
             cache; process: one cache per worker process).
         cache_size: LRU bound per cache.
@@ -435,7 +450,7 @@ class ExecutionEngine:
         )
         return supervisor.run(shard_fn, shard_args, on_shard_done)
 
-    def _absorb(self, result: ShardResult) -> None:
+    def _absorb(self, result: ShardResult, in_worker: bool) -> None:
         self.stats.shards_run += 1
         self.stats.items_run += len(result.results)
         self.stats.absorb_cache(result.cache_stats)
@@ -445,9 +460,9 @@ class ExecutionEngine:
             metrics.inc("repro.exec.items_run", len(result.results))
             delta = result.cache_stats
             # Worker processes have their own (inactive) registries, so
-            # their cache deltas are republished here; the serial
-            # backend's cache already published per-lookup counters.
-            if self.workers > 1:
+            # their cache deltas are republished here; a shard that ran
+            # in this process already published per-lookup counters.
+            if in_worker:
                 if delta.hits:
                     metrics.inc("repro.exec.cache.hits", delta.hits)
                 if delta.misses:
@@ -459,34 +474,43 @@ class ExecutionEngine:
                         "repro.exec.cache.invalidations", delta.invalidations
                     )
 
+    def _run_in_process(
+        self, shard_fn: Callable[..., ShardResult], args: Tuple
+    ) -> ShardResult:
+        """Run one shard in this process under the serial cache.
+
+        The serial backend runs every shard here, and the supervisor
+        runs a quarantined shard here.  Shard functions compute their
+        own cache deltas.  Without a serial cache (``use_cache=False``)
+        no cache is installed, so an outer
+        :func:`repro.exec.cache.caching` scope still applies.
+        """
+        scope = (
+            exec_cache.caching(self._serial_cache)
+            if self._serial_cache is not None
+            else nullcontext()
+        )
+        with scope:
+            return shard_fn(*args)
+
     def _run_shards_serial(
         self,
         shard_fn: Callable[..., ShardResult],
         shard_args: Sequence[Tuple],
         on_shard_done: Optional[Callable[[ShardResult], None]],
     ) -> List[ShardResult]:
-        scope = (
-            exec_cache.caching(self._serial_cache)
-            if self._serial_cache is not None
-            else nullcontext()
-        )
         results: List[ShardResult] = []
-        with scope:
-            for args in shard_args:
-                # In-process shard functions compute their own cache
-                # deltas against the shared serial cache.
-                result = shard_fn(*args)
-                results.append(result)
-                disposition = self._current_dispositions.get(
-                    result.shard_index
-                )
-                if disposition is not None:
-                    disposition.attempts = max(disposition.attempts, 1)
-                    disposition.backend = "serial"
-                    disposition.outcome = COMPLETED
-                self._absorb(result)
-                if on_shard_done is not None:
-                    on_shard_done(result)
+        for args in shard_args:
+            result = self._run_in_process(shard_fn, args)
+            results.append(result)
+            disposition = self._current_dispositions.get(result.shard_index)
+            if disposition is not None:
+                disposition.attempts = max(disposition.attempts, 1)
+                disposition.backend = "serial"
+                disposition.outcome = COMPLETED
+            self._absorb(result, in_worker=False)
+            if on_shard_done is not None:
+                on_shard_done(result)
         return results
 
     # ------------------------------------------------------------------
@@ -524,14 +548,29 @@ class ExecutionEngine:
         config: "ExperimentConfig",
         checkpoint: Optional["CheckpointStore"] = None,
     ) -> "ExperimentResult":
-        """Sharded, checkpointed equivalent of the serial runner.
+        """Run *config*'s trials as a sharded, checkpointed grid.
 
         Byte-identical aggregates for every worker count: trials are
         keyed by index, shards are index-arithmetic, and the merge
         assembles rates in trial order before aggregation.
         """
+        with obs_trace.span(
+            "experiment.run",
+            topology=config.topology,
+            n_networks=config.n_networks,
+            methods=",".join(config.methods),
+        ):
+            return self._run_experiment(config, checkpoint)
+
+    def _run_experiment(
+        self,
+        config: "ExperimentConfig",
+        checkpoint: Optional["CheckpointStore"],
+    ) -> "ExperimentResult":
         from repro.experiments.checkpoint import active_store
         from repro.experiments.runner import (
+            BOUND_KEY,
+            UNCAP_BOUND_KEY,
             ExperimentResult,
             MethodOutcome,
             resumable_rates,
@@ -609,61 +648,24 @@ class ExecutionEngine:
             if metrics is not None:
                 metrics.inc("experiments.trials", len(pending))
 
-        outcomes = tuple(
-            MethodOutcome(
-                method,
-                tuple(
-                    rates_by_trial[trial][method]
-                    for trial in range(config.n_networks)
-                ),
+        def column(key: str) -> tuple:
+            """*key*'s value in every trial, in trial order."""
+            return tuple(
+                rates_by_trial[trial][key]
+                for trial in range(config.n_networks)
             )
-            for method in config.methods
-        )
-        bounds: tuple = ()
-        uncap_bounds: tuple = ()
-        if config.bound == "lp":
-            # The certified LP bounds ride through shard results and
-            # checkpoints under reserved keys, exactly like methods.
-            from repro.experiments.runner import BOUND_KEY, UNCAP_BOUND_KEY
 
-            bounds = tuple(
-                rates_by_trial[trial][BOUND_KEY]
-                for trial in range(config.n_networks)
-            )
-            uncap_bounds = tuple(
-                rates_by_trial[trial][UNCAP_BOUND_KEY]
-                for trial in range(config.n_networks)
-            )
+        # The certified LP bounds ride through shard results and
+        # checkpoints under reserved keys, exactly like methods.
+        has_bounds = config.bound == "lp"
         return ExperimentResult(
             config=config,
-            outcomes=outcomes,
-            bounds=bounds,
-            uncap_bounds=uncap_bounds,
-        )
-
-    def run_sweep(
-        self,
-        base: "ExperimentConfig",
-        parameter: str,
-        values: Sequence[object],
-    ) -> "SweepResult":
-        """Sweep *parameter* over *values*, sharding each point's trials.
-
-        Sweep points run in order (their shards fan out within each
-        point), so checkpoint/resume layout matches the serial sweep.
-        """
-        from repro.experiments.sweeps import SweepResult
-
-        if not values:
-            raise ValueError("sweep needs at least one value")
-        results = [
-            self.run_experiment(base.replace(**{parameter: value}))
-            for value in values
-        ]
-        return SweepResult(
-            parameter=parameter,
-            values=tuple(values),
-            results=tuple(results),
+            outcomes=tuple(
+                MethodOutcome(method, column(method))
+                for method in config.methods
+            ),
+            bounds=column(BOUND_KEY) if has_bounds else (),
+            uncap_bounds=column(UNCAP_BOUND_KEY) if has_bounds else (),
         )
 
     # ------------------------------------------------------------------
@@ -783,7 +785,6 @@ class ExecutionEngine:
 if False:  # pragma: no cover - import-time typing only
     from repro.experiments.checkpoint import CheckpointStore  # noqa: F401
     from repro.experiments.runner import ExperimentResult  # noqa: F401
-    from repro.experiments.sweeps import SweepResult  # noqa: F401
 
 
 def result_payload(result: Any) -> Any:
@@ -853,3 +854,27 @@ def executing(engine: ExecutionEngine) -> Iterator[ExecutionEngine]:
     finally:
         popped = _ACTIVE_ENGINES.pop()
         assert popped is engine, "executing stack corrupted"
+
+
+@contextmanager
+def engine_for(workers: Optional[int]) -> Iterator[ExecutionEngine]:
+    """The engine a caller runs its work grid on, ambient for the block.
+
+    * ``workers > 1``: a new process-pool engine, closed on exit.
+    * otherwise the ambient engine (see :func:`executing`), if any, so
+      an enclosing caller's pool and caches stay warm;
+    * otherwise a new uncached serial engine.  It computes exactly what
+      a plain in-order loop over the grid would, and installs no cache
+      of its own, so an outer :func:`repro.exec.cache.caching` scope
+      still applies.
+    """
+    owned = workers is not None and workers > 1
+    engine = ExecutionEngine(workers=workers) if owned else active_engine()
+    if engine is None:
+        engine = ExecutionEngine(workers=1, use_cache=False)
+    try:
+        with executing(engine):
+            yield engine
+    finally:
+        if owned:
+            engine.close()

@@ -18,60 +18,29 @@ those simulations must stay on the serial method.
 
 from __future__ import annotations
 
-import math
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
-from repro.exec.shard import Shard, ShardPlan
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.problem import MUERPSolution
-    from repro.exec.engine import ExecutionEngine
     from repro.network.graph import QuantumNetwork
     from repro.sim.engine import SlotsToSuccessSummary
 
 __all__ = ["parallel_slots_to_success"]
 
 
-def _run_mc_shard(
-    shard: Shard,
-    network: "QuantumNetwork",
-    solution: "MUERPSolution",
-    seed: int,
-    runs: int,
-    max_slots: int,
-    progress: Optional[Callable[[int], None]] = None,
-) -> "ShardResult":
-    """Execute the protocol runs of *shard*; one index-seeded RNG each.
-
-    *progress* is the supervisor-injected heartbeat callback (see
-    :mod:`repro.exec.supervisor`).
-    """
-    from repro.exec.engine import ShardResult, _cache_stats_snapshot
+def _run_mc_item(
+    payload: Tuple["QuantumNetwork", "MUERPSolution", np.random.Generator, int],
+) -> Tuple[bool, int]:
+    """Execute one protocol run with its own index-seeded generator."""
     from repro.sim.engine import SlottedEntanglementSimulator
-    from repro.utils.rng import spawn_rngs
 
-    before = _cache_stats_snapshot()
-    rngs = spawn_rngs(seed, runs)
-    results: Dict[int, Tuple[bool, int]] = {}
-    for done, run in enumerate(shard.items, start=1):
-        simulator = SlottedEntanglementSimulator(
-            network, solution, rng=rngs[run]
-        )
-        outcome = simulator.run(max_slots)
-        results[run] = (outcome.succeeded, outcome.slots_used)
-        if progress is not None:
-            progress(done)
-    return ShardResult(
-        shard_index=shard.index,
-        results=results,
-        cache_stats=_cache_stats_snapshot().delta(before),
+    network, solution, rng, max_slots = payload
+    outcome = SlottedEntanglementSimulator(network, solution, rng=rng).run(
+        max_slots
     )
-
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.exec.engine import ShardResult
+    return outcome.succeeded, outcome.slots_used
 
 
 def parallel_slots_to_success(
@@ -81,7 +50,6 @@ def parallel_slots_to_success(
     seed: int = 0,
     max_slots: int = 1_000_000,
     workers: int = 1,
-    engine: Optional["ExecutionEngine"] = None,
 ) -> "SlotsToSuccessSummary":
     """Measure slots-to-success over *runs* sharded protocol executions.
 
@@ -91,51 +59,24 @@ def parallel_slots_to_success(
         runs: Independent protocol runs (each with an index-seeded RNG).
         seed: Root seed for :func:`~repro.utils.rng.spawn_rngs`.
         max_slots: Per-run slot cap; capped runs count as failures.
-        workers: Shard the runs over this many processes (ignored when
-            *engine* is given).
-        engine: Reuse an existing :class:`~repro.exec.engine.
-            ExecutionEngine` (and its warm pool) instead of making one.
+        workers: Shard the runs over this many processes; otherwise
+            they run on the engine :func:`~repro.exec.engine.engine_for`
+            resolves (the ambient one, if any).
 
     Returns:
         The merged summary, assembled in run-index order — identical
         for every worker count.
     """
-    from repro.exec.engine import ExecutionEngine
+    from repro.exec.engine import engine_for
     from repro.sim.engine import SlotsToSuccessSummary
+    from repro.utils.rng import spawn_rngs
 
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    owned = engine is None
-    if engine is None:
-        engine = ExecutionEngine(workers=workers)
-    try:
-        plan = ShardPlan.build(runs, engine.workers)
-        shard_args = [
-            (shard, network, solution, seed, runs, max_slots)
-            for shard in plan
-        ]
-        shard_results = engine.run_shards(_run_mc_shard, shard_args)
-    finally:
-        if owned:
-            engine.close()
-
-    by_run: Dict[int, Tuple[bool, int]] = {}
-    for shard_result in shard_results:
-        by_run.update(shard_result.results)
-    successes = 0
-    failures = 0
-    totals: List[int] = []
-    for run in range(runs):
-        succeeded, slots_used = by_run[run]
-        if succeeded:
-            successes += 1
-            totals.append(slots_used)
-        else:
-            failures += 1
-    mean = float(np.mean(totals)) if totals else math.nan
-    return SlotsToSuccessSummary(
-        runs=runs,
-        successes=successes,
-        failures=failures,
-        mean_successful_slots=mean,
-    )
+    payloads = [
+        (network, solution, rng, max_slots)
+        for rng in spawn_rngs(seed, runs)
+    ]
+    with engine_for(workers) as engine:
+        outcomes = engine.map_items(_run_mc_item, payloads)
+    return SlotsToSuccessSummary.from_outcomes(outcomes)

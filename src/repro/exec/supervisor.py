@@ -52,9 +52,7 @@ import shutil
 import tempfile
 import time
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -67,7 +65,6 @@ from typing import (
 )
 
 import repro.obs.metrics as obs_metrics
-from repro.exec import cache as exec_cache
 from repro.exec.shard import Shard
 from repro.resilience.retry import ExponentialBackoffPolicy, RetryPolicy
 
@@ -677,14 +674,8 @@ class ShardSupervisor:
             state.disposition.outcome = FAILED
             raise ShardExecutionError(state.disposition)
         state.disposition.attempts += 1
-        scope = (
-            exec_cache.caching(self.engine._serial_cache)
-            if self.engine._serial_cache is not None
-            else nullcontext()
-        )
         try:
-            with scope:
-                result = self._shard_fn(*state.args)
+            result = self.engine._run_in_process(self._shard_fn, state.args)
         except Exception as exc:
             state.disposition.failures.append(
                 ShardFailure(
@@ -770,7 +761,7 @@ class ShardSupervisor:
                 )
         else:
             disposition.outcome = COMPLETED
-        self.engine._absorb(result)
+        self.engine._absorb(result, in_worker=backend == "pool")
         if self._on_shard_done is not None:
             self._on_shard_done(result)
 

@@ -50,23 +50,20 @@ def run_named(
 ):
     """Run the experiment registered under *name*.
 
-    With ``workers > 1``, the whole experiment runs under an ambient
-    :class:`~repro.exec.engine.ExecutionEngine`: every trial grid the
-    driver touches (sweep points, fig7b replicas) shards across one
-    shared process pool, whose workers keep their channel caches warm
-    across the experiment.  Results are identical for every worker
-    count.
+    The whole experiment runs under the ambient engine
+    :func:`~repro.exec.engine.engine_for` resolves for *workers*: every
+    trial grid it touches (sweep points, fig7b replicas) runs on that
+    one engine, so with ``workers > 1`` they share one process pool
+    whose workers keep their channel caches warm across the
+    experiment.  Results are identical for every worker count.
     """
+    from repro.exec.engine import engine_for
+
     try:
         runner = EXPERIMENTS[name]
     except KeyError:
         raise KeyError(
             f"unknown experiment {name!r}; available: {sorted(EXPERIMENTS)}"
         ) from None
-    if workers is not None and workers > 1:
-        from repro.exec.engine import ExecutionEngine, executing
-
-        with ExecutionEngine(workers=workers) as engine:
-            with executing(engine):
-                return runner(base)
-    return runner(base)
+    with engine_for(workers):
+        return runner(base)

@@ -79,9 +79,9 @@ def _fig7b_replica(
     Module-level and picklable so the execution engine can shard
     replicas across worker processes.  The replica RNG is index-seeded
     (:func:`~repro.utils.rng.spawn_rngs`), and generation, removal
-    draws, and solves all consume it in the exact order the serial loop
-    did — so per-replica rate curves are byte-identical regardless of
-    which process computes them.
+    draws, and solves consume it in one fixed order — so per-replica
+    rate curves are byte-identical regardless of which process computes
+    them.
     """
     config, trial, step, n_ratios = payload
     network_rng = spawn_rngs(config.seed, config.n_networks)[trial]
@@ -109,11 +109,13 @@ def run_fig7b(
     *step* random fibers) until *max_ratio* of the fibers are gone.
     Mean rates over replicas are reported per ratio point.
 
-    Replicas are independent work items, so with ``workers > 1`` (or an
-    ambient :class:`~repro.exec.engine.ExecutionEngine`) they shard
-    across processes; the mean curves are identical for every worker
-    count.
+    Replicas are independent work items mapped over the engine
+    :func:`~repro.exec.engine.engine_for` resolves, so with ``workers >
+    1`` (or an ambient pool engine) they shard across processes; the
+    mean curves are identical for every worker count.
     """
+    from repro.exec.engine import engine_for
+
     base = base or ExperimentConfig()
     config = base.replace(n_edges=n_edges)
     n_steps = int(np.floor(max_ratio * n_edges / step))
@@ -122,24 +124,8 @@ def run_fig7b(
         (config, trial, step, len(ratios))
         for trial in range(config.n_networks)
     ]
-
-    from repro.exec.engine import ExecutionEngine, active_engine
-
-    engine = None
-    owned = False
-    if workers is not None and workers > 1:
-        engine = ExecutionEngine(workers=workers)
-        owned = True
-    else:
-        engine = active_engine()
-    try:
-        if engine is not None:
-            replica_curves = engine.map_items(_fig7b_replica, payloads)
-        else:
-            replica_curves = [_fig7b_replica(p) for p in payloads]
-    finally:
-        if owned and engine is not None:
-            engine.close()
+    with engine_for(workers) as engine:
+        replica_curves = engine.map_items(_fig7b_replica, payloads)
 
     accumulator: Dict[str, List[List[float]]] = {
         m: [[] for _ in ratios] for m in config.methods

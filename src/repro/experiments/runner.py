@@ -14,8 +14,8 @@ regardless of the swept budget.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from repro.analysis.stats import SummaryStats, summarize
 from repro.analysis.tables import Table
 from repro.core.registry import CAPACITY_EXEMPT_METHODS, DISPLAY_NAMES, solve
 from repro.core.tree import validate_solution
-from repro.experiments.checkpoint import CheckpointStore, active_store
+from repro.experiments.checkpoint import CheckpointStore
 from repro.experiments.config import ExperimentConfig
 from repro.network.graph import QuantumNetwork
 from repro.topology.registry import generate
@@ -186,25 +186,15 @@ def run_on_network(
     return rates
 
 
-def run_trial(
-    config: ExperimentConfig,
-    trial: int,
-    rng: RngLike = None,
-) -> Dict[str, float]:
+def run_trial(config: ExperimentConfig, trial: int) -> Dict[str, float]:
     """Run one ``(config, trial)`` work unit: generate, solve, validate.
 
-    The unit of work the parallel execution engine shards: it depends
-    only on ``(config, trial)`` — the per-trial RNG is index-seeded via
+    The unit of work the execution engine shards: it depends only on
+    ``(config, trial)`` — the per-trial RNG is index-seeded via
     :func:`~repro.utils.rng.spawn_rngs`, so any process can compute any
     trial in any order and produce the identical method → rate map.
-    Callers that already spawned the trial generators (the serial loop
-    below) pass the matching *rng* to skip re-deriving it.
     """
-    network_rng = (
-        rng
-        if rng is not None
-        else spawn_rngs(config.seed, config.n_networks)[trial]
-    )
+    network_rng = spawn_rngs(config.seed, config.n_networks)[trial]
     with obs_trace.span("experiment.trial", trial=trial):
         network = generate(
             config.topology, config.topology_config(), network_rng
@@ -292,67 +282,17 @@ def run_experiment(
     RNGs come from :func:`~repro.utils.rng.spawn_rngs` (index-seeded,
     order-independent), resumed aggregates equal a straight-through run.
 
-    With ``workers > 1`` (or an ambient
+    The trials run on the engine :func:`repro.exec.engine.engine_for`
+    resolves: a process pool with ``workers > 1``, else the ambient
     :class:`~repro.exec.engine.ExecutionEngine` activated via
-    :func:`repro.exec.engine.executing`), trials are sharded across a
-    process pool and merged deterministically — aggregates are
+    :func:`repro.exec.engine.executing`, else an uncached serial
+    engine.  Shards merge deterministically, so aggregates are
     byte-identical for every worker count.  ``KeyboardInterrupt``
-    during a parallel run cancels outstanding shards, flushes the
-    checkpoints of completed ones into the store, and re-raises, so a
-    Ctrl-C'd sweep neither orphans workers nor loses finished work.
+    cancels outstanding shards, flushes the checkpoints of completed
+    ones into the store, and re-raises, so a Ctrl-C'd sweep neither
+    orphans workers nor loses finished work.
     """
-    if workers is not None and workers > 1:
-        from repro.exec.engine import ExecutionEngine
+    from repro.exec.engine import engine_for
 
-        # Owned engine: close it (joining the worker pool) on the way
-        # out so no executor outlives the call.
-        with ExecutionEngine(workers=workers) as engine:
-            return engine.run_experiment(config, checkpoint=checkpoint)
-    from repro.exec.engine import active_engine
-
-    engine = active_engine()
-    if engine is not None:
+    with engine_for(workers) as engine:
         return engine.run_experiment(config, checkpoint=checkpoint)
-
-    store = checkpoint if checkpoint is not None else active_store()
-    network_rngs = spawn_rngs(config.seed, config.n_networks)
-    per_method: Dict[str, List[float]] = {m: [] for m in config.methods}
-    bounds: List[float] = []
-    uncap_bounds: List[float] = []
-    metrics = obs_metrics.active()
-    with obs_trace.span(
-        "experiment.run",
-        topology=config.topology,
-        n_networks=config.n_networks,
-        methods=",".join(config.methods),
-    ):
-        for trial, network_rng in enumerate(network_rngs):
-            rates = resumable_rates(store, config, trial)
-            if rates is not None and metrics is not None:
-                metrics.inc("experiments.trials_resumed")
-            if rates is None:
-                trial_started = time.perf_counter()
-                rates = run_trial(config, trial, network_rng)
-                if metrics is not None:
-                    metrics.inc("experiments.trials")
-                    metrics.observe(
-                        "experiments.trial_seconds",
-                        time.perf_counter() - trial_started,
-                    )
-                if store is not None:
-                    store.record(config, trial, rates)
-            for method in config.methods:
-                per_method[method].append(rates[method])
-            if config.bound == "lp":
-                bounds.append(rates[BOUND_KEY])
-                uncap_bounds.append(rates[UNCAP_BOUND_KEY])
-    outcomes = tuple(
-        MethodOutcome(method, tuple(per_method[method]))
-        for method in config.methods
-    )
-    return ExperimentResult(
-        config=config,
-        outcomes=outcomes,
-        bounds=tuple(bounds),
-        uncap_bounds=tuple(uncap_bounds),
-    )

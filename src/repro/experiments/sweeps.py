@@ -8,7 +8,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.analysis.tables import Table
 from repro.core.registry import DISPLAY_NAMES
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import ExperimentResult, run_experiment
+from repro.experiments.runner import ExperimentResult
 
 
 @dataclass(frozen=True)
@@ -95,26 +95,24 @@ def sweep(
 ) -> SweepResult:
     """Run *base* once per value of *parameter* (a config field name).
 
-    With ``workers > 1``, every sweep point's trials are sharded over
-    one shared :class:`~repro.exec.engine.ExecutionEngine` — sharing
-    the engine (rather than one per point) keeps its worker processes
-    and their channel caches warm across sweep points, which is where
-    repeated-topology sweeps (e.g. a qubit-budget sweep over the same
-    fiber plants) earn their cache hit rate.  Results are byte-identical
-    for every worker count.
+    Every sweep point's trials run on the one engine
+    :func:`~repro.exec.engine.engine_for` resolves for *workers* —
+    sharing the engine (rather than one per point) keeps its worker
+    processes and their channel caches warm across sweep points, which
+    is where repeated-topology sweeps (e.g. a qubit-budget sweep over
+    the same fiber plants) earn their cache hit rate.  Sweep points run
+    in order, so the checkpoint layout does not depend on *workers*,
+    and results are byte-identical for every worker count.
     """
+    from repro.exec.engine import engine_for
+
     if not values:
         raise ValueError("sweep needs at least one value")
-    if workers is not None and workers > 1:
-        from repro.exec.engine import ExecutionEngine, executing
-
-        with ExecutionEngine(workers=workers) as engine:
-            with executing(engine):
-                return sweep(base, parameter, values)
-    results = []
-    for value in values:
-        config = base.replace(**{parameter: value})
-        results.append(run_experiment(config))
+    with engine_for(workers) as engine:
+        results = [
+            engine.run_experiment(base.replace(**{parameter: value}))
+            for value in values
+        ]
     return SweepResult(
         parameter=parameter,
         values=tuple(values),

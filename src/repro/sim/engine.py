@@ -19,7 +19,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -133,6 +133,21 @@ class SlotsToSuccessSummary:
     successes: int
     failures: int
     mean_successful_slots: float
+
+    @classmethod
+    def from_outcomes(
+        cls, outcomes: Sequence[Tuple[bool, int]]
+    ) -> "SlotsToSuccessSummary":
+        """Summarize ``(succeeded, slots_used)`` pairs, one per run."""
+        totals = [slots for succeeded, slots in outcomes if succeeded]
+        return cls(
+            runs=len(outcomes),
+            successes=len(totals),
+            failures=len(outcomes) - len(totals),
+            mean_successful_slots=(
+                float(np.mean(totals)) if totals else math.nan
+            ),
+        )
 
     @property
     def all_failed(self) -> bool:
@@ -417,43 +432,6 @@ class SlottedEntanglementSimulator:
             totals.append(result.slots_used)
         return float(np.mean(totals))
 
-    def parallel_slots_to_success(
-        self,
-        runs: int = 100,
-        seed: int = 0,
-        max_slots: int = 1_000_000,
-        workers: int = 1,
-        engine=None,
-    ) -> SlotsToSuccessSummary:
-        """Sharded :meth:`slots_to_success_summary` with per-run RNGs.
-
-        Delegates to :func:`repro.exec.montecarlo.
-        parallel_slots_to_success`: each run gets an index-seeded
-        generator (ignoring this simulator's ``rng``), so the summary is
-        identical for every worker count — but *not* bit-equal to the
-        serial method, whose single RNG stream is order-dependent by
-        construction.  Only plain simulations qualify: fault injectors
-        and retry policies carry mutable cross-run state that breaks run
-        independence.
-        """
-        if self.fault_injector is not None or self.retry_policy is not None:
-            raise ValueError(
-                "parallel_slots_to_success requires a plain simulator "
-                "(no fault injector or retry policy): those carry state "
-                "across runs, so the runs are not independent"
-            )
-        from repro.exec.montecarlo import parallel_slots_to_success
-
-        return parallel_slots_to_success(
-            self.network,
-            self.solution,
-            runs=runs,
-            seed=seed,
-            max_slots=max_slots,
-            workers=workers,
-            engine=engine,
-        )
-
     def slots_to_success_summary(
         self, runs: int = 100, max_slots: int = 1_000_000
     ) -> SlotsToSuccessSummary:
@@ -465,27 +443,16 @@ class SlottedEntanglementSimulator:
         """
         if runs < 1:
             raise ValueError(f"runs must be >= 1, got {runs}")
-        successes = 0
-        failures = 0
-        totals: List[int] = []
+        outcomes = []
         for _ in range(runs):
             result = self.run(max_slots)
-            if result.succeeded:
-                successes += 1
-                totals.append(result.slots_used)
-            else:
-                failures += 1
-        mean = float(np.mean(totals)) if totals else math.nan
-        if failures:
+            outcomes.append((result.succeeded, result.slots_used))
+        summary = SlotsToSuccessSummary.from_outcomes(outcomes)
+        if summary.failures:
             logger.info(
                 "slots_to_success_summary: %d/%d runs failed within %d slots",
-                failures,
+                summary.failures,
                 runs,
                 max_slots,
             )
-        return SlotsToSuccessSummary(
-            runs=runs,
-            successes=successes,
-            failures=failures,
-            mean_successful_slots=mean,
-        )
+        return summary

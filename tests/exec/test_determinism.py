@@ -44,7 +44,12 @@ def test_fig6_sweep_byte_identical_across_worker_counts():
 
 
 def test_parallel_matches_legacy_serial_path():
-    """The engine-free code path defines the reference bytes."""
+    """A pool run equals the uncached serial engine's reference bytes.
+
+    A call with no ``workers`` and no ambient engine runs on the
+    uncached serial engine; ``test_engine_reference.py`` pins its
+    digests.
+    """
     legacy = run_fig6a(SMALL, user_counts=(3, 4))
     engine_run = run_fig6a(SMALL, user_counts=(3, 4), workers=2)
     assert _report_bytes(engine_run) == _report_bytes(legacy)

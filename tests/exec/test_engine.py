@@ -5,11 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.exec.cache import CacheStats
+from repro.exec import cache as exec_cache
 from repro.exec.engine import (
     EngineStats,
     ExecutionEngine,
     ShardResult,
     active_engine,
+    engine_for,
     executing,
 )
 from repro.exec.shard import ShardPlan
@@ -35,17 +37,23 @@ def _double(x):
     return 2 * x
 
 
-def _interrupting_trial(config, trial, rng=None):
+def _interrupting_trial(config, trial):
     """run_trial stand-in that simulates Ctrl-C partway into the grid."""
     if trial >= 3:
         raise KeyboardInterrupt
-    return _REAL_RUN_TRIAL(config, trial, rng)
+    return _REAL_RUN_TRIAL(config, trial)
 
 
 _REAL_RUN_TRIAL = None  # set by the test before patching
 
 
 class TestBackendsAgree:
+    """Every backend matches the plain ``run_experiment`` call.
+
+    The plain call runs on the uncached serial engine, the reference
+    path whose digests ``test_engine_reference.py`` pins.
+    """
+
     def test_serial_engine_matches_plain_runner(self):
         plain = run_experiment(SMALL)
         with ExecutionEngine(workers=1) as engine:
@@ -81,6 +89,39 @@ class TestBackendsAgree:
             assert active_engine() is None
         assert _rates(ambient) == _rates(plain)
         assert engine.stats.items_run == SMALL.n_networks
+
+
+class TestEngineFor:
+    def test_plain_call_gets_uncached_serial_engine(self):
+        with engine_for(None) as engine:
+            assert active_engine() is engine
+            assert engine.workers == 1
+            assert engine.cache is None
+        assert active_engine() is None
+
+    def test_outer_cache_scope_still_applies(self):
+        with exec_cache.caching() as cache:
+            run_experiment(SMALL)
+        assert cache.stats().lookups > 0
+
+    def test_ambient_engine_is_reused_and_left_open(self):
+        with ExecutionEngine(workers=2) as outer:
+            with executing(outer):
+                outer.map_items(_double, [1, 2])
+                pool = outer._pool
+                with engine_for(1) as engine:
+                    assert engine is outer
+                assert outer._pool is pool
+
+    def test_workers_above_one_owns_and_closes_a_pool(self):
+        with ExecutionEngine(workers=1) as outer:
+            with executing(outer):
+                with engine_for(2) as engine:
+                    assert engine is not outer
+                    assert active_engine() is engine
+                    assert engine.map_items(_double, [1, 2]) == [2, 4]
+                assert engine._pool is None
+                assert active_engine() is outer
 
 
 class TestMapItems:

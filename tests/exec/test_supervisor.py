@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import repro.obs.metrics as obs_metrics
 from repro.exec.chaos import ChaosInjector, ChaosSchedule
 from repro.exec.engine import ExecutionEngine, result_payload
 from repro.exec.supervisor import (
@@ -142,11 +143,19 @@ class TestQuarantine:
         chaos = ChaosSchedule(
             {(0, 1): "kill", (0, 2): "kill", (0, 3): "kill"}
         )
-        with ExecutionEngine(
-            workers=2, supervision=FAST, chaos=chaos
-        ) as engine:
-            result = engine.run_experiment(SMALL)
+        with obs_metrics.collecting() as registry:
+            with ExecutionEngine(
+                workers=2, supervision=FAST, chaos=chaos
+            ) as engine:
+                result = engine.run_experiment(SMALL)
         assert _rates(result) == _rates(run_experiment(SMALL))
+        # The in-process fallback's cache publishes its own per-lookup
+        # counters; the shard's delta must not be republished on top.
+        counters = registry.counters()
+        published = counters.get("repro.exec.cache.hits", 0) + counters.get(
+            "repro.exec.cache.misses", 0
+        )
+        assert published == engine.stats.cache.lookups
         # A BrokenProcessPool cannot be attributed to one shard, so the
         # in-flight peer is charged too and may quarantine alongside
         # the poison shard — the serial fallback keeps both correct.
@@ -308,10 +317,10 @@ class TestInterruptSurfacing:
 
         real_run_trial = runner.run_trial
 
-        def interrupting(config, trial, rng=None):
+        def interrupting(config, trial):
             if trial >= 3:
                 raise KeyboardInterrupt
-            return real_run_trial(config, trial, rng)
+            return real_run_trial(config, trial)
 
         monkeypatch.setattr(runner, "run_trial", interrupting)
         store = CheckpointStore(tmp_path / "ck.jsonl")
@@ -329,7 +338,7 @@ class TestInterruptSurfacing:
     ):
         from repro.experiments import runner
 
-        def interrupting(config, trial, rng=None):
+        def interrupting(config, trial):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(runner, "run_trial", interrupting)

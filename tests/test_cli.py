@@ -35,6 +35,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig99"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exec", "fig5", "--workers", "0"],
+            ["experiment", "fig5", "--workers", "0"],
+            ["exec", "fig5", "--cache-size", "0"],
+        ],
+    )
+    def test_counts_below_one_are_validation_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == EXIT_VALIDATION_ERROR
+        assert "must be >= 1, got 0" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_list(self, capsys):
