@@ -42,7 +42,15 @@ plain dict / :class:`~repro.utils.heap.IndexedMinHeap` search that
   float order, since re-associating changes the last bit and with it
   which path wins a tie;
 * the returned ``dist`` / ``prev`` dicts are filled in first-relaxation
-  order, so callers and cache entries see the same insertion order.
+  order, so callers and cache entries see the same insertion order;
+* a search given targets stops once the last of them is popped.  A
+  popped node's ``dist`` and ``prev`` never change again, and the pops
+  before the stop are the full search's pops, so every target's
+  channel and its tie resolution are the full search's.
+  :func:`best_channels_from` and :func:`find_best_channel` read only
+  their targets and always pass them.  While a
+  :class:`~repro.exec.cache.ChannelCache` is active the search stays
+  full, because one entry serves later callers with other targets.
 """
 
 from __future__ import annotations
@@ -103,6 +111,7 @@ def relay_search(
     transit: Sequence[float],
     relay: Sequence[int],
     forbidden: Optional[Set[Tuple[Hashable, Hashable]]] = None,
+    targets: Optional[Set[int]] = None,
 ) -> Tuple[Dict[Hashable, float], Dict[Hashable, Hashable], int, int, int]:
     """Min-weight search from node index *source* over *graph*.
 
@@ -112,6 +121,11 @@ def relay_search(
     that may not relay may not be entered either.  Users are always
     enterable (as terminals); callers leave their ``relay`` flag 0 so
     they never relay.  Fibers whose key is in *forbidden* are skipped.
+
+    With *targets* (node indices) the search returns as soon as the
+    last of them has been popped; the targets' entries and their
+    ``prev`` chains are then exactly the full search's, while other
+    nodes may be missing or hold unsettled weights.
 
     Returns ``(dist, prev, heap_pops, edges_scanned, relaxations)``
     with node ids as keys, in the tie order the module docstring
@@ -132,6 +146,7 @@ def relay_search(
     items = [source]
     pos[source] = 0
     heap_pops = edges_scanned = relaxations = 0
+    pending = len(targets) if targets else 0
 
     while items:
         node = items[0]
@@ -166,6 +181,10 @@ def relay_search(
             pos[last] = i
         heap_pops += 1
         settled[node] = 1
+        if pending and node in targets:
+            pending -= 1
+            if not pending:
+                break
         if node == source:
             cost = 0.0
         elif not relay[node]:
@@ -227,6 +246,7 @@ def dijkstra(
     residual: Optional[Dict[Hashable, int]] = None,
     forbidden_fibers: Optional[Set[Tuple[Hashable, Hashable]]] = None,
     allow_switch_source: bool = False,
+    targets: Optional[Iterable[Hashable]] = None,
 ) -> Tuple[Dict[Hashable, float], Dict[Hashable, Hashable]]:
     """Single-source max-rate search (Algorithm 1's main loop).
 
@@ -246,6 +266,11 @@ def dijkstra(
     responsibility (it is a constant offset across all returned paths,
     so argmax comparisons stay valid).
 
+    ``targets`` lets a caller that reads only some nodes stop the
+    search once the last of them is settled: their ``dist`` / ``prev``
+    entries are the full search's, other entries are partial.  Without
+    it, or while a cache is active, the search is full.
+
     Profiling: each call publishes ``core.dijkstra.calls`` /
     ``.heap_pops`` / ``.edges_scanned`` / ``.relaxations`` /
     ``.nodes_settled`` counters to the active
@@ -258,7 +283,8 @@ def dijkstra(
     prev)`` a recomputation would have produced.  The search only reads
     residual capacities through the "≥ 2 free qubits" relay predicate,
     which is why the blocked-switch *set* (not the raw counts) fully
-    captures the residual state's influence.
+    captures the residual state's influence.  An entry must serve later
+    callers that read other nodes, so a cached search never stops early.
     """
     if not allow_switch_source and not network.is_user(source):
         raise ValueError(f"source {source!r} must be a quantum user")
@@ -281,6 +307,9 @@ def dijkstra(
         raise UnknownNodeError(source)
     relay = relay_mask(graph, qubits)
     minus_ln_q = -swap_log_rate(network.params.swap_prob)  # in [0, +inf]
+    stop_at = None
+    if targets is not None and cache is None:
+        stop_at = {graph.index[target] for target in targets}
     dist, prev, heap_pops, edges_scanned, relaxations = relay_search(
         graph,
         start,
@@ -288,6 +317,7 @@ def dijkstra(
         [minus_ln_q] * len(graph.ids),
         relay,
         forbidden_fibers or None,
+        stop_at,
     )
     metrics = obs_metrics.active()
     if metrics is not None:
@@ -346,7 +376,9 @@ def find_best_channel(
     metrics = obs_metrics.active()
     if metrics is not None:
         metrics.inc("core.channel_search.pair_calls")
-    dist, prev = dijkstra(network, source, residual, forbidden_fibers)
+    dist, prev = dijkstra(
+        network, source, residual, forbidden_fibers, targets=(target,)
+    )
     if target not in dist:
         return None
     return Channel.from_path(network, trace_path(prev, source, target))
@@ -367,7 +399,7 @@ def best_channels_from(
     for target in target_list:
         if not network.is_user(target):
             raise ValueError(f"target {target!r} must be a quantum user")
-    dist, prev = dijkstra(network, source, residual)
+    dist, prev = dijkstra(network, source, residual, targets=target_list)
     channels: Dict[Hashable, Channel] = {}
     for target in target_list:
         if target == source or target not in dist:

@@ -18,7 +18,13 @@ centralizes the bookkeeping with transaction semantics:
 
 The ledger also keeps a high-water mark per switch (peak usage
 telemetry) and can report the tightest switches via an indexed heap —
-the operator-facing "which switch will exhaust first" question.
+the operator-facing "which switch will exhaust first" question.  Most
+ledgers live for one solve and touch a few switches, so construction
+does no per-switch work: a switch's mark is recorded by :meth:`_apply`
+once its usage rises above its starting usage, :meth:`peak_usage`
+fills in the starting usage of the others when read, and the global
+mark behind the ``core.ledger.peak_occupancy`` gauge is computed the
+first time a reservation publishes it.
 """
 
 from __future__ import annotations
@@ -87,25 +93,28 @@ class CapacityLedger:
         budgets: Optional[Mapping[Hashable, int]] = None,
     ) -> None:
         self._avail: Dict[Hashable, int] = dict(available)
-        for switch, qubits in self._avail.items():
-            if qubits < 0:
-                raise ValueError(
-                    f"negative initial capacity {qubits} for {switch!r}"
-                )
+        if self._avail and min(self._avail.values()) < 0:
+            switch, qubits = next(
+                (s, q) for s, q in self._avail.items() if q < 0
+            )
+            raise ValueError(
+                f"negative initial capacity {qubits} for {switch!r}"
+            )
+        #: Availability at construction, the baseline of every peak.
+        self._start: Dict[Hashable, int] = dict(self._avail)
         self._budgets: Dict[Hashable, int] = (
-            dict(budgets) if budgets is not None else dict(self._avail)
+            dict(budgets) if budgets is not None else self._start
         )
-        #: Per-switch high-water mark of (budget - available).
-        self._peak: Dict[Hashable, int] = {
-            s: max(0, self._budgets.get(s, q) - q)
-            for s, q in self._avail.items()
-        }
+        #: High-water mark of (budget - available), recorded only where
+        #: it rose above the switch's starting usage.
+        self._peak: Dict[Hashable, int] = {}
         #: Stack of journals: (switch, delta-applied) entries, innermost last.
         self._journals: List[List[Tuple[Hashable, int]]] = []
         #: Switches whose availability changed since construction.
         self._dirty: set = set()
-        #: Largest single-switch usage seen (peak-occupancy telemetry).
-        self._peak_global: int = max(self._peak.values(), default=0)
+        #: Largest single-switch usage seen (peak-occupancy telemetry);
+        #: ``None`` until a reservation first publishes it.
+        self._peak_global: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -181,9 +190,27 @@ class CapacityLedger:
         """Alias of :meth:`as_dict`, named for test assertions."""
         return dict(self._avail)
 
+    def _start_usage(self, switch: Hashable) -> int:
+        """Usage of *switch* at construction (0 if it was not there)."""
+        start = self._start.get(switch)
+        if start is None:
+            return 0
+        return max(0, self._budgets.get(switch, start) - start)
+
     def peak_usage(self) -> Dict[Hashable, int]:
-        """High-water qubit usage per switch since construction."""
-        return dict(self._peak)
+        """High-water qubit usage per switch since construction.
+
+        The switches the ledger started with come first, in their
+        order, then any other switch whose usage ever rose above 0.
+        """
+        peak = self._peak
+        out = {
+            s: peak[s] if s in peak else self._start_usage(s)
+            for s in self._start
+        }
+        for switch, used in peak.items():
+            out.setdefault(switch, used)
+        return out
 
     def tightest(self, k: int = 3) -> List[Tuple[Hashable, int]]:
         """The *k* switches with the least remaining capacity.
@@ -213,9 +240,10 @@ class CapacityLedger:
         if self._journals:
             self._journals[-1].append((switch, delta))
         used = self._budgets.get(switch, 0) - new
-        if used > self._peak.get(switch, 0):
+        peak = self._peak.get(switch)
+        if used > (self._start_usage(switch) if peak is None else peak):
             self._peak[switch] = used
-            if used > self._peak_global:
+            if self._peak_global is not None and used > self._peak_global:
                 self._peak_global = used
         # A crossing of the 2-qubit relay threshold flips the switch's
         # polarity in every channel-cache blocked-set signature: tell
@@ -278,6 +306,10 @@ class CapacityLedger:
                 self._apply(switch, -qubits)
         metrics = obs_metrics.active()
         if metrics is not None:
+            if self._peak_global is None:
+                self._peak_global = max(
+                    self.peak_usage().values(), default=0
+                )
             metrics.inc("core.ledger.reserves")
             metrics.inc("core.ledger.qubits_reserved", sum(usage.values()))
             metrics.max_gauge(

@@ -9,6 +9,8 @@ merely find *a* best channel — it must reproduce, byte for byte, the
 search frozen below, including their insertion order and the
 ``core.dijkstra.*`` counters it publishes.  The same holds for the LP
 pricing search, which runs the same kernel with per-switch penalties.
+A search that stops at its caller's last target must return, for each
+target, the path the full reference traces, and never do more work.
 
 Networks use small *integer* fiber lengths (and ``α`` / ``q`` values
 that keep weight sums exact) so that ties are common rather than rare.
@@ -24,7 +26,13 @@ from hypothesis import strategies as st
 
 import repro.obs.metrics as obs_metrics
 from repro.bounds import lp
-from repro.core.channel import dijkstra
+from repro.core.channel import (
+    best_channels_from,
+    dijkstra,
+    find_best_channel,
+    trace_path,
+)
+from repro.core.ledger import CapacityLedger
 from repro.core.rates import swap_log_rate
 from repro.network.graph import NetworkParams, QuantumNetwork
 from repro.utils.heap import IndexedMinHeap
@@ -147,8 +155,13 @@ def _reference_pricing(
 
 
 @st.composite
-def tied_networks(draw):
-    """A random network with integer fiber lengths, in a random build order."""
+def tied_networks(draw, dense=False):
+    """A random network with integer fiber lengths, in a random build order.
+
+    ``dense`` draws each node pair's fiber with even odds, so that most
+    networks have multi-hop channels whose targets are relaxed more than
+    once before they settle.
+    """
     n_users = draw(st.integers(1, 5))
     n_switches = draw(st.integers(0, 10))
     names = [f"u{i}" for i in range(n_users)] + [
@@ -168,19 +181,22 @@ def tied_networks(draw):
     pairs = [
         (a, b) for i, a in enumerate(order) for b in order[i + 1 :]
     ]
-    chosen = draw(
-        st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))
-        if pairs
-        else st.just([])
-    )
+    if dense:
+        chosen = [pair for pair in pairs if draw(st.booleans())]
+    else:
+        chosen = draw(
+            st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))
+            if pairs
+            else st.just([])
+        )
     for u, v in chosen:
         network.add_fiber(u, v, length=float(draw(st.integers(1, 3))))
     return network
 
 
 @st.composite
-def search_cases(draw):
-    network = draw(tied_networks())
+def search_cases(draw, dense=False):
+    network = draw(tied_networks(dense))
     switches = network.switch_ids
     if draw(st.booleans()):
         residual = None
@@ -276,3 +292,72 @@ def test_pricing_matches_frozen_reference(case, data):
     dist, prev = lp._pricing_search(network, source, penalties, budgets)
     assert _ordered(dist) == _ordered(expected_dist)
     assert _ordered(prev) == _ordered(expected_prev)
+
+
+@st.composite
+def target_cases(draw):
+    """A search case from a user, with a target list and residual form.
+
+    Targets are any users, so the list mixes reachable and unreachable
+    ones, may name the source and may repeat.  The residual is passed
+    as drawn (``None`` or a dict) or wrapped in a ``CapacityLedger``.
+    """
+    network, source, residual, qubits, forbidden, _ = draw(
+        search_cases(dense=True)
+    )
+    users = network.user_ids
+    if not network.is_user(source):
+        source = draw(st.sampled_from(users))
+    targets = draw(st.lists(st.sampled_from(users), max_size=6))
+    if draw(st.booleans()):
+        residual = CapacityLedger(qubits)
+    return network, source, residual, qubits, forbidden, targets
+
+
+def _searched(call):
+    """Run *call* under a fresh registry; returns (value, counters)."""
+    with obs_metrics.collecting() as registry:
+        value = call()
+    counters = registry.counters()
+    return value, {name: counters.get(name, 0) for name in COUNTERS}
+
+
+def _within_reference(counters, reference):
+    assert counters["core.dijkstra.calls"] == 1
+    for name in COUNTERS[1:]:
+        assert counters[name] <= reference[name], name
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=target_cases())
+def test_target_searches_match_full_reference(case):
+    """A search that stops at its last target keeps every target's path.
+
+    The channels that ``best_channels_from`` and ``find_best_channel``
+    return trace the frozen full search's ``prev`` exactly, tie for
+    tie, and the stopped search never does more work than the full one.
+    """
+    network, source, residual, qubits, forbidden, targets = case
+    ref_dist, ref_prev, ref_counters = _reference_dijkstra(
+        network, source, qubits, forbidden
+    )
+    wanted = [t for t in dict.fromkeys(targets) if t != source]
+    expected = {
+        t: trace_path(ref_prev, source, t) for t in wanted if t in ref_dist
+    }
+    if forbidden is None:
+        channels, counters = _searched(
+            lambda: best_channels_from(network, source, targets, residual)
+        )
+        assert [(t, c.path) for t, c in channels.items()] == list(
+            expected.items()
+        )
+        _within_reference(counters, ref_counters)
+    for target in wanted:
+        channel, counters = _searched(
+            lambda: find_best_channel(
+                network, source, target, residual, forbidden
+            )
+        )
+        assert (channel and channel.path) == expected.get(target)
+        _within_reference(counters, ref_counters)

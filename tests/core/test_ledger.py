@@ -7,13 +7,19 @@ map unless the solve actually committed a feasible tree.
 
 from __future__ import annotations
 
-import pytest
+from contextlib import contextmanager, nullcontext
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.obs.metrics as obs_metrics
 from repro.core.channel import best_channels_from
 from repro.core.conflict_free import solve_conflict_free
 from repro.core.ledger import CapacityError, CapacityLedger
 from repro.core.prim_based import solve_prim
 from repro.core.problem import Channel
+from repro.network.graph import NetworkParams, QuantumNetwork
 from repro.utils.rng import ensure_rng
 
 
@@ -60,6 +66,8 @@ class TestBasicAccounting:
     def test_negative_initial_capacity_rejected(self):
         with pytest.raises(ValueError):
             CapacityLedger({"a": -1})
+        with pytest.raises(ValueError, match="-3 for 'b'"):
+            CapacityLedger({"a": 2, "b": -3})
 
     def test_mapping_read_side(self):
         ledger = CapacityLedger({"a": 4, "b": 2})
@@ -270,3 +278,217 @@ class TestSolversNeverLeak:
         )
         assert solution.feasible
         assert shared["hub"] == 4 - solution.switch_usage()["hub"]
+
+
+class _ReferenceLedger:
+    """The eager-peak ``CapacityLedger``, frozen as the reference.
+
+    It builds every switch's high-water mark and the global peak at
+    construction.  Only the parts the peak telemetry depends on are
+    kept: construction, reserve/release, nested transactions, the
+    ``core.ledger.peak_occupancy`` gauge and the read-outs.  Cache
+    invalidation and capacity-crossing events do not touch peaks.
+    """
+
+    def __init__(self, available, budgets=None):
+        self._avail = dict(available)
+        for switch, qubits in self._avail.items():
+            if qubits < 0:
+                raise ValueError(
+                    f"negative initial capacity {qubits} for {switch!r}"
+                )
+        self._budgets = (
+            dict(budgets) if budgets is not None else dict(self._avail)
+        )
+        self._peak = {
+            s: max(0, self._budgets.get(s, q) - q)
+            for s, q in self._avail.items()
+        }
+        self._journals = []
+        self._dirty = set()
+        self._peak_global = max(self._peak.values(), default=0)
+
+    def snapshot(self):
+        return dict(self._avail)
+
+    def peak_usage(self):
+        return dict(self._peak)
+
+    def _apply(self, switch, delta):
+        new = self._avail.get(switch, 0) + delta
+        self._avail[switch] = new
+        self._dirty.add(switch)
+        if self._journals:
+            self._journals[-1].append((switch, delta))
+        used = self._budgets.get(switch, 0) - new
+        if used > self._peak.get(switch, 0):
+            self._peak[switch] = used
+            if used > self._peak_global:
+                self._peak_global = used
+
+    def reserve(self, usage):
+        for switch in sorted(usage, key=repr):
+            qubits = usage[switch]
+            if qubits < 0:
+                raise ValueError("negative reserve")
+            free = self._avail.get(switch, 0)
+            if free < qubits:
+                raise CapacityError("short", switch, qubits, free)
+        for switch, qubits in usage.items():
+            if qubits:
+                self._apply(switch, -qubits)
+        metrics = obs_metrics.active()
+        if metrics is not None:
+            metrics.max_gauge("core.ledger.peak_occupancy", self._peak_global)
+
+    def release(self, usage):
+        for switch in sorted(usage, key=repr):
+            qubits = usage[switch]
+            if qubits < 0:
+                raise ValueError("negative release")
+            budget = self._budgets.get(switch)
+            if budget is not None:
+                headroom = budget - self._avail.get(switch, 0)
+                if qubits > headroom:
+                    raise CapacityError("over", switch, qubits, headroom)
+        for switch, qubits in usage.items():
+            if qubits:
+                self._apply(switch, qubits)
+
+    @contextmanager
+    def transaction(self):
+        journal = []
+        self._journals.append(journal)
+        try:
+            yield self
+        except BaseException:
+            for switch, delta in reversed(journal):
+                self._avail[switch] = self._avail.get(switch, 0) - delta
+            journal.clear()
+            raise
+        finally:
+            self._journals.pop()
+            if self._journals:
+                self._journals[-1].extend(journal)
+
+    def write_back(self, target):
+        for switch in self._dirty:
+            target[switch] = self._avail[switch]
+
+
+#: Switches a ledger may start with, and two it never starts with.
+_KNOWN = ("s0", "s1", "s2", "s3")
+_UNKNOWN = ("x0", "x1")
+
+
+class _ForcedRollback(Exception):
+    pass
+
+
+_usage = st.dictionaries(
+    st.sampled_from(_KNOWN + _UNKNOWN), st.integers(0, 4), max_size=3
+)
+_ops = st.recursive(
+    st.tuples(st.sampled_from(["reserve", "release"]), _usage),
+    lambda inner: st.tuples(
+        st.just("txn"), st.lists(inner, max_size=4), st.booleans()
+    ),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _ledger_cases(draw):
+    capacities = st.integers(0, 6)
+    kind = draw(st.sampled_from(["direct", "adopt_dict", "adopt_none"]))
+    network = None
+    if kind == "direct":
+        available = draw(
+            st.dictionaries(st.sampled_from(_KNOWN), capacities, max_size=4)
+        )
+        budgets = draw(
+            st.none()
+            | st.dictionaries(
+                st.sampled_from(_KNOWN + _UNKNOWN), capacities, max_size=5
+            )
+        )
+    else:
+        network = QuantumNetwork(NetworkParams())
+        for switch in draw(st.permutations(_KNOWN)):
+            network.add_switch(switch, qubits=draw(capacities))
+        available = (
+            draw(
+                st.dictionaries(
+                    st.sampled_from(_KNOWN), capacities, max_size=4
+                )
+            )
+            if kind == "adopt_dict"
+            else None
+        )
+        budgets = None
+    ops = draw(st.lists(_ops, max_size=8))
+    flags = st.lists(st.booleans(), min_size=len(ops), max_size=len(ops))
+    return kind, network, available, budgets, list(
+        zip(ops, draw(flags), draw(flags))
+    )
+
+
+def _run_op(ledger, op):
+    """Apply *op*; returns the error's type name, or ``None``."""
+    try:
+        if op[0] == "reserve":
+            ledger.reserve(op[1])
+        elif op[0] == "release":
+            ledger.release(op[1])
+        else:
+            _, inner, fail = op
+            try:
+                with ledger.transaction():
+                    outcomes = [_run_op(ledger, o) for o in inner]
+                    if fail:
+                        raise _ForcedRollback
+                return outcomes
+            except _ForcedRollback:
+                return outcomes + ["rollback"]
+    except (CapacityError, ValueError) as exc:
+        return type(exc).__name__
+    return None
+
+
+def _read_out(ledger):
+    return (
+        list(ledger.peak_usage().items()),
+        list(ledger.snapshot().items()),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_ledger_cases())
+def test_lazy_peaks_match_eager_reference(case):
+    kind, network, available, budgets, ops = case
+    if kind == "direct":
+        ledger = CapacityLedger(available, budgets)
+        reference = _ReferenceLedger(available, budgets)
+    else:
+        ledger = CapacityLedger.adopt(available, network)
+        full = network.residual_qubits()
+        reference = _ReferenceLedger(
+            full if available is None else available, full
+        )
+    got, want = obs_metrics.MetricsRegistry(), obs_metrics.MetricsRegistry()
+    for op, inspect, metered in ops:
+        # Unmetered ops leave the global peak to be found later.
+        with obs_metrics.collecting(want) if metered else nullcontext():
+            expected = _run_op(reference, op)
+        with obs_metrics.collecting(got) if metered else nullcontext():
+            outcome = _run_op(ledger, op)
+        assert outcome == expected
+        assert got.gauges() == want.gauges()
+        if inspect:
+            assert _read_out(ledger) == _read_out(reference)
+    assert _read_out(ledger) == _read_out(reference)
+    shared = {"unrelated": 99, **(available or {})}
+    expected_shared = dict(shared)
+    ledger.write_back(shared)
+    reference.write_back(expected_shared)
+    assert list(shared.items()) == list(expected_shared.items())

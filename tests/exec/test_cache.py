@@ -5,10 +5,12 @@ from __future__ import annotations
 import pytest
 
 import repro.obs.metrics as obs_metrics
-from repro.core.channel import dijkstra, find_best_channel
+from repro.core.channel import best_channels_from, dijkstra, find_best_channel
 from repro.core.ledger import CapacityLedger
 from repro.exec import cache as exec_cache
 from repro.exec.cache import CacheStats, ChannelCache
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.fig6_scale import run_fig6a
 from repro.topology import TopologyConfig, waxman_network
 
 SMALL = TopologyConfig(n_switches=10, n_users=4, avg_degree=4.0)
@@ -307,3 +309,45 @@ class TestStatsAndMetrics:
         assert counters["repro.exec.cache.hits"] == 1
         assert counters["repro.exec.cache.misses"] == 3
         assert counters["repro.exec.cache.evictions"] == 2
+
+
+class TestEntriesHoldFullSearches:
+    """A cached search never stops at its caller's targets.
+
+    One entry serves every later caller with the same key, whatever
+    targets they read, so a search stored while a cache is active must
+    settle every reachable node.
+    """
+
+    def test_target_search_stores_a_full_search(self):
+        net = _network()
+        source = net.user_ids[0]
+        uncached = dijkstra(net, source)
+        # The nearest user: a search may stop well before the full one.
+        target = min(
+            (u for u in net.user_ids if u != source and u in uncached[0]),
+            key=uncached[0].get,
+        )
+        stopped = dijkstra(net, source, targets=[target])
+        assert len(stopped[0]) < len(uncached[0])
+        with exec_cache.caching() as cache:
+            best_channels_from(net, source, [target])
+            cached = dijkstra(net, source)
+        stats = cache.stats()
+        assert (stats.hits, stats.misses) == (1, 1)
+        assert [list(m.items()) for m in cached] == [
+            list(m.items()) for m in uncached
+        ]
+
+    def test_cached_sweep_hit_and_miss_counts(self):
+        config = ExperimentConfig(
+            n_switches=10,
+            n_users=4,
+            n_networks=4,
+            seed=11,
+            methods=("prim", "nfusion", "eqcast"),
+        )
+        with exec_cache.caching() as cache:
+            run_fig6a(config, user_counts=(3, 4))
+        stats = cache.stats()
+        assert (stats.hits, stats.misses) == (40, 28)
