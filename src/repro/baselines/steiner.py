@@ -45,7 +45,6 @@ from repro.core.problem import (
     resolve_users,
 )
 from repro.core.rates import swap_log_rate
-from repro.core.tree import switch_usage
 from repro.network.graph import QuantumNetwork
 from repro.utils.rng import RngLike
 
@@ -154,7 +153,7 @@ def solve_steiner_naive(
     # Honest pricing: if the classic tree overloads a switch, the
     # quantum network cannot realise it.
     budgets = network.residual_qubits()
-    for switch, used in switch_usage(solution.channels).items():
+    for switch, used in solution.switch_usage().items():
         if used > budgets.get(switch, 0):
             return infeasible_solution(user_list, "steiner_naive")
     return solution

@@ -28,7 +28,7 @@ from repro.core.channel import (
 from repro.core.optimal import solve_optimal
 from repro.core.conflict_free import solve_conflict_free
 from repro.core.prim_based import solve_prim
-from repro.core.tree import ValidationReport, switch_usage, validate_solution
+from repro.core.tree import ValidationReport, validate_solution
 from repro.core.bruteforce import brute_force_optimal, enumerate_channels
 from repro.core.exact import solve_exact, optimality_gap
 from repro.core.kbest import k_best_channels, channel_diversity
@@ -52,7 +52,6 @@ __all__ = [
     "solve_conflict_free",
     "solve_prim",
     "ValidationReport",
-    "switch_usage",
     "validate_solution",
     "brute_force_optimal",
     "enumerate_channels",

@@ -151,22 +151,6 @@ class MUERPSolution:
             adjacency.setdefault(b, []).append(a)
         return adjacency
 
-    def spans_users(self) -> bool:
-        """Whether the channels connect every user transitively."""
-        if not self.users:
-            return True
-        adjacency = self.user_adjacency()
-        seed = next(iter(self.users))
-        seen = set()
-        stack = [seed]
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            stack.extend(n for n in adjacency.get(current, []) if n not in seen)
-        return self.users <= seen
-
     def total_links(self) -> int:
         """Total number of quantum links across all channels."""
         return sum(c.n_links for c in self.channels)

@@ -1,22 +1,22 @@
-"""Entanglement-tree validation.
+"""Entanglement-tree validation as a list of readable issues.
 
-Checks every MUERP solution invariant from the problem statement:
-spanning, acyclic over users, capacity-respecting, path-wellformedness
-and rate consistency.  Used by tests, by the experiment runner (defence
-in depth: algorithms must never emit an invalid tree) and exposed as a
-public API for downstream users building their own solvers.
+:func:`validate_solution` is the string-report view of
+:meth:`repro.verify.SolutionVerifier.audit`, the one checker of every
+MUERP solution invariant (user set, path integrity, Eq. (1)/(2) rates,
+``extra_log_rate ≤ 0``, spanning tree structure, switch capacity).
+Used by tests, by the experiment runner (defence in depth: algorithms
+must never emit an invalid tree) and exposed as a public API for
+downstream users building their own solvers.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Tuple
+from typing import List
 
-from repro.core.problem import Channel, MUERPSolution
-from repro.core.rates import channel_log_rate
+from repro.core.problem import MUERPSolution
 from repro.network.graph import QuantumNetwork
-from repro.utils.unionfind import UnionFind
+from repro.verify.verifier import SolutionVerifier
 
 
 @dataclass
@@ -38,15 +38,6 @@ class ValidationReport:
         return "ValidationReport:\n  " + "\n  ".join(self.issues)
 
 
-def switch_usage(channels: Tuple[Channel, ...]) -> Dict[Hashable, int]:
-    """Qubits consumed per switch across *channels* (2 per transit)."""
-    usage: Dict[Hashable, int] = {}
-    for channel in channels:
-        for switch in channel.switches:
-            usage[switch] = usage.get(switch, 0) + 2
-    return usage
-
-
 def validate_solution(
     network: QuantumNetwork,
     solution: MUERPSolution,
@@ -55,87 +46,15 @@ def validate_solution(
 ) -> ValidationReport:
     """Validate *solution* against *network*.
 
-    Checks (each contributing a human-readable issue on failure):
-
-    1. every channel path exists edge-by-edge in the network;
-    2. channel endpoints are users and intermediates are switches;
-    3. the recorded log-rate of each channel matches Eq. (1);
-    4. the user-level tree is acyclic and spans exactly the user set
-       (``|A| = |U| − 1`` channels for a tree);
-    5. no switch exceeds its qubit budget (skippable for Algorithm 2,
-       whose model assumes abundant capacity).
-
-    An infeasible solution validates trivially: it asserts nothing.
+    One issue per :class:`~repro.verify.InvariantViolation` found by
+    :meth:`SolutionVerifier.audit`, formatted ``"[code] message"``.
+    Disable *enforce_capacity* for Algorithm 2, whose model assumes
+    abundant capacity.  An infeasible solution with no channels
+    validates trivially: it asserts nothing.
     """
-    report = ValidationReport()
-    if not solution.feasible:
-        if solution.channels:
-            report.add("infeasible solution carries channels")
-        return report
-
-    for channel in solution.channels:
-        _validate_channel(network, channel, rate_tolerance, report)
-
-    users = solution.users
-    if len(solution.channels) != len(users) - 1:
-        report.add(
-            f"tree must have |U|-1={len(users) - 1} channels, "
-            f"got {len(solution.channels)}"
-        )
-    unions = UnionFind(users)
-    for channel in solution.channels:
-        a, b = channel.endpoints
-        if a not in users or b not in users:
-            report.add(f"channel endpoint outside user set: {channel.path}")
-            continue
-        if not unions.union(a, b):
-            report.add(f"channel creates a user-level cycle: {channel.path}")
-    if unions.n_components != 1:
-        report.add(
-            f"channels leave users in {unions.n_components} components"
-        )
-
-    if enforce_capacity:
-        budgets = network.residual_qubits()
-        for switch, used in switch_usage(solution.channels).items():
-            budget = budgets.get(switch)
-            if budget is None:
-                report.add(f"transit node {switch!r} is not a switch")
-            elif used > budget:
-                report.add(
-                    f"switch {switch!r} over capacity: uses {used} of "
-                    f"{budget} qubits"
-                )
-    return report
-
-
-def _validate_channel(
-    network: QuantumNetwork,
-    channel: Channel,
-    rate_tolerance: float,
-    report: ValidationReport,
-) -> None:
-    path = channel.path
-    a, b = channel.endpoints
-    if a not in network or not network.is_user(a):
-        report.add(f"channel start {a!r} is not a network user")
-        return
-    if b not in network or not network.is_user(b):
-        report.add(f"channel end {b!r} is not a network user")
-        return
-    for node in channel.switches:
-        if node not in network or not network.is_switch(node):
-            report.add(f"channel intermediate {node!r} is not a switch")
-            return
-    for u, v in zip(path, path[1:]):
-        if not network.has_fiber(u, v):
-            report.add(f"missing fiber {u!r}-{v!r} on channel {path}")
-            return
-    expected = channel_log_rate(network, path)
-    if not math.isclose(
-        expected, channel.log_rate, rel_tol=rate_tolerance, abs_tol=rate_tolerance
-    ):
-        report.add(
-            f"channel {path} log-rate {channel.log_rate} != Eq.(1) "
-            f"value {expected}"
-        )
+    verifier = SolutionVerifier(
+        rate_tolerance=rate_tolerance, enforce_capacity=enforce_capacity
+    )
+    return ValidationReport(
+        [f"[{v.code}] {v}" for v in verifier.audit(network, solution)]
+    )

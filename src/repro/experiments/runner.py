@@ -157,7 +157,8 @@ def run_on_network(
     """Run each method once on *network*, returning method → rate.
 
     Raises ``AssertionError`` if any solver emits an invalid tree (this
-    is a library bug, never a legitimate experiment outcome).
+    is a library bug, never a legitimate experiment outcome); the check
+    is an explicit ``raise``, so it also holds under ``python -O``.
     """
     generator = ensure_rng(rng)
     metrics = obs_metrics.active()
@@ -179,9 +180,10 @@ def run_on_network(
                 solution,
                 enforce_capacity=method not in CAPACITY_EXEMPT_METHODS,
             )
-            assert report.ok, (
-                f"solver {method!r} produced an invalid solution: {report}"
-            )
+            if not report.ok:
+                raise AssertionError(
+                    f"solver {method!r} produced an invalid solution: {report}"
+                )
         rates[method] = solution.rate
     return rates
 
@@ -213,9 +215,10 @@ def _attach_bounds(
     """Compute the trial's LP bounds and gate every rate against them.
 
     Stores the certified bounds under :data:`BOUND_KEY` /
-    :data:`UNCAP_BOUND_KEY` and asserts in-run soundness: a heuristic
-    rate above its certified bound is a library bug (in the solver, the
-    verifier or the bound itself), never a legitimate outcome.
+    :data:`UNCAP_BOUND_KEY` and raises ``AssertionError`` when in-run
+    soundness fails: a heuristic rate above its certified bound is a
+    library bug (in the solver, the verifier or the bound itself),
+    never a legitimate outcome.
     """
     from repro.bounds.gap import optimality_gap
     from repro.bounds.lp import compute_bound
@@ -234,12 +237,13 @@ def _attach_bounds(
             uncap if method in CAPACITY_EXEMPT_METHODS else certificate
         )
         gap = optimality_gap(rates[method], bound)
-        assert gap >= -_SOUNDNESS_RTOL, (
-            f"solver {method!r} rate {rates[method]:.6e} exceeds the "
-            f"certified LP bound {bound.rate_bound:.6e} "
-            f"(capacitated={bound.capacitated}) — unsound bound or "
-            f"invalid solution"
-        )
+        if gap < -_SOUNDNESS_RTOL:
+            raise AssertionError(
+                f"solver {method!r} rate {rates[method]:.6e} exceeds the "
+                f"certified LP bound {bound.rate_bound:.6e} "
+                f"(capacitated={bound.capacitated}) — unsound bound or "
+                f"invalid solution"
+            )
         if metrics is not None:
             metrics.observe(f"bounds.gap_percent.{method}", 100.0 * gap)
 

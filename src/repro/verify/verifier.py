@@ -8,12 +8,17 @@ the raw network graph**, never trusting the solver's own bookkeeping:
    and ends at quantum users, and transits only switches.
 2. *Rate honesty* — each channel's recorded ``log_rate`` matches an
    independent Eq. (1) recomputation ``-α·ΣL + (l-1)·ln q`` from the
-   fiber lengths, and the tree's claimed rate matches the Eq. (2)
-   product of the recomputed channel rates.
+   fiber lengths, the tree's claimed rate matches the Eq. (2)
+   product of the recomputed channel rates, and ``extra_log_rate`` is
+   a log-probability (``≤ 0``).
 3. *Tree structure* — exactly ``|U| - 1`` channels, acyclic at the user
    level, spanning the full user set.
 4. *Capacity* — per-switch qubit usage (2 per transit channel, Def. 3)
    never exceeds the switch budget ``Q_r`` read from the graph.
+5. *User set* — the solution serves exactly the requested users.
+
+This is the library's one definition of a valid tree;
+:func:`repro.core.tree.validate_solution` is its string-report view.
 
 Violations raise the typed exceptions of
 :mod:`repro.verify.invariants`, each carrying a machine-readable diff.
@@ -35,6 +40,7 @@ from typing import (
     Tuple,
 )
 
+from repro.network.errors import UnknownNodeError
 from repro.utils.unionfind import UnionFind
 from repro.verify.invariants import (
     CapacityViolation,
@@ -406,7 +412,10 @@ class SolutionVerifier:
     ) -> None:
         for switch in sorted(usage, key=repr):
             used = usage[switch]
-            budget = network.qubits_of(switch)
+            try:
+                budget = network.qubits_of(switch)
+            except UnknownNodeError:
+                budget = None
             if budget is None:
                 violations.append(
                     PathViolation(

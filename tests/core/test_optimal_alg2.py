@@ -31,7 +31,9 @@ class TestBasics:
         solution = solve_optimal(star_network)
         assert solution.feasible
         assert solution.n_channels == 2
-        assert solution.spans_users()
+        assert validate_solution(
+            star_network, solution, enforce_capacity=False
+        ).ok
         # Each channel is user-hub-user: rate (pq p) with p = e^{-0.1}.
         p = math.exp(-0.1)
         assert math.isclose(solution.rate, (p * p * 0.9) ** 2, rel_tol=1e-9)

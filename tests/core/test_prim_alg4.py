@@ -19,7 +19,7 @@ class TestBasics:
     def test_spans_all_users(self, medium_waxman):
         solution = solve_prim(medium_waxman, rng=0)
         assert solution.feasible
-        assert solution.spans_users()
+        assert validate_solution(medium_waxman, solution).ok
         assert solution.n_channels == len(medium_waxman.users) - 1
 
     def test_respects_capacity(self, medium_waxman):

@@ -12,6 +12,7 @@ from repro.core.problem import (
     infeasible_solution,
     resolve_users,
 )
+from repro.core.tree import validate_solution
 
 
 def make_channel(path, rate):
@@ -102,15 +103,25 @@ class TestMUERPSolution:
         )
         assert solution.switch_usage() == {"s": 4}
 
-    def test_spans_users(self):
-        assert self._solution().spans_users()
-
-    def test_does_not_span_disconnected(self):
-        solution = MUERPSolution(
-            channels=(make_channel(["u1", "s", "u2"], 0.5),),
-            users=frozenset(("u1", "u2", "u3")),
+    def test_spans_users(self, star_network):
+        channels = (
+            Channel.from_path(star_network, ["alice", "hub", "bob"]),
+            Channel.from_path(star_network, ["bob", "hub", "carol"]),
         )
-        assert not solution.spans_users()
+        solution = MUERPSolution(
+            channels=channels, users=frozenset(star_network.user_ids)
+        )
+        assert validate_solution(star_network, solution).ok
+
+    def test_does_not_span_disconnected(self, star_network):
+        solution = MUERPSolution(
+            channels=(
+                Channel.from_path(star_network, ["alice", "hub", "bob"]),
+            ),
+            users=frozenset(star_network.user_ids),
+        )
+        issues = validate_solution(star_network, solution).issues
+        assert any(issue.startswith("[spanning]") for issue in issues)
 
     def test_totals(self):
         solution = self._solution()

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro.core.problem import Channel, MUERPSolution, infeasible_solution
-from repro.core.tree import switch_usage, validate_solution
+from repro.core.tree import validate_solution
 
 
 def channel_on(network, path):
@@ -43,7 +43,9 @@ class TestStructuralViolations:
         channels = [channel_on(star_network, ["alice", "hub", "bob"])]
         report = validate_solution(star_network, solution_of(star_network, channels))
         assert not report.ok
-        assert any("|U|-1" in issue for issue in report.issues)
+        assert any(
+            issue.startswith("[channel-count]") for issue in report.issues
+        )
 
     def test_cycle_detected(self, star_network):
         channels = [
@@ -58,14 +60,14 @@ class TestStructuralViolations:
         fake = Channel(("alice", "bob"), -0.1)
         solution = solution_of(star_network, [fake], users=["alice", "bob"])
         report = validate_solution(star_network, solution)
-        assert any("missing fiber" in issue for issue in report.issues)
+        assert any(issue.startswith("[path]") for issue in report.issues)
 
     def test_wrong_rate_detected(self, star_network):
         good = channel_on(star_network, ["alice", "hub", "bob"])
         bad = Channel(good.path, good.log_rate - 1.0)
         solution = solution_of(star_network, [bad], users=["alice", "bob"])
         report = validate_solution(star_network, solution)
-        assert any("Eq.(1)" in issue for issue in report.issues)
+        assert any(issue.startswith("[rate]") for issue in report.issues)
 
     def test_non_switch_intermediate_detected(self, params_q09):
         from repro.network import NetworkBuilder
@@ -103,7 +105,7 @@ class TestCapacity:
         ]
         solution = solution_of(tight_star_network, channels)
         report = validate_solution(tight_star_network, solution)
-        assert any("over capacity" in issue for issue in report.issues)
+        assert any(issue.startswith("[capacity]") for issue in report.issues)
 
     def test_capacity_check_skippable(self, tight_star_network):
         channels = [
@@ -116,14 +118,3 @@ class TestCapacity:
         )
         assert report.ok, str(report)
 
-
-class TestSwitchUsage:
-    def test_usage_counts(self, star_network):
-        channels = (
-            channel_on(star_network, ["alice", "hub", "bob"]),
-            channel_on(star_network, ["alice", "hub", "carol"]),
-        )
-        assert switch_usage(channels) == {"hub": 4}
-
-    def test_empty(self):
-        assert switch_usage(()) == {}

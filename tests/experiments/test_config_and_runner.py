@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
 
+from repro.core import registry
+from repro.core.problem import Channel
 from repro.experiments.config import DEFAULT_METHODS, ExperimentConfig
 from repro.experiments.runner import (
     CAPACITY_EXEMPT_METHODS,
     ExperimentResult,
     MethodOutcome,
+    _attach_bounds,
     run_experiment,
     run_on_network,
 )
@@ -70,6 +74,27 @@ class TestRunOnNetwork:
     def test_capacity_exemption_set(self):
         assert "optimal" in CAPACITY_EXEMPT_METHODS
         assert "prim" not in CAPACITY_EXEMPT_METHODS
+
+    def test_rogue_solver_raises(self, medium_waxman, monkeypatch):
+        """An inflated channel rate is a library bug, even under ``-O``."""
+
+        def rogue(network, users=None, rng=None):
+            solution = registry.solve("prim", network, users=users, rng=rng)
+            first = solution.channels[0]
+            inflated = Channel(first.path, first.log_rate + 1.0)
+            return dataclasses.replace(
+                solution, channels=(inflated,) + solution.channels[1:]
+            )
+
+        monkeypatch.setitem(registry.SOLVERS, "rogue", rogue)
+        monkeypatch.setitem(registry.DISPLAY_NAMES, "rogue", "rogue")
+        with pytest.raises(AssertionError, match="invalid solution"):
+            run_on_network(medium_waxman, ["rogue"], rng=0)
+
+    def test_rate_above_lp_bound_raises(self, medium_waxman):
+        config = FAST.replace(bound="lp", methods=("prim",))
+        with pytest.raises(AssertionError, match="certified LP bound"):
+            _attach_bounds(medium_waxman, config, {"prim": 2.0})
 
 
 class TestRunExperiment:

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.core.tree import switch_usage, validate_solution
+from repro.core.tree import validate_solution
 from repro.extensions.multigroup import (
     GroupRequest,
     GroupRoutingResult,

@@ -50,7 +50,11 @@ class TestEveryMethodOnEveryTopology:
         network = generate(topology, SMALL, rng=1)
         solution = solve(method, network, rng=1)
         if solution.feasible:
-            assert solution.spans_users()
+            assert validate_solution(
+                network,
+                solution,
+                enforce_capacity=method not in CAPACITY_EXEMPT_METHODS,
+            ).ok
 
 
 class TestCrossAlgorithmInvariants:

@@ -51,7 +51,7 @@ class TestScale:
     def test_20_user_tree_shape(self, big_network):
         solution = solve("conflict_free", big_network, rng=0)
         assert solution.n_channels == 19
-        assert solution.spans_users()
+        assert validate_solution(big_network, solution).ok
         assert 0.0 < solution.rate < 1.0
 
 

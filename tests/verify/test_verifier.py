@@ -166,6 +166,24 @@ class TestSeededCorruptions:
         violations = verifier.audit(line_network, fake)
         assert any(isinstance(v, PathViolation) for v in violations)
 
+    def test_unknown_transit_node_is_reported_not_raised(
+        self, star_network, verifier
+    ):
+        solution = _solved(star_network)
+        first = solution.channels[0]
+        ghosted = dataclasses.replace(
+            solution,
+            channels=(
+                Channel((first.path[0], "ghost", first.path[-1]), first.log_rate),
+            )
+            + solution.channels[1:],
+        )
+        violations = verifier.audit(star_network, ghosted)
+        messages = [str(v) for v in violations]
+        assert "channel intermediate 'ghost' is not a switch" in messages
+        assert "transit node 'ghost' is not a switch" in messages
+        assert {v.code for v in violations} == {"path"}
+
     def test_wrong_user_set_is_caught(self, star_network, verifier):
         solution = _solved(star_network)
         violations = verifier.audit(
