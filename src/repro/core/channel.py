@@ -14,6 +14,9 @@ Implementation notes (equivalent reformulation):
 * Only switches with at least 2 residual qubits may relay (Algorithm 1,
   line 11: ``Q_{u_h} ≥ 2``), and quantum users other than the endpoints
   can never relay (a channel is "a path through vertices in R", Def. 2).
+  The search only reads its ``residual`` map, so it takes a
+  :class:`~repro.core.ledger.CapacityLedger` (what the solvers pass) or
+  a plain switch → qubits mapping (a read-only mask).
 * ``best_channels_from`` runs the search once per *source* and recovers
   all destinations through the ``Prev`` array — the complexity
   optimization described after Theorem 3, giving
@@ -61,6 +64,7 @@ from typing import (
     Hashable,
     Iterable,
     List,
+    Mapping,
     Optional,
     Sequence,
     Set,
@@ -85,8 +89,8 @@ __all__ = [
 
 def _residual_qubits(
     network: QuantumNetwork,
-    residual: Optional[Dict[Hashable, int]],
-) -> Dict[Hashable, int]:
+    residual: Optional[Mapping[Hashable, int]],
+) -> Mapping[Hashable, int]:
     """Effective residual qubit budget per switch."""
     if residual is None:
         return network.residual_qubits()
@@ -94,7 +98,7 @@ def _residual_qubits(
 
 
 def relay_mask(
-    graph: RoutingSnapshot, qubits: Dict[Hashable, int]
+    graph: RoutingSnapshot, qubits: Mapping[Hashable, int]
 ) -> bytearray:
     """Per-node relay flags: switches holding ≥ 2 of *qubits* (line 11)."""
     relay = bytearray(len(graph.ids))
@@ -243,7 +247,7 @@ def relay_search(
 def dijkstra(
     network: QuantumNetwork,
     source: Hashable,
-    residual: Optional[Dict[Hashable, int]] = None,
+    residual: Optional[Mapping[Hashable, int]] = None,
     forbidden_fibers: Optional[Set[Tuple[Hashable, Hashable]]] = None,
     allow_switch_source: bool = False,
     targets: Optional[Iterable[Hashable]] = None,
@@ -351,7 +355,7 @@ def find_best_channel(
     network: QuantumNetwork,
     source: Hashable,
     target: Hashable,
-    residual: Optional[Dict[Hashable, int]] = None,
+    residual: Optional[Mapping[Hashable, int]] = None,
     forbidden_fibers: Optional[Set[Tuple[Hashable, Hashable]]] = None,
 ) -> Optional[Channel]:
     """Algorithm 1: best channel between users *source* and *target*.
@@ -388,7 +392,7 @@ def best_channels_from(
     network: QuantumNetwork,
     source: Hashable,
     targets: Iterable[Hashable],
-    residual: Optional[Dict[Hashable, int]] = None,
+    residual: Optional[Mapping[Hashable, int]] = None,
 ) -> Dict[Hashable, Channel]:
     """Best channels from *source* to every reachable user in *targets*.
 
@@ -417,7 +421,7 @@ def best_channels_from(
 def all_pairs_best_channels(
     network: QuantumNetwork,
     users: List[Hashable],
-    residual: Optional[Dict[Hashable, int]] = None,
+    residual: Optional[Mapping[Hashable, int]] = None,
 ) -> Dict[frozenset, Channel]:
     """Best channel for every unordered user pair (step 1 of Algorithm 2).
 

@@ -12,13 +12,19 @@ set can overload switches.  Algorithm 3 repairs this in two phases:
 * **Phase 2 (reconnection).**  Rejected channels leave the users split
   into several unions.  Repeatedly find, over all user pairs in distinct
   unions, the maximum-rate channel that respects residual capacity
-  (Algorithm 1 with the residual map), add the best one and merge, until
-  one union remains or no channel exists (→ infeasible, rate 0).
+  (Algorithm 1 with the ledger's relay mask), add the best one and
+  merge, until one union remains or no channel exists (→ infeasible,
+  rate 0).
+
+:func:`reconnect` is that Phase-2 loop on its own; incremental repair
+(:func:`repro.extensions.recovery.repair_solution`) and the splice
+ladder (:func:`repro.incremental.tree.splice_solution`) reconnect their
+surviving unions with it too.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Hashable, Iterable, List, Optional, Sequence
 
 from repro.core.channel import best_channels_from
 from repro.core.ledger import CapacityLedger
@@ -44,7 +50,7 @@ def solve_conflict_free(
     base_channels: Optional[Sequence[Channel]] = None,
     retention: str = "greedy",
     rng: RngLike = None,
-    residual: Optional[Dict[Hashable, int]] = None,
+    residual: Optional[CapacityLedger] = None,
 ) -> MUERPSolution:
     """Algorithm 3.
 
@@ -57,13 +63,15 @@ def solve_conflict_free(
             descending rate order; ``"random"`` shuffles them — the
             ablation documented in DESIGN.md §4.
         rng: Random source for ``retention="random"``.
-        residual: Optional shared residual-qubit map (switch → qubits)
-            or :class:`~repro.core.ledger.CapacityLedger`, so several
+        residual: Optional shared
+            :class:`~repro.core.ledger.CapacityLedger`, so several
             routing requests can share one budget (the multi-group
-            extension).  The account is transactional: reservations are
-            published to a caller-supplied dict only when this call
+            extension).  Defaults to each switch's full budget.  The
+            tree's qubits are reserved on it only when this call
             returns a *feasible* tree; a mid-solve exception or an
-            infeasible outcome leaves it untouched.
+            infeasible outcome rolls every reservation back.  Pass
+            :meth:`~repro.core.ledger.CapacityLedger.fork` to try a
+            route without spending.
 
     Returns:
         A capacity-feasible :class:`MUERPSolution`, infeasible (rate 0)
@@ -82,7 +90,9 @@ def solve_conflict_free(
     else:
         raise ValueError(f"unknown retention policy {retention!r}")
 
-    ledger = CapacityLedger.adopt(residual, network)
+    ledger = residual
+    if ledger is None:
+        ledger = CapacityLedger.from_network(network)
     unions = UnionFind(user_list)
     selected: List[Channel] = []
 
@@ -99,38 +109,51 @@ def solve_conflict_free(
 
             # Phase 2: reconnect remaining unions with capacity-aware
             # routing.
-            while unions.n_components > 1:
-                best: Optional[Channel] = None
-                for index, source in enumerate(user_list):
-                    targets = [
-                        t
-                        for t in user_list[index + 1 :]
-                        if not unions.connected(source, t)
-                    ]
-                    if not targets:
-                        continue
-                    found = best_channels_from(
-                        network, source, targets, ledger
-                    )
-                    for channel in found.values():
-                        if best is None or channel_sort_key(channel) < channel_sort_key(best):
-                            best = channel
-                if best is None:
-                    raise _Infeasible()
-                admitted = ledger.try_reserve_channel(best)
-                assert admitted, (
-                    "capacity-aware search returned an unroutable channel"
-                )
-                unions.union(*best.endpoints)
-                selected.append(best)
+            selected += reconnect(network, user_list, unions, ledger)
+            if unions.n_components > 1:
+                raise _Infeasible()
     except _Infeasible:
         return infeasible_solution(user_list, "conflict_free")
 
-    if residual is not None and not isinstance(residual, CapacityLedger):
-        ledger.write_back(residual)
     return MUERPSolution(
         channels=tuple(selected),
         users=frozenset(user_list),
         method="conflict_free",
         feasible=True,
     )
+
+
+def reconnect(
+    network: QuantumNetwork,
+    users: Sequence[Hashable],
+    unions: UnionFind,
+    ledger: CapacityLedger,
+) -> List[Channel]:
+    """Join *unions*' user components greedily, best channel first.
+
+    Each round searches from every user toward the users of other
+    unions under *ledger*'s relay mask, reserves the best channel found
+    (two qubits per relay) on *ledger* and merges its endpoints.
+    Returns the added channels; ``unions.n_components > 1`` afterwards
+    means some component could not be reached.  *users* fixes the
+    search order, and with it the tie-breaking.
+    """
+    added: List[Channel] = []
+    while unions.n_components > 1:
+        best: Optional[Channel] = None
+        for index, source in enumerate(users):
+            targets = [
+                t for t in users[index + 1 :] if not unions.connected(source, t)
+            ]
+            if not targets:
+                continue
+            found = best_channels_from(network, source, targets, ledger)
+            for channel in found.values():
+                if best is None or channel_sort_key(channel) < channel_sort_key(best):
+                    best = channel
+        if best is None:
+            break
+        ledger.reserve_channel(best)
+        unions.union(*best.endpoints)
+        added.append(best)
+    return added

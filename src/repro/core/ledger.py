@@ -1,20 +1,17 @@
 """Transactional residual-capacity accounting for switch qubits.
 
-Algorithms 3 and 4, the online scheduler and the multi-group extension
-all track "free qubits per switch" while they build trees.  Before this
-module each did so with a bare mutable dict, so an exception thrown
-mid-solve left phantom reservations behind.  :class:`CapacityLedger`
-centralizes the bookkeeping with transaction semantics:
+Algorithms 3 and 4, the online scheduler, incremental repair and the
+multi-group extension all track "free qubits per switch" while they
+build trees.  :class:`CapacityLedger` is the one account they spend
+from, with transaction semantics:
 
 * **reserve / release** are all-or-nothing and raise
   :class:`CapacityError` before any partial mutation;
 * **transaction()** scopes a group of reservations: leaving the block
-  through an exception rolls every change inside it back, leaving the
-  account bit-identical to the entry snapshot;
-* **adopt / write_back** bridge to the legacy shared-dict protocol the
-  solvers expose (``residual=`` maps mutated in place): a solver runs
-  against a private ledger and publishes the deltas to the caller's
-  dict only when it actually produced a feasible tree.
+  through an exception rolls every change inside it back, peaks
+  included, leaving the account bit-identical to the entry snapshot;
+* **fork()** copies the account, so a caller can try a route on the
+  copy before installing it on the live ledger.
 
 The ledger also keeps a high-water mark per switch (peak usage
 telemetry) and can report the tightest switches via an indexed heap —
@@ -37,17 +34,15 @@ from typing import (
     Iterator,
     List,
     Mapping,
-    MutableMapping,
     Optional,
     Tuple,
 )
 
 import repro.obs.metrics as obs_metrics
-from repro.exec import cache as exec_cache
+from repro.core.problem import Channel, channel_usage
 from repro.utils.heap import IndexedMinHeap
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.problem import Channel
     from repro.network.graph import QuantumNetwork
 
 #: Qubits one transit channel pins at a switch (Def. 3 of the paper).
@@ -77,8 +72,8 @@ class CapacityLedger:
 
     The read side is a ``Mapping``-compatible subset (``get``,
     ``__getitem__``, ``in``, ``len``) so a ledger can be handed directly
-    to the channel search (:func:`repro.core.channel.best_channels_from`)
-    wherever a plain residual dict was accepted before.
+    to the channel search (:func:`repro.core.channel.best_channels_from`),
+    which only reads it.
 
     Args:
         available: Initial free qubits per switch.
@@ -108,10 +103,9 @@ class CapacityLedger:
         #: High-water mark of (budget - available), recorded only where
         #: it rose above the switch's starting usage.
         self._peak: Dict[Hashable, int] = {}
-        #: Stack of journals: (switch, delta-applied) entries, innermost last.
-        self._journals: List[List[Tuple[Hashable, int]]] = []
-        #: Switches whose availability changed since construction.
-        self._dirty: set = set()
+        #: Stack of journals, innermost last: (switch, delta applied,
+        #: the switch's ``_peak`` entry before it) per change.
+        self._journals: List[List[Tuple[Hashable, int, Optional[int]]]] = []
         #: Largest single-switch usage seen (peak-occupancy telemetry);
         #: ``None`` until a reservation first publishes it.
         self._peak_global: Optional[int] = None
@@ -125,23 +119,13 @@ class CapacityLedger:
         budgets = network.residual_qubits()
         return cls(budgets, budgets)
 
-    @classmethod
-    def adopt(
-        cls,
-        residual: Optional[Mapping[Hashable, int]],
-        network: "QuantumNetwork",
-    ) -> "CapacityLedger":
-        """Normalize a legacy ``residual=`` argument into a ledger.
+    def fork(self) -> "CapacityLedger":
+        """A private ledger with the same free qubits and budgets.
 
-        ``None`` means the network's idle budgets; an existing ledger is
-        returned as-is; a plain mapping is copied (the caller's dict is
-        only touched again through :meth:`write_back`).
+        Spending from the fork leaves this ledger untouched; its peaks
+        start from the current usage.
         """
-        if residual is None:
-            return cls.from_network(network)
-        if isinstance(residual, CapacityLedger):
-            return residual
-        return cls(residual, network.residual_qubits())
+        return CapacityLedger(self._avail, self._budgets)
 
     # ------------------------------------------------------------------
     # Read side (Mapping-compatible subset)
@@ -184,10 +168,6 @@ class CapacityLedger:
 
     def as_dict(self) -> Dict[Hashable, int]:
         """Copy of the current availability map."""
-        return dict(self._avail)
-
-    def snapshot(self) -> Dict[Hashable, int]:
-        """Alias of :meth:`as_dict`, named for test assertions."""
         return dict(self._avail)
 
     def _start_usage(self, switch: Hashable) -> int:
@@ -233,45 +213,16 @@ class CapacityLedger:
     # ------------------------------------------------------------------
     def _apply(self, switch: Hashable, delta: int) -> None:
         """Apply a signed availability delta, journalled for rollback."""
-        old = self._avail.get(switch, 0)
-        new = old + delta
+        new = self._avail.get(switch, 0) + delta
         self._avail[switch] = new
-        self._dirty.add(switch)
-        if self._journals:
-            self._journals[-1].append((switch, delta))
-        used = self._budgets.get(switch, 0) - new
         peak = self._peak.get(switch)
+        if self._journals:
+            self._journals[-1].append((switch, delta, peak))
+        used = self._budgets.get(switch, 0) - new
         if used > (self._start_usage(switch) if peak is None else peak):
             self._peak[switch] = used
             if self._peak_global is not None and used > self._peak_global:
                 self._peak_global = used
-        # A crossing of the 2-qubit relay threshold flips the switch's
-        # polarity in every channel-cache blocked-set signature: tell
-        # the active cache so stranded entries are dropped eagerly.
-        if (old >= QUBITS_PER_CHANNEL) != (new >= QUBITS_PER_CHANNEL):
-            now_blocked = new < QUBITS_PER_CHANNEL
-            cache = exec_cache.active()
-            if cache is not None:
-                cache.invalidate_switch(switch, now_blocked=now_blocked)
-            self._publish_crossing(switch, now_blocked)
-
-    @staticmethod
-    def _publish_crossing(switch: Hashable, now_blocked: bool) -> None:
-        """Emit a capacity-crossing delta event when a bus is active.
-
-        Residual-only: the routing fingerprint is unchanged, so the bus
-        performs no cache hygiene beyond the ``invalidate_switch`` the
-        caller already did — subscribers (e.g. the incremental router's
-        event log) just learn the polarity flip.
-        """
-        from repro.incremental import delta as incremental_delta
-
-        bus = incremental_delta.active()
-        if bus is None:
-            return
-        from repro.incremental.events import DeltaEvent
-
-        bus.publish(DeltaEvent.capacity_crossing(switch, now_blocked))
 
     def can_reserve(self, usage: Mapping[Hashable, int]) -> bool:
         """Whether every switch in *usage* has the requested headroom."""
@@ -348,28 +299,22 @@ class CapacityLedger:
             metrics.inc("core.ledger.qubits_released", sum(usage.values()))
 
     # Channel conveniences ------------------------------------------------
-    def can_host(self, channel: "Channel") -> bool:
+    def can_host(self, channel: Channel) -> bool:
         """Whether every transit switch can fund one more channel."""
         return all(
             self._avail.get(s, 0) >= QUBITS_PER_CHANNEL
             for s in channel.switches
         )
 
-    def reserve_channel(self, channel: "Channel") -> None:
+    def reserve_channel(self, channel: Channel) -> None:
         """Reserve ``2`` qubits at each of *channel*'s transit switches."""
-        usage: Dict[Hashable, int] = {}
-        for switch in channel.switches:
-            usage[switch] = usage.get(switch, 0) + QUBITS_PER_CHANNEL
-        self.reserve(usage)
+        self.reserve(channel_usage((channel,)))
 
-    def release_channel(self, channel: "Channel") -> None:
+    def release_channel(self, channel: Channel) -> None:
         """Return the qubits :meth:`reserve_channel` pinned."""
-        usage: Dict[Hashable, int] = {}
-        for switch in channel.switches:
-            usage[switch] = usage.get(switch, 0) + QUBITS_PER_CHANNEL
-        self.release(usage)
+        self.release(channel_usage((channel,)))
 
-    def try_reserve_channel(self, channel: "Channel") -> bool:
+    def try_reserve_channel(self, channel: Channel) -> bool:
         """Reserve *channel*'s qubits if possible; ``False`` otherwise."""
         if not self.can_host(channel):
             return False
@@ -387,8 +332,9 @@ class CapacityLedger:
         inner block's changes; an inner commit folds them into the
         enclosing transaction (so an outer rollback still undoes them).
         """
-        journal: List[Tuple[Hashable, int]] = []
+        journal: List[Tuple[Hashable, int, Optional[int]]] = []
         self._journals.append(journal)
+        peak_global = self._peak_global
         metrics = obs_metrics.active()
         if metrics is not None:
             metrics.inc("core.ledger.transactions")
@@ -396,6 +342,7 @@ class CapacityLedger:
             yield self
         except BaseException:
             self._rollback(journal)
+            self._peak_global = peak_global
             if metrics is not None:
                 metrics.inc("core.ledger.rollbacks")
             raise
@@ -406,30 +353,16 @@ class CapacityLedger:
                 # Fold surviving entries into the enclosing transaction.
                 self._journals[-1].extend(journal)
 
-    def _rollback(self, journal: List[Tuple[Hashable, int]]) -> None:
-        cache = exec_cache.active()
-        for switch, delta in reversed(journal):
-            old = self._avail.get(switch, 0)
-            new = old - delta
-            self._avail[switch] = new
-            if (old >= QUBITS_PER_CHANNEL) != (new >= QUBITS_PER_CHANNEL):
-                now_blocked = new < QUBITS_PER_CHANNEL
-                if cache is not None:
-                    cache.invalidate_switch(switch, now_blocked=now_blocked)
-                self._publish_crossing(switch, now_blocked)
+    def _rollback(
+        self, journal: List[Tuple[Hashable, int, Optional[int]]]
+    ) -> None:
+        for switch, delta, peak in reversed(journal):
+            self._avail[switch] = self._avail.get(switch, 0) - delta
+            if peak is None:
+                self._peak.pop(switch, None)
+            else:
+                self._peak[switch] = peak
         journal.clear()
-
-    # ------------------------------------------------------------------
-    # Legacy shared-dict bridge
-    # ------------------------------------------------------------------
-    def write_back(self, target: MutableMapping[Hashable, int]) -> None:
-        """Publish changed availability values into *target* in place.
-
-        Only switches the ledger actually touched are written, so a
-        caller-owned dict keeps any extra keys it carries.
-        """
-        for switch in self._dirty:
-            target[switch] = self._avail[switch]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         reserved = sum(

@@ -44,7 +44,7 @@ def solve_prim(
     users: Optional[Iterable[Hashable]] = None,
     start: Optional[Hashable] = None,
     rng: RngLike = None,
-    residual: Optional[dict] = None,
+    residual: Optional[CapacityLedger] = None,
 ) -> MUERPSolution:
     """Algorithm 4.
 
@@ -55,14 +55,15 @@ def solve_prim(
             (the paper picks it uniformly at random).
         rng: Random source for the seed choice; an int seed, a numpy
             Generator, or ``None``.
-        residual: Optional shared residual-qubit map (switch → qubits)
-            or :class:`~repro.core.ledger.CapacityLedger`, so several
+        residual: Optional shared
+            :class:`~repro.core.ledger.CapacityLedger`, so several
             routing requests can share one budget (the multi-group
             extension).  Defaults to each switch's full budget.  The
-            account is transactional: reservations are published to a
-            caller-supplied dict only when this call returns a
-            *feasible* tree; a mid-solve exception or an infeasible
-            outcome leaves it untouched.
+            tree's qubits are reserved on it only when this call
+            returns a *feasible* tree; a mid-solve exception or an
+            infeasible outcome rolls every reservation back.  Pass
+            :meth:`~repro.core.ledger.CapacityLedger.fork` to try a
+            route without spending.
 
     Returns:
         A capacity-feasible :class:`MUERPSolution`, infeasible (rate 0)
@@ -77,7 +78,9 @@ def solve_prim(
 
     connected: List[Hashable] = [start]
     remaining: Set[Hashable] = set(user_list) - {start}
-    ledger = CapacityLedger.adopt(residual, network)
+    ledger = residual
+    if ledger is None:
+        ledger = CapacityLedger.from_network(network)
     selected: List[Channel] = []
 
     # Each source's search result, kept while the relay mask holds.
@@ -111,8 +114,6 @@ def solve_prim(
     except _Infeasible:
         return infeasible_solution(user_list, "prim")
 
-    if residual is not None and not isinstance(residual, CapacityLedger):
-        ledger.write_back(residual)
     return MUERPSolution(
         channels=tuple(selected),
         users=frozenset(user_list),

@@ -136,11 +136,7 @@ class MUERPSolution:
 
     def switch_usage(self) -> Dict[Hashable, int]:
         """Qubits consumed per switch: 2 per transit channel (Def. 3)."""
-        usage: Dict[Hashable, int] = {}
-        for channel in self.channels:
-            for switch in channel.switches:
-                usage[switch] = usage.get(switch, 0) + 2
-        return usage
+        return channel_usage(self.channels)
 
     def user_adjacency(self) -> Dict[Hashable, List[Hashable]]:
         """Adjacency of the user-level entanglement tree."""
@@ -166,6 +162,15 @@ class MUERPSolution:
             f"MUERPSolution[{self.method}] rate={self.rate:.3e} "
             f"channels={self.n_channels}"
         )
+
+
+def channel_usage(channels: Iterable[Channel]) -> Dict[Hashable, int]:
+    """Qubits *channels* pin per switch: 2 per transit (Def. 3)."""
+    usage: Dict[Hashable, int] = {}
+    for channel in channels:
+        for switch in channel.switches:
+            usage[switch] = usage.get(switch, 0) + 2
+    return usage
 
 
 def infeasible_solution(

@@ -25,15 +25,16 @@ byte-identical to a recomputation:
   searches, the edge-removal study) and the ``allow_switch_source``
   flag.
 
-Entries are LRU-bounded.  Invalidation is wired into the places residual
-state and topology actually change: :class:`~repro.core.ledger.
-CapacityLedger` notifies the active cache when a reserve/release crosses
-the 2-qubit relay threshold, :class:`~repro.network.graph.QuantumNetwork`
-notifies on structural mutation, and
-:class:`~repro.resilience.faults.FaultInjector` notifies when structural
-faults fire or repair.  (Correctness never depends on these hooks — the
-exact key already guarantees it — they bound staleness so dead entries
-do not crowd live ones out of the LRU window.)
+Entries are LRU-bounded.  Invalidation is wired into the places the
+topology changes: :class:`~repro.network.graph.QuantumNetwork` notifies
+on structural mutation, and :class:`~repro.resilience.faults.
+FaultInjector` notifies when structural faults fire or repair.
+(Correctness never depends on these hooks — the exact key already
+guarantees it — they bound staleness so dead entries do not crowd live
+ones out of the LRU window.)  Residual capacity needs no hook: a
+reservation that flips a switch's relay polarity leaves the entries
+keyed under the old polarity valid, and they hit again once the switch
+flips back.
 
 Activation mirrors the metrics registry: hot paths consult the
 module-level *active cache* (one ``None`` check when disabled)::
@@ -86,8 +87,8 @@ __all__ = [
 ]
 
 #: Minimum free qubits a switch needs to relay a channel (Def. 3);
-#: mirrors ``repro.core.ledger.QUBITS_PER_CHANNEL`` (not imported to
-#: keep this module dependency-free for the lazy hooks that call it).
+#: mirrors ``repro.core.ledger.QUBITS_PER_CHANNEL`` (not imported:
+#: ``repro.core`` imports this module).
 _RELAY_QUBITS = 2
 
 #: A fully-resolved cache key: (routing fingerprint, source, blocked
@@ -108,7 +109,6 @@ CacheValue = Tuple[Dict[Hashable, float], Dict[Hashable, Hashable]]
 INVALIDATION_CAUSES = (
     "graph_fingerprint",
     "switch_region",
-    "capacity_crossing",
     "manual",
 )
 
@@ -392,35 +392,6 @@ class ChannelCache:
             ]
             dropped = self._drop(doomed, "switch_region")
         self._publish_invalidations(dropped, "switch_region")
-        return dropped
-
-    def invalidate_switch(
-        self,
-        switch: Hashable,
-        now_blocked: Optional[bool] = None,
-        cause: str = "capacity_crossing",
-    ) -> int:
-        """Drop entries stranded by a relay-capability flip at *switch*.
-
-        A :class:`~repro.core.ledger.CapacityLedger` reserve/release that
-        crosses the 2-qubit threshold makes entries keyed under the
-        *previous* polarity unreachable until the switch flips back.
-        With ``now_blocked`` given, only entries disagreeing with the
-        new state are dropped; without it, every entry whose blocked-set
-        polarity could involve *switch* is dropped (conservative).
-        Returns the number of entries dropped.
-        """
-        with self._lock:
-            if now_blocked is None:
-                doomed = [k for k in self._entries if switch in k[2]]
-            else:
-                doomed = [
-                    k
-                    for k in self._entries
-                    if (switch in k[2]) != now_blocked
-                ]
-            dropped = self._drop(doomed, cause)
-        self._publish_invalidations(dropped, cause)
         return dropped
 
     def invalidate_all(self, cause: str = "manual") -> int:

@@ -125,13 +125,15 @@ def route_groups(
         raise ValueError(f"unknown order {order!r}")
 
     generator = ensure_rng(rng)
-    account = CapacityLedger.adopt(ledger, network)
+    account = ledger
+    if account is None:
+        account = CapacityLedger.from_network(network)
     solutions: Dict[str, MUERPSolution] = {}
     with account.transaction():
         for group in scheduled:
-            # The solvers adopt the ledger directly and are themselves
-            # transactional: an infeasible group — or a mid-solve
-            # exception — publishes nothing into the shared account.
+            # The solvers spend from the ledger directly and are
+            # themselves transactional: an infeasible group — or a
+            # mid-solve exception — reserves nothing on the account.
             if method == "prim":
                 solution = solve_prim(
                     network, group.users, rng=generator, residual=account

@@ -7,11 +7,12 @@ a fiber is cut or a switch goes dark, keep every unaffected channel
 remaining capacity.
 
 :func:`repair_solution` implements that: it classifies channels into
-survivors and casualties (:func:`channel_broken`), returns the
-casualties' qubits to the residual pool, and reconnects the split user
-components greedily by best capacity-aware channel (:func:`reconnect`,
-the same discipline as Algorithm 3's Phase 2).  The result is either a
-valid repaired tree or an infeasible marker when the damage is fatal.
+survivors and casualties (:func:`channel_broken`), charges only the
+survivors to a fork of the caller's :class:`~repro.core.ledger.
+CapacityLedger`, and reconnects the split user components with
+Algorithm 3's Phase-2 loop (:func:`repro.core.conflict_free.reconnect`).
+The result is either a valid repaired tree or an infeasible marker when
+the damage is fatal.
 
 :func:`recover` is the one ladder every serving path shares: repair,
 then an optional replan, then degradation to the largest still-spanned
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Callable,
-    Dict,
     Hashable,
     Iterable,
     List,
@@ -38,9 +38,14 @@ from typing import (
     Tuple,
 )
 
-from repro.core.channel import best_channels_from
-from repro.core.optimal import channel_sort_key
-from repro.core.problem import Channel, MUERPSolution, infeasible_solution
+from repro.core.conflict_free import reconnect
+from repro.core.ledger import CapacityLedger
+from repro.core.problem import (
+    Channel,
+    MUERPSolution,
+    channel_usage,
+    infeasible_solution,
+)
 from repro.network.graph import QuantumNetwork
 from repro.network.link import fiber_key
 from repro.utils.unionfind import UnionFind
@@ -120,7 +125,7 @@ def repair_solution(
     solution: MUERPSolution,
     failed_fibers: Iterable[Tuple[Hashable, Hashable]] = (),
     failed_switches: Iterable[Hashable] = (),
-    residual: Optional[Dict[Hashable, int]] = None,
+    residual: Optional[CapacityLedger] = None,
     damaged: Optional[QuantumNetwork] = None,
 ) -> RepairReport:
     """Incrementally repair *solution* after the given failures.
@@ -130,12 +135,14 @@ def repair_solution(
         solution: A feasible routed tree.
         failed_fibers: Endpoint pairs of cut fibers.
         failed_switches: Ids of dark switches.
-        residual: Optional capacity budget (switch → free qubits) that
-            *includes* this solution's own reservations.  When given,
-            replacement channels are routed within it — the contract the
-            online scheduler relies on so repairs never overbook
-            switches shared with other in-flight requests.  Defaults to
-            the damaged network's full budget (single-tenant repair).
+        residual: Optional :class:`~repro.core.ledger.CapacityLedger`
+            whose free qubits *include* this solution's own
+            reservations.  When given, replacement channels are routed
+            within it — the contract the online scheduler relies on so
+            repairs never overbook switches shared with other in-flight
+            requests.  The repair spends from a fork, so *residual* is
+            left untouched.  Defaults to the damaged network's full
+            budget (single-tenant repair).
         damaged: Optional pre-built damaged view (exactly what
             :func:`apply_failures` over the same failure sets would
             return).  Callers that already maintain one — the online
@@ -180,19 +187,18 @@ def repair_solution(
         len(dead_switches),
     )
     users = sorted(solution.users, key=repr)
-    if residual is None:
-        residual = damaged.residual_qubits()
-    else:
-        residual = dict(residual)
-    for channel in kept:
-        for switch in channel.switches:
-            residual[switch] -= 2
+    ledger = (
+        residual.fork()
+        if residual is not None
+        else CapacityLedger.from_network(damaged)
+    )
+    hold_channels(ledger, kept)
 
     unions = UnionFind(users)
     for channel in kept:
         unions.union(*channel.endpoints)
 
-    new_channels = reconnect(damaged, users, unions, residual)
+    new_channels = reconnect(damaged, users, unions, ledger)
     if unions.n_components > 1:
         logger.info(
             "repair failed: %d user components cannot be reconnected",
@@ -234,39 +240,17 @@ def channel_broken(
     )
 
 
-def reconnect(
-    damaged: QuantumNetwork,
-    users: Sequence[Hashable],
-    unions: UnionFind,
-    residual: Dict[Hashable, int],
-) -> List[Channel]:
-    """Join *unions*' user components greedily, best channel first.
+def hold_channels(ledger: CapacityLedger, channels: Iterable[Channel]) -> None:
+    """Charge *channels*' qubits to *ledger*, flooring each switch at 0.
 
-    Updates *unions* and *residual* (two qubits per relay) in place and
-    returns the added channels; ``unions.n_components > 1`` afterwards
-    means some component could not be reached.  *users* fixes the
-    search order, and with it the tie-breaking.
+    The kept channels of a capacity-blind tree (``optimal``, ``alg2``)
+    can overbook a switch.  Such a switch can fund no relay either way,
+    so the floor keeps it blocked instead of raising.
     """
-    added: List[Channel] = []
-    while unions.n_components > 1:
-        best: Optional[Channel] = None
-        for index, source in enumerate(users):
-            targets = [
-                t for t in users[index + 1 :] if not unions.connected(source, t)
-            ]
-            if not targets:
-                continue
-            found = best_channels_from(damaged, source, targets, residual)
-            for candidate in found.values():
-                if best is None or channel_sort_key(candidate) < channel_sort_key(best):
-                    best = candidate
-        if best is None:
-            break
-        for switch in best.switches:
-            residual[switch] -= 2
-        unions.union(*best.endpoints)
-        added.append(best)
-    return added
+    usage = channel_usage(channels)
+    ledger.reserve(
+        {s: min(q, ledger.available(s)) for s, q in usage.items()}
+    )
 
 
 def _largest_served_component(
@@ -290,7 +274,7 @@ def recover(
     solution: MUERPSolution,
     failed_fibers: Iterable[Tuple[Hashable, Hashable]] = (),
     failed_switches: Iterable[Hashable] = (),
-    residual: Optional[Dict[Hashable, int]] = None,
+    residual: Optional[CapacityLedger] = None,
     replan: Optional[Callable[[], MUERPSolution]] = None,
     allow_degradation: bool = False,
     verifier: Optional["SolutionVerifier"] = None,

@@ -10,9 +10,10 @@ bump with a typed :class:`~repro.incremental.events.DeltaEvent` flow:
   QuantumNetwork._content_changed>` publishes the mutation it just
   performed;
 * :class:`~repro.resilience.faults.FaultInjector` publishes fire/repair
-  events;
-* :class:`~repro.core.ledger.CapacityLedger` publishes relay-threshold
-  crossings.
+  events.
+
+Capacity-crossing events come only from the churn streams of
+:func:`repro.sim.workload.generate_churn`; the ledger publishes nothing.
 
 Subscribers (the incremental router, tests) see the raw stream; the bus
 also performs the cache hygiene itself, scoped by policy:
@@ -250,8 +251,8 @@ class DeltaBus:
             callback(event)
         if event.structural:
             self._structural_hygiene(event, network, fingerprint)
-        # Capacity crossings need no hygiene here: the ledger already
-        # ran the polarity-exact ChannelCache.invalidate_switch hook.
+        # Capacity crossings need no hygiene: exact cache keys carry the
+        # blocked set, so entries under the old polarity stay valid.
         return True
 
     def _structural_hygiene(

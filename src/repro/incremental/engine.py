@@ -175,7 +175,7 @@ class IncrementalRouter:
         self.usage: Dict[Hashable, int] = {}
         with exec_cache.bypassed():
             self.solution = self._solve_full(
-                self._damaged_view(), self.ledger.as_dict(), event_index=-1
+                self._damaged_view(), self.ledger.fork(), event_index=-1
             )
             if self.solution.feasible:
                 self.usage = self.solution.switch_usage()
@@ -361,12 +361,13 @@ class IncrementalRouter:
     # ------------------------------------------------------------------
     # Repair ladder
     # ------------------------------------------------------------------
-    def _own_budget(self) -> Dict[Hashable, int]:
-        """Ledger view plus the tree's own reservations (repair contract)."""
-        avail = self.ledger.as_dict()
-        for switch, qubits in self.usage.items():
-            avail[switch] = avail.get(switch, 0) + qubits
-        return avail
+    def _own_budget(self) -> CapacityLedger:
+        """A fork of the ledger with the tree's own reservations freed
+        (the repair contract)."""
+        budget = self.ledger.fork()
+        if self.usage:
+            budget.release(self.usage)
+        return budget
 
     def _try_splice(self, broken) -> bool:
         damaged = self._damaged_view()
@@ -427,18 +428,16 @@ class IncrementalRouter:
     def _solve_full(
         self,
         damaged: QuantumNetwork,
-        residual: Dict[Hashable, int],
+        budget: CapacityLedger,
         event_index: int,
     ) -> MUERPSolution:
         rng = ensure_rng(
             self.seed + _RNG_STRIDE * (event_index + 2)
         )
         if self.method == "prim":
-            return solve_prim(
-                damaged, self.users, rng=rng, residual=dict(residual)
-            )
+            return solve_prim(damaged, self.users, rng=rng, residual=budget)
         return solve_conflict_free(
-            damaged, self.users, rng=rng, residual=dict(residual)
+            damaged, self.users, rng=rng, residual=budget
         )
 
     def _bump(self, name: str) -> None:

@@ -17,17 +17,17 @@ break count           classification / action
 ====================  ===========================================
 
 The splice search is *masked*: switches farther than ``radius`` fiber
-hops from the broken channel's path get zero residual qubits, so the
-search can only relay through the local neighborhood (global repairs
-belong to escalation).  Both the incremental router and the from-scratch
-reference run exactly this policy code — byte-equality between the two
-modes then exercises the caching/delta machinery, not policy luck.
+hops from the broken channel's path get zero free qubits in the ledger
+the search spends from, so it can only relay through the local
+neighborhood (global repairs belong to escalation).  Both the
+incremental router and the from-scratch reference run exactly this
+policy code — byte-equality between the two modes then exercises the
+caching/delta machinery, not policy luck.
 """
 
 from __future__ import annotations
 
 from typing import (
-    Dict,
     FrozenSet,
     Hashable,
     Iterable,
@@ -35,8 +35,10 @@ from typing import (
     Tuple,
 )
 
+from repro.core.conflict_free import reconnect
+from repro.core.ledger import CapacityLedger
 from repro.core.problem import Channel, MUERPSolution
-from repro.extensions.recovery import channel_broken, reconnect
+from repro.extensions.recovery import channel_broken, hold_channels
 from repro.incremental.delta import region_of
 from repro.network.link import fiber_key
 from repro.utils.unionfind import UnionFind
@@ -101,7 +103,7 @@ def splice_solution(
     damaged,
     solution: MUERPSolution,
     broken: Channel,
-    residual: Dict[Hashable, int],
+    residual: Optional[CapacityLedger] = None,
     radius: int = 2,
 ) -> Optional[MUERPSolution]:
     """Replace one broken channel by a neighborhood-bounded search.
@@ -111,10 +113,10 @@ def splice_solution(
         solution: The served tree, exactly one channel of which is
             *broken*.
         broken: The casualty channel.
-        residual: Free-qubit budget *including* this tree's own
-            reservations (the caller's ledger view plus its usage, the
-            same contract as :func:`repro.extensions.recovery.
-            repair_solution`).
+        residual: Ledger whose free qubits *include* this tree's own
+            reservations (the same contract as :func:`repro.extensions.
+            recovery.repair_solution`); it is left untouched.  Defaults
+            to the damaged network's full budget.
         radius: Fiber-hop radius of the search region around the broken
             channel's path.
 
@@ -126,16 +128,16 @@ def splice_solution(
     kept = [c for c in solution.channels if c != broken]
     if len(kept) != len(solution.channels) - 1:
         return None  # broken channel not in (or duplicated in) the tree
-    avail = dict(residual)
-    for channel in kept:
-        for switch in channel.switches:
-            avail[switch] = avail.get(switch, 0) - 2
-
+    if residual is None:
+        residual = CapacityLedger.from_network(damaged)
     region = splice_region(damaged, broken, radius)
-    masked = {
-        switch: (avail.get(switch, 0) if switch in region else 0)
-        for switch in damaged.switch_ids
-    }
+    masked = CapacityLedger(
+        {
+            switch: (residual.available(switch) if switch in region else 0)
+            for switch in damaged.switch_ids
+        }
+    )
+    hold_channels(masked, kept)
 
     users = sorted(solution.users, key=repr)
     unions = UnionFind(users)

@@ -636,9 +636,8 @@ class OnlineScheduler:
                     res.hit_by_fault = True
                     # Capacity-aware repair: the reservation's own
                     # qubits plus the global residual are available.
-                    avail = ledger.as_dict()
-                    for switch, qubits in res.usage.items():
-                        avail[switch] = avail.get(switch, 0) + qubits
+                    avail = ledger.fork()
+                    avail.release(res.usage)
                     step, fixed, rep = recover(
                         # Step 0 rebuilt the damaged view for this fault
                         # signature; every broken reservation reuses it.
@@ -1030,7 +1029,7 @@ class OnlineScheduler:
         net = self.network if network is None else network
         group = request.users if users is None else users
         how = self.method if method is None else method
-        budget = ledger.as_dict()
+        budget = ledger.fork()
         if how == "prim":
             solution = solve_prim(
                 net, group, rng=self.rng, residual=budget

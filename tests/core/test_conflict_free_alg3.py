@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.core.bruteforce import brute_force_optimal
 from repro.core.conflict_free import solve_conflict_free
+from repro.core.ledger import CapacityLedger
 from repro.core.optimal import solve_optimal
 from repro.core.tree import validate_solution
 from repro.network import NetworkBuilder
@@ -84,7 +85,7 @@ class TestBasics:
         assert solve_conflict_free(star_network).method == "conflict_free"
 
     def test_shared_residual_mutated(self, star_network):
-        residual = star_network.residual_qubits()
+        residual = CapacityLedger.from_network(star_network)
         solve_conflict_free(star_network, residual=residual)
         assert residual["hub"] == 0  # both slots consumed
 

@@ -1,8 +1,8 @@
 """Tests for the transactional capacity ledger.
 
 The contract under test: no code path — success, infeasibility, or a
-mid-solve crash — may leak reserved qubits into a caller's residual
-map unless the solve actually committed a feasible tree.
+mid-solve crash — may leak reserved qubits into a caller's ledger
+unless the solve actually committed a feasible tree.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class TestBasicAccounting:
         with pytest.raises(CapacityError) as excinfo:
             ledger.reserve({"a": 2, "b": 2})
         # b lacked headroom, so a must be untouched too.
-        assert ledger.snapshot() == {"a": 4, "b": 1}
+        assert ledger.as_dict() == {"a": 4, "b": 1}
         assert excinfo.value.switch == "b"
         assert excinfo.value.requested == 2
         assert excinfo.value.available == 1
@@ -101,7 +101,7 @@ class TestChannelConveniences:
         assert ledger.available("s0") == 2
         assert ledger.available("s1") == 2
         ledger.release_channel(channel)
-        assert ledger.snapshot() == {"s0": 4, "s1": 4}
+        assert ledger.as_dict() == {"s0": 4, "s1": 4}
 
     def test_try_reserve_channel(self, tight_star_network):
         ledger = CapacityLedger.from_network(tight_star_network)
@@ -121,7 +121,7 @@ class TestTransactions:
                 ledger.reserve({"a": 2})
                 ledger.reserve({"b": 4})
                 raise RuntimeError("boom")
-        assert ledger.snapshot() == {"a": 4, "b": 4}
+        assert ledger.as_dict() == {"a": 4, "b": 4}
 
     def test_commit_keeps_changes(self):
         ledger = CapacityLedger({"a": 4})
@@ -158,30 +158,40 @@ class TestTransactions:
                 raise RuntimeError("boom")
         assert ledger.available("a") == 0
 
+    def test_rollback_restores_peaks(self):
+        ledger = CapacityLedger({"a": 4, "b": 4})
+        ledger.reserve({"a": 2})
+        with obs_metrics.collecting():
+            ledger.reserve({"b": 2})
+        with pytest.raises(RuntimeError):
+            with ledger.transaction():
+                ledger.reserve({"a": 2, "b": 2})
+                with ledger.transaction():
+                    ledger.reserve({"x": 0})
+                    ledger.release({"b": 4})
+                raise RuntimeError("boom")
+        assert ledger.peak_usage() == {"a": 2, "b": 2}
+        with obs_metrics.collecting() as registry:
+            ledger.reserve({"a": 0})
+        assert registry.gauges()["core.ledger.peak_occupancy"] == 2
 
-class TestAdoptAndWriteBack:
-    def test_adopt_none_uses_network_budgets(self, star_network):
-        ledger = CapacityLedger.adopt(None, star_network)
-        assert ledger.available("hub") == 4
 
-    def test_adopt_ledger_is_identity(self, star_network):
-        original = CapacityLedger.from_network(star_network)
-        assert CapacityLedger.adopt(original, star_network) is original
+class TestFork:
+    def test_fork_copies_free_qubits_and_budgets(self):
+        ledger = CapacityLedger({"a": 4, "b": 2}, {"a": 6, "b": 2})
+        fork = ledger.fork()
+        assert fork.as_dict() == {"a": 4, "b": 2}
+        assert fork.used("a") == 2
+        assert fork.peak_usage() == {"a": 2, "b": 0}
 
-    def test_adopt_copies_mapping(self, star_network):
-        shared = {"hub": 2}
-        ledger = CapacityLedger.adopt(shared, star_network)
-        ledger.reserve({"hub": 2})
-        assert shared == {"hub": 2}  # untouched until write_back
-        ledger.write_back(shared)
-        assert shared == {"hub": 0}
-
-    def test_write_back_only_touches_dirty_keys(self, star_network):
-        shared = {"hub": 4, "unrelated": 99}
-        ledger = CapacityLedger.adopt(shared, star_network)
-        ledger.reserve({"hub": 2})
-        ledger.write_back(shared)
-        assert shared == {"hub": 2, "unrelated": 99}
+    def test_fork_spends_privately(self):
+        ledger = CapacityLedger({"a": 4})
+        ledger.reserve({"a": 2})
+        fork = ledger.fork()
+        fork.release({"a": 2})
+        fork.reserve({"a": 4})
+        assert ledger.as_dict() == {"a": 2}
+        assert fork.as_dict() == {"a": 0}
 
 
 class TestSolversNeverLeak:
@@ -215,8 +225,8 @@ class TestSolversNeverLeak:
             else "repro.core.prim_based"
         )
         monkeypatch.setattr(f"{module}.best_channels_from", exploding)
-        shared = network.residual_qubits()
-        before = dict(shared)
+        shared = CapacityLedger.from_network(network)
+        before = shared.as_dict()
         with pytest.raises(RuntimeError, match="mid-solve"):
             solver(
                 network,
@@ -224,7 +234,8 @@ class TestSolversNeverLeak:
                 rng=ensure_rng(1),
                 residual=shared,
             )
-        assert shared == before
+        assert shared.as_dict() == before
+        assert shared.peak_usage() == {s: 0 for s in before}
 
     @pytest.mark.parametrize("solver,fixture", CRASH_CASES)
     def test_crash_on_shared_ledger_rolls_back(
@@ -242,7 +253,7 @@ class TestSolversNeverLeak:
         )
         monkeypatch.setattr(f"{module}.best_channels_from", exploding)
         ledger = CapacityLedger.from_network(network)
-        before = ledger.snapshot()
+        before = ledger.as_dict()
         with pytest.raises(RuntimeError):
             solver(
                 network,
@@ -250,14 +261,14 @@ class TestSolversNeverLeak:
                 rng=ensure_rng(1),
                 residual=ledger,
             )
-        assert ledger.snapshot() == before
+        assert ledger.as_dict() == before
 
     @pytest.mark.parametrize("solver", [solve_conflict_free, solve_prim])
     def test_infeasible_solve_reserves_nothing(
         self, tight_star_network, solver
     ):
-        shared = tight_star_network.residual_qubits()
-        before = dict(shared)
+        shared = CapacityLedger.from_network(tight_star_network)
+        before = shared.as_dict()
         solution = solver(
             tight_star_network,
             tight_star_network.user_ids,
@@ -265,11 +276,11 @@ class TestSolversNeverLeak:
             residual=shared,
         )
         assert not solution.feasible
-        assert shared == before
+        assert shared.as_dict() == before
 
     @pytest.mark.parametrize("solver", [solve_conflict_free, solve_prim])
     def test_feasible_solve_publishes_exact_usage(self, star_network, solver):
-        shared = star_network.residual_qubits()
+        shared = CapacityLedger.from_network(star_network)
         solution = solver(
             star_network,
             star_network.user_ids,
@@ -286,8 +297,8 @@ class _ReferenceLedger:
     It builds every switch's high-water mark and the global peak at
     construction.  Only the parts the peak telemetry depends on are
     kept: construction, reserve/release, nested transactions, the
-    ``core.ledger.peak_occupancy`` gauge and the read-outs.  Cache
-    invalidation and capacity-crossing events do not touch peaks.
+    ``core.ledger.peak_occupancy`` gauge and the read-outs.  A
+    rollback restores the peaks along with the free qubits.
     """
 
     def __init__(self, available, budgets=None):
@@ -305,10 +316,9 @@ class _ReferenceLedger:
             for s, q in self._avail.items()
         }
         self._journals = []
-        self._dirty = set()
         self._peak_global = max(self._peak.values(), default=0)
 
-    def snapshot(self):
+    def as_dict(self):
         return dict(self._avail)
 
     def peak_usage(self):
@@ -317,9 +327,8 @@ class _ReferenceLedger:
     def _apply(self, switch, delta):
         new = self._avail.get(switch, 0) + delta
         self._avail[switch] = new
-        self._dirty.add(switch)
         if self._journals:
-            self._journals[-1].append((switch, delta))
+            self._journals[-1].append((switch, delta, dict(self._peak)))
         used = self._budgets.get(switch, 0) - new
         if used > self._peak.get(switch, 0):
             self._peak[switch] = used
@@ -359,21 +368,20 @@ class _ReferenceLedger:
     def transaction(self):
         journal = []
         self._journals.append(journal)
+        peak_global = self._peak_global
         try:
             yield self
         except BaseException:
-            for switch, delta in reversed(journal):
+            for switch, delta, peak in reversed(journal):
                 self._avail[switch] = self._avail.get(switch, 0) - delta
+                self._peak = peak
+            self._peak_global = peak_global
             journal.clear()
             raise
         finally:
             self._journals.pop()
             if self._journals:
                 self._journals[-1].extend(journal)
-
-    def write_back(self, target):
-        for switch in self._dirty:
-            target[switch] = self._avail[switch]
 
 
 #: Switches a ledger may start with, and two it never starts with.
@@ -400,9 +408,9 @@ _ops = st.recursive(
 @st.composite
 def _ledger_cases(draw):
     capacities = st.integers(0, 6)
-    kind = draw(st.sampled_from(["direct", "adopt_dict", "adopt_none"]))
+    kind = draw(st.sampled_from(["direct", "fork", "network"]))
     network = None
-    if kind == "direct":
+    if kind != "network":
         available = draw(
             st.dictionaries(st.sampled_from(_KNOWN), capacities, max_size=4)
         )
@@ -416,16 +424,7 @@ def _ledger_cases(draw):
         network = QuantumNetwork(NetworkParams())
         for switch in draw(st.permutations(_KNOWN)):
             network.add_switch(switch, qubits=draw(capacities))
-        available = (
-            draw(
-                st.dictionaries(
-                    st.sampled_from(_KNOWN), capacities, max_size=4
-                )
-            )
-            if kind == "adopt_dict"
-            else None
-        )
-        budgets = None
+        available = budgets = network.residual_qubits()
     ops = draw(st.lists(_ops, max_size=8))
     flags = st.lists(st.booleans(), min_size=len(ops), max_size=len(ops))
     return kind, network, available, budgets, list(
@@ -458,7 +457,7 @@ def _run_op(ledger, op):
 def _read_out(ledger):
     return (
         list(ledger.peak_usage().items()),
-        list(ledger.snapshot().items()),
+        list(ledger.as_dict().items()),
     )
 
 
@@ -466,15 +465,13 @@ def _read_out(ledger):
 @given(case=_ledger_cases())
 def test_lazy_peaks_match_eager_reference(case):
     kind, network, available, budgets, ops = case
-    if kind == "direct":
-        ledger = CapacityLedger(available, budgets)
-        reference = _ReferenceLedger(available, budgets)
+    if kind == "network":
+        ledger = CapacityLedger.from_network(network)
     else:
-        ledger = CapacityLedger.adopt(available, network)
-        full = network.residual_qubits()
-        reference = _ReferenceLedger(
-            full if available is None else available, full
-        )
+        ledger = CapacityLedger(available, budgets)
+        if kind == "fork":
+            ledger = ledger.fork()
+    reference = _ReferenceLedger(available, budgets)
     got, want = obs_metrics.MetricsRegistry(), obs_metrics.MetricsRegistry()
     for op, inspect, metered in ops:
         # Unmetered ops leave the global peak to be found later.
@@ -487,8 +484,3 @@ def test_lazy_peaks_match_eager_reference(case):
         if inspect:
             assert _read_out(ledger) == _read_out(reference)
     assert _read_out(ledger) == _read_out(reference)
-    shared = {"unrelated": 99, **(available or {})}
-    expected_shared = dict(shared)
-    ledger.write_back(shared)
-    reference.write_back(expected_shared)
-    assert list(shared.items()) == list(expected_shared.items())

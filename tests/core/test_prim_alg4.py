@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.ledger import CapacityLedger
 from repro.core.optimal import solve_optimal
 from repro.core.prim_based import solve_prim
 from repro.core.tree import validate_solution
@@ -65,14 +66,14 @@ class TestBasics:
         assert solve_prim(star_network, rng=0).method == "prim"
 
     def test_shared_residual_mutated(self, star_network):
-        residual = star_network.residual_qubits()
+        residual = CapacityLedger.from_network(star_network)
         solve_prim(star_network, rng=0, residual=residual)
         assert residual["hub"] == 0
 
     def test_qubit_deduction_two_per_switch_per_channel(self, line_network):
-        residual = line_network.residual_qubits()
+        residual = CapacityLedger.from_network(line_network)
         solve_prim(line_network, rng=0, residual=residual)
-        assert residual == {"s0": 2, "s1": 2}
+        assert residual.as_dict() == {"s0": 2, "s1": 2}
 
 
 class TestQuality:

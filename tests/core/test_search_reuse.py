@@ -49,7 +49,9 @@ def _reference_prim(network, users, start, residual) -> MUERPSolution:
     user_list = resolve_users(network, users)
     connected: List[Hashable] = [start]
     remaining: Set[Hashable] = set(user_list) - {start}
-    ledger = CapacityLedger.adopt(residual, network)
+    ledger = residual
+    if ledger is None:
+        ledger = CapacityLedger.from_network(network)
     selected: List[Channel] = []
 
     try:
@@ -73,8 +75,6 @@ def _reference_prim(network, users, start, residual) -> MUERPSolution:
     except _Infeasible:
         return infeasible_solution(user_list, "prim")
 
-    if residual is not None and not isinstance(residual, CapacityLedger):
-        ledger.write_back(residual)
     return MUERPSolution(
         channels=tuple(selected),
         users=frozenset(user_list),
@@ -149,7 +149,7 @@ def prim_cases(draw):
     network = draw(tied_networks())
     users = draw(st.permutations(network.user_ids))
     start = draw(st.sampled_from(users))
-    kind = draw(st.sampled_from(["none", "dict", "ledger"]))
+    kind = draw(st.sampled_from(["none", "ledger"]))
     available = {
         s: draw(st.integers(0, q)) for s, q in network.residual_qubits().items()
     }
@@ -159,17 +159,11 @@ def prim_cases(draw):
 def _residual(kind, available, network):
     if kind == "none":
         return None
-    if kind == "dict":
-        return dict(available)
     return CapacityLedger(available, network.residual_qubits())
 
 
 def _account(residual):
-    if residual is None:
-        return None
-    if isinstance(residual, CapacityLedger):
-        return residual.snapshot()
-    return dict(residual)
+    return None if residual is None else residual.as_dict()
 
 
 def _outcome(solution: MUERPSolution):

@@ -115,29 +115,6 @@ class TestInvalidation:
         assert len(cache) == 1
         assert cache.get(("fp2", "s")) is not None
 
-    def test_invalidate_switch_polarity(self):
-        cache = ChannelCache()
-        # Entry computed while s0 was unblocked.
-        cache.put(("fp", "u", frozenset(), frozenset(), False), ({}, {}))
-        # Entry computed while s0 was blocked.
-        cache.put(
-            ("fp", "u", frozenset({"s0"}), frozenset(), False), ({}, {})
-        )
-        # s0 just became blocked: the unblocked-polarity entry is stale.
-        assert cache.invalidate_switch("s0", now_blocked=True) == 1
-        assert len(cache) == 1
-        # Remaining entry agrees with the new polarity.
-        assert (
-            cache.get(("fp", "u", frozenset({"s0"}), frozenset(), False))
-            is not None
-        )
-
-    def test_invalidate_switch_conservative_without_polarity(self):
-        cache = ChannelCache()
-        cache.put(("fp", "u", frozenset({"s0"}), frozenset(), False), ({}, {}))
-        cache.put(("fp", "u", frozenset({"s1"}), frozenset(), False), ({}, {}))
-        assert cache.invalidate_switch("s0") == 1
-
     def test_invalidate_all(self):
         cache = ChannelCache()
         cache.put(("a",), ({}, {}))
@@ -148,26 +125,24 @@ class TestInvalidation:
 
 
 class TestInvalidationHooks:
-    def test_ledger_threshold_crossing_invalidates(self):
+    def test_ledger_threshold_crossing_keeps_entries(self):
         net = _network()
         u = net.user_ids[0]
         with exec_cache.caching() as cache:
             ledger = CapacityLedger.from_network(net)
-            dijkstra(net, u, ledger.as_dict())
-            assert len(cache) == 1
+            dijkstra(net, u, ledger)
             switch = net.switch_ids[0]
-            # 4 -> 2 free qubits: relay predicate unchanged, no drop.
-            ledger.reserve({switch: 2})
-            assert cache.stats().invalidations == 0
-            # 2 -> 0 free qubits: the switch flips to blocked; the
-            # entry keyed under the unblocked polarity is stale.
-            ledger.reserve({switch: 2})
-            assert cache.stats().invalidations == 1
-            assert len(cache) == 0
-            # Releasing back across the threshold flips polarity again.
-            dijkstra(net, u, ledger.as_dict())
-            ledger.release({switch: 2})
-            assert cache.stats().invalidations == 2
+            # 4 -> 0 free qubits flips the switch to blocked: a search
+            # now misses, but the entry under the old polarity stays.
+            ledger.reserve({switch: 4})
+            dijkstra(net, u, ledger)
+            assert len(cache) == 2
+            # Flipping back hits the first entry again.
+            ledger.release({switch: 4})
+            dijkstra(net, u, ledger)
+            stats = cache.stats()
+            assert (stats.hits, stats.misses) == (1, 2)
+            assert stats.invalidations == 0
 
     def test_graph_mutation_invalidates(self):
         net = _network()

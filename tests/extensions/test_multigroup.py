@@ -326,3 +326,19 @@ class TestSharedLedger:
         } == {
             name: sol.rate for name, sol in with_supplied.solutions.items()
         }
+
+    def test_infeasible_group_leaves_no_phantom_peak(self, tight_star_network):
+        from repro.core.ledger import CapacityLedger
+
+        ledger = CapacityLedger.from_network(tight_star_network)
+        result = route_groups(
+            tight_star_network,
+            [GroupRequest("all", tuple(tight_star_network.user_ids))],
+            rng=0,
+            ledger=ledger,
+        )
+        assert not result.solutions["all"].feasible
+        assert ledger.as_dict() == {"hub": 2}
+        # The rolled-back attempt held the hub's qubits only inside the
+        # solver's transaction; the high-water mark must not keep them.
+        assert ledger.peak_usage() == {"hub": 0}

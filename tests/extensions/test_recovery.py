@@ -7,6 +7,7 @@ import math
 import pytest
 
 from repro.core.conflict_free import solve_conflict_free
+from repro.core.ledger import CapacityLedger
 from repro.core.optimal import solve_optimal
 from repro.core.prim_based import solve_prim
 from repro.core.tree import validate_solution
@@ -114,6 +115,41 @@ class TestRepair:
             damaged = apply_failures(net, failed_fibers=[(u, v)])
             result = validate_solution(damaged, report.solution)
             assert result.ok, str(result)
+
+    def test_overbooked_kept_channels_block_without_raising(self, params_q09):
+        """Kept channels of a capacity-blind tree may overbook a switch.
+
+        ``optimal`` routes two channels through the 2-qubit hub.  Repair
+        charges the kept channels flooring the hub at 0 free qubits: it
+        must not raise, and the hub stays blocked, so d reconnects over
+        the longer s2 corridor rather than the shorter one via the hub.
+        """
+        builder = NetworkBuilder(params_q09)
+        builder.user("a", (0, 0)).user("b", (1000, 0))
+        builder.user("c", (500, 800)).user("d", (500, -2000))
+        builder.switch("hub", (500, 300), qubits=2)
+        builder.switch("s1", (500, 500), qubits=2)
+        builder.switch("s2", (0, -1000), qubits=2)
+        builder.fiber("a", "hub", 500).fiber("b", "hub", 500)
+        builder.fiber("c", "hub", 500)
+        builder.fiber("c", "s1", 300).fiber("s1", "d", 300)
+        builder.fiber("a", "s2", 2000).fiber("s2", "d", 2000)
+        builder.fiber("d", "hub", 3000)
+        net = builder.build()
+        solution = solve_optimal(net)
+        assert solution.switch_usage()["hub"] == 4  # overbooked
+        ledger = CapacityLedger.from_network(net)
+        report = repair_solution(
+            net, solution, failed_fibers=[("s1", "d")], residual=ledger
+        )
+        assert report.repaired
+        assert [c.path for c in report.solution.channels] == [
+            ("a", "hub", "b"),
+            ("a", "hub", "c"),
+            ("a", "s2", "d"),
+        ]
+        assert [c.path for c in report.broken_channels] == [("c", "s1", "d")]
+        assert ledger.as_dict() == net.residual_qubits()  # spent a fork
 
     def test_infeasible_input_rejected(self, star_network):
         from repro.core.problem import infeasible_solution

@@ -41,7 +41,6 @@ class TestCauseAccounting:
         assert INVALIDATION_CAUSES == (
             "graph_fingerprint",
             "switch_region",
-            "capacity_crossing",
             "manual",
         )
 
@@ -68,13 +67,6 @@ class TestCauseAccounting:
         cache.put(_key(fingerprint="new", source="inside"), ({}, {}))
         assert cache.invalidate_region({"inside"}, fingerprint="old") == 1
         assert cache.get(_key(fingerprint="new", source="inside")) is not None
-
-    def test_capacity_crossing_cause(self):
-        cache = ChannelCache()
-        cache.put(_key(source="u0", blocked=("s0",)), ({}, {}))
-        dropped = cache.invalidate_switch("s0", now_blocked=False)
-        assert dropped == 1
-        assert cache.stats().cause("capacity_crossing") == 1
 
     def test_manual_cause(self):
         cache = ChannelCache()

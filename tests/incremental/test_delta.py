@@ -154,8 +154,8 @@ class TestDeltaBus:
                 network=net,
                 fingerprint=fingerprint,
             )
-        # The ledger's invalidate_switch hook handles crossings; the bus
-        # records the event without touching the cache.
+        # Exact keys carry the blocked set, so a crossing strands no
+        # entry; the bus records the event without touching the cache.
         assert cache.get(key) is not None
         assert tuple(bus.delta)[-1].kind.value == "capacity-crossing"
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.ledger import CapacityLedger
 from repro.core.prim_based import solve_prim
 from repro.extensions.recovery import apply_failures
 from repro.incremental.tree import (
@@ -102,7 +103,7 @@ class TestSplice:
         damaged = apply_failures(net, [("alice", "s0")])
         broken = solution.channels[0]
         spliced = splice_solution(
-            damaged, solution, broken, damaged.residual_qubits()
+            damaged, solution, broken, CapacityLedger.from_network(damaged)
         )
         assert spliced is not None
         assert spliced.feasible
@@ -120,7 +121,7 @@ class TestSplice:
             damaged,
             solution,
             solution.channels[0],
-            damaged.residual_qubits(),
+            CapacityLedger.from_network(damaged),
         )
         damaged2 = apply_failures(net, [("alice", "s0"), ("alice", "s1")])
         assert once.method.count("+splice") == 1
@@ -135,7 +136,7 @@ class TestSplice:
             damaged,
             solution,
             solution.channels[0],
-            damaged.residual_qubits(),
+            CapacityLedger.from_network(damaged),
             radius=0,
         )
         assert spliced is None
@@ -154,7 +155,7 @@ class TestSplice:
         foreign = solve_prim(other).channels[0]
         assert (
             splice_solution(
-                damaged, solution, foreign, damaged.residual_qubits()
+                damaged, solution, foreign, CapacityLedger.from_network(damaged)
             )
             is None
         )
@@ -165,8 +166,8 @@ class TestSplice:
         net = diamond()
         solution = solve_prim(net)
         damaged = apply_failures(net, [("alice", "s0")])
-        residual = damaged.residual_qubits()
-        residual["s1"] = 0
+        residual = CapacityLedger.from_network(damaged)
+        residual.reserve({"s1": residual.available("s1")})
         spliced = splice_solution(
             damaged, solution, solution.channels[0], residual
         )
@@ -185,7 +186,7 @@ class TestSplice:
             pytest.skip("fault hit both channels on this topology")
         damaged = apply_failures(net, dead)
         spliced = splice_solution(
-            damaged, solution, broken[0], damaged.residual_qubits()
+            damaged, solution, broken[0], CapacityLedger.from_network(damaged)
         )
         if spliced is not None:
             assert len(spliced.channels) == len(solution.channels)

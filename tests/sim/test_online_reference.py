@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import repro.obs.metrics as obs_metrics
 from repro.core.conflict_free import solve_conflict_free
+from repro.core.ledger import CapacityLedger
 from repro.core.prim_based import solve_prim
 from repro.sim.online import (
     EntanglementRequest,
@@ -37,7 +38,7 @@ from repro.topology import (
 
 def _reference_route(self, request, residual):
     """The scheduler's routing call on a plain residual dict."""
-    budget = dict(residual)
+    budget = CapacityLedger(residual)
     if self.method == "prim":
         solution = solve_prim(
             self.network, request.users, rng=self.rng, residual=budget

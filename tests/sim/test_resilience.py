@@ -16,6 +16,7 @@ import pytest
 
 import repro.obs.metrics as obs_metrics
 from repro.controller import EntanglementController
+from repro.core.ledger import CapacityLedger
 from repro.core.prim_based import solve_prim
 from repro.extensions import recovery
 from repro.extensions.recovery import _largest_served_component
@@ -279,7 +280,7 @@ class TestSchedulerResilience:
             star_network,
             users,
             rng=ensure_rng(1),
-            residual=star_network.residual_qubits(),
+            residual=CapacityLedger.from_network(star_network),
         )
         counts = {u: 0 for u in users}
         for channel in preview.channels:
@@ -321,7 +322,7 @@ class TestSchedulerResilience:
             star_network,
             users,
             rng=ensure_rng(1),
-            residual=star_network.residual_qubits(),
+            residual=CapacityLedger.from_network(star_network),
         )
         counts = {u: 0 for u in users}
         for channel in preview.channels:
@@ -362,7 +363,7 @@ class TestSchedulerResilience:
             network,
             ("alice", "bob"),
             rng=ensure_rng(1),
-            residual=network.residual_qubits(),
+            residual=CapacityLedger.from_network(network),
         )
         (channel,) = preview.channels
         used_switch = channel.switches[0]
@@ -419,7 +420,7 @@ class TestSchedulerResilience:
             network,
             ("alice", "bob"),
             rng=ensure_rng(1),
-            residual=network.residual_qubits(),
+            residual=CapacityLedger.from_network(network),
         )
         used_switch = preview.channels[0].switches[0]
         requests = [
@@ -463,7 +464,7 @@ class TestSchedulerResilience:
             network,
             ("alice", "bob"),
             rng=ensure_rng(1),
-            residual=network.residual_qubits(),
+            residual=CapacityLedger.from_network(network),
         )
         used_switch = preview.channels[0].switches[0]
         scheduler = OnlineScheduler(

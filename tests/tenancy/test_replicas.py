@@ -63,7 +63,7 @@ def single_path():
 
 def _route_via(network, ledger):
     def route(view):
-        solution = solve_prim(view, rng=0, residual=ledger.as_dict())
+        solution = solve_prim(view, rng=0, residual=ledger.fork())
         return solution if solution.feasible else None
 
     return route

@@ -81,7 +81,7 @@ _CASES = {
             "--verify-determinism",
         ],
         EXIT_OK,
-        "747c857e1f23d650257ded9d52f56dc7941148e942c55968cc7731cb6c97b784",
+        "e517a89eed4ca47c298049a9c3f92ee0993fe312029e82c33549e0c37c1a0a35",
     ),
     "resilience": (
         [
