@@ -44,11 +44,20 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
-from repro.core.channel import relay_mask, relay_search, trace_path
+from repro.core.channel import blocked_mask, relay_search, trace_path
 from repro.core.problem import Channel, resolve_users
 from repro.core.rates import swap_log_rate
 from repro.network.graph import QuantumNetwork
@@ -258,7 +267,7 @@ def _pricing_search(
     source: Hashable,
     penalties: Dict[Hashable, float],
     budgets: Optional[Dict[Hashable, int]],
-) -> Tuple[Dict[Hashable, float], Dict[Hashable, Hashable]]:
+) -> Tuple[Mapping[Hashable, float], Mapping[Hashable, Hashable]]:
     """Exact pricing: min-cost user→user paths under dual penalties.
 
     Runs the channel-search kernel :func:`repro.core.channel.relay_search`
@@ -272,11 +281,11 @@ def _pricing_search(
     minus_ln_q = -swap_log_rate(network.params.swap_prob)
     transit = [minus_ln_q + penalties.get(node, 0.0) for node in graph.ids]
     if budgets is None:
-        relay = bytearray(graph.is_switch)
+        blocked = bytearray(len(graph.ids))
     else:
-        relay = relay_mask(graph, budgets)
+        blocked = blocked_mask(graph, budgets)
     dist, prev, _, _, _ = relay_search(
-        graph, graph.index[source], network.params.alpha, transit, relay
+        graph, graph.index[source], network.params.alpha, transit, blocked
     )
     return dist, prev
 

@@ -14,9 +14,11 @@ Implementation notes (equivalent reformulation):
 * Only switches with at least 2 residual qubits may relay (Algorithm 1,
   line 11: ``Q_{u_h} ≥ 2``), and quantum users other than the endpoints
   can never relay (a channel is "a path through vertices in R", Def. 2).
-  The search only reads its ``residual`` map, so it takes a
-  :class:`~repro.core.ledger.CapacityLedger` (what the solvers pass) or
-  a plain switch → qubits mapping (a read-only mask).
+  The search reads its ``residual`` only through that predicate: a
+  :class:`~repro.core.ledger.CapacityLedger` (what the solvers pass)
+  hands over the blocked-switch mask it keeps current as it reserves
+  and releases, and a plain switch → qubits mapping or ``None`` (the
+  full budgets) is turned into one by :func:`blocked_mask`.
 * ``best_channels_from`` runs the search once per *source* and recovers
   all destinations through the ``Prev`` array — the complexity
   optimization described after Theorem 3, giving
@@ -27,7 +29,9 @@ network's :meth:`~repro.network.graph.QuantumNetwork.routing_snapshot`
 (int node indices, per-node ``(neighbor, fiber_key, length)`` rows)
 with an inlined binary heap.  :func:`dijkstra` and the LP pricing
 search in :mod:`repro.bounds.lp` share it; they differ only in the
-per-node transit costs and relay mask they pass.
+per-node transit costs and blocked-switch mask they pass.  It returns
+``dist`` / ``prev`` as read-only mappings over its own index arrays,
+so no search builds a per-node dict.
 
 Tie-order contract.  Equal-weight channels are resolved by scan and
 pop order, and every solver, cache entry and determinism digest
@@ -44,8 +48,10 @@ plain dict / :class:`~repro.utils.heap.IndexedMinHeap` search that
 * candidate weights are computed as ``(dist + transit) + α·L`` in that
   float order, since re-associating changes the last bit and with it
   which path wins a tie;
-* the returned ``dist`` / ``prev`` dicts are filled in first-relaxation
-  order, so callers and cache entries see the same insertion order;
+* the returned ``dist`` / ``prev`` views iterate in the reference
+  dicts' insertion order (the source first in ``dist``, then
+  first-relaxation order), so callers and cache entries, which copy
+  them into dicts, see the same order;
 * a search given targets stops once the last of them is popped.  A
   popped node's ``dist`` and ``prev`` never change again, and the pops
   before the stop are the full search's pops, so every target's
@@ -63,6 +69,7 @@ from typing import (
     Dict,
     Hashable,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -71,6 +78,7 @@ from typing import (
     Tuple,
 )
 
+from repro.core.ledger import QUBITS_PER_CHANNEL, CapacityLedger
 from repro.core.problem import Channel
 from repro.core.rates import swap_log_rate
 from repro.exec import cache as exec_cache
@@ -97,15 +105,85 @@ def _residual_qubits(
     return residual
 
 
-def relay_mask(
+def blocked_mask(
     graph: RoutingSnapshot, qubits: Mapping[Hashable, int]
 ) -> bytearray:
-    """Per-node relay flags: switches holding ≥ 2 of *qubits* (line 11)."""
-    relay = bytearray(len(graph.ids))
+    """Per-node flags of switches that may not relay (line 11).
+
+    ``1`` marks a switch holding fewer than 2 of *qubits*; users are
+    always ``0``.  A :class:`~repro.core.ledger.CapacityLedger` keeps
+    this mask itself, so only read-only mappings are turned into one.
+    """
+    blocked = bytearray(len(graph.ids))
     for i, switch_id in graph.switches:
-        if qubits.get(switch_id, 0) >= 2:
-            relay[i] = 1
-    return relay
+        if qubits.get(switch_id, 0) < QUBITS_PER_CHANNEL:
+            blocked[i] = 1
+    return blocked
+
+
+class _SearchView(Mapping):
+    """Read-only node-id mapping over one search's index arrays.
+
+    Iterates *order* (node indices); a node is present once it has been
+    relaxed (``prev[i] >= 0``), and so is *root* (the source in
+    ``dist``, ``-1`` in ``prev``).  Compares equal to the dict a
+    reference search would have built.
+    """
+
+    __slots__ = ("_ids", "_index", "_prev", "_order", "_root")
+
+    def __init__(self, ids, index, prev, order, root) -> None:
+        self._ids = ids
+        self._index = index
+        self._prev = prev
+        self._order = order
+        self._root = root
+
+    def _at(self, key: Hashable) -> int:
+        i = self._index.get(key, -1)
+        if i < 0 or (self._prev[i] < 0 and i != self._root):
+            return -1
+        return i
+
+    def __contains__(self, key: object) -> bool:
+        return self._at(key) >= 0
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def __iter__(self) -> Iterator[Hashable]:
+        return map(self._ids.__getitem__, self._order)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self)!r})"
+
+
+class _DistView(_SearchView):
+    """``dist``: node id → accumulated search weight."""
+
+    __slots__ = ("_dist",)
+
+    def __init__(self, ids, index, prev, order, root, dist) -> None:
+        super().__init__(ids, index, prev, order, root)
+        self._dist = dist
+
+    def __getitem__(self, key: Hashable) -> float:
+        i = self._at(key)
+        if i < 0:
+            raise KeyError(key)
+        return self._dist[i]
+
+
+class _PrevView(_SearchView):
+    """``prev``: node id → predecessor id on its best partial channel."""
+
+    __slots__ = ()
+
+    def __getitem__(self, key: Hashable) -> Hashable:
+        i = self._at(key)
+        if i < 0:
+            raise KeyError(key)
+        return self._ids[self._prev[i]]
 
 
 def relay_search(
@@ -113,28 +191,30 @@ def relay_search(
     source: int,
     alpha: float,
     transit: Sequence[float],
-    relay: Sequence[int],
+    blocked: bytearray,
     forbidden: Optional[Set[Tuple[Hashable, Hashable]]] = None,
     targets: Optional[Set[int]] = None,
-) -> Tuple[Dict[Hashable, float], Dict[Hashable, Hashable], int, int, int]:
+) -> Tuple[
+    Mapping[Hashable, float], Mapping[Hashable, Hashable], int, int, int
+]:
     """Min-weight search from node index *source* over *graph*.
 
     Leaving node ``i`` other than the source costs ``transit[i]``
-    (``+inf`` forbids it); every fiber costs ``α·L``.  Only nodes with a
-    truthy ``relay[i]`` are expanded beyond the source, and a switch
-    that may not relay may not be entered either.  Users are always
-    enterable (as terminals); callers leave their ``relay`` flag 0 so
-    they never relay.  Fibers whose key is in *forbidden* are skipped.
+    (``+inf`` forbids it); every fiber costs ``α·L``.  Switches flagged
+    in *blocked* (see :func:`blocked_mask`) may be neither entered nor
+    expanded; other switches relay.  Users are always enterable, as
+    terminals: a user expands only as the source.  Fibers whose key is in
+    *forbidden* are skipped.  *blocked* is read, not written.
 
     With *targets* (node indices) the search returns as soon as the
     last of them has been popped; the targets' entries and their
     ``prev`` chains are then exactly the full search's, while other
     nodes may be missing or hold unsettled weights.
 
-    Returns ``(dist, prev, heap_pops, edges_scanned, relaxations)``
-    with node ids as keys, in the tie order the module docstring
-    pins down.  Every popped node is settled, so ``heap_pops`` is also
-    the settled-node count.
+    Returns ``(dist, prev, heap_pops, edges_scanned, relaxations)``,
+    where ``dist`` / ``prev`` are read-only mappings keyed by node id,
+    in the tie order the module docstring pins down.  Every popped node
+    is settled, so ``heap_pops`` is also the settled-node count.
     """
     ids = graph.ids
     rows = graph.rows
@@ -142,10 +222,12 @@ def relay_search(
     n = len(ids)
     inf = math.inf
     dist = [inf] * n
+    dist[source] = 0.0
     prev = [-1] * n
-    settled = bytearray(n)
+    # Settled nodes and blocked switches: one byte test per fiber.
+    closed = bytearray(blocked)
     pos = [-1] * n  # heap slot per node, -1 when not queued
-    first_relaxed: List[int] = []
+    order = [source]  # the source, then first-relaxation order
     keys = [0.0]
     items = [source]
     pos[source] = 0
@@ -184,15 +266,15 @@ def relay_search(
             items[i] = last
             pos[last] = i
         heap_pops += 1
-        settled[node] = 1
+        closed[node] = 1
         if pending and node in targets:
             pending -= 1
             if not pending:
                 break
         if node == source:
             cost = 0.0
-        elif not relay[node]:
-            continue
+        elif not is_switch[node]:
+            continue  # users are terminals
         else:
             cost = transit[node]
             if cost == inf:
@@ -201,16 +283,14 @@ def relay_search(
         edges_scanned += len(row)
         base = node_dist + cost
         for neighbor, key, length in row:
-            if settled[neighbor]:
+            if closed[neighbor]:
                 continue
             if forbidden is not None and key in forbidden:
-                continue
-            if is_switch[neighbor] and not relay[neighbor]:
                 continue
             candidate = base + alpha * length
             if candidate < dist[neighbor]:
                 if prev[neighbor] < 0:
-                    first_relaxed.append(neighbor)
+                    order.append(neighbor)
                 dist[neighbor] = candidate
                 prev[neighbor] = node
                 relaxations += 1
@@ -235,13 +315,14 @@ def relay_search(
                 items[i] = neighbor
                 pos[neighbor] = i
 
-    dist_out: Dict[Hashable, float] = {ids[source]: 0.0}
-    prev_out: Dict[Hashable, Hashable] = {}
-    for i in first_relaxed:
-        node_id = ids[i]
-        dist_out[node_id] = dist[i]
-        prev_out[node_id] = ids[prev[i]]
-    return dist_out, prev_out, heap_pops, edges_scanned, relaxations
+    index = graph.index
+    return (
+        _DistView(ids, index, prev, order, source, dist),
+        _PrevView(ids, index, prev, order[1:], -1),
+        heap_pops,
+        edges_scanned,
+        relaxations,
+    )
 
 
 def dijkstra(
@@ -251,7 +332,7 @@ def dijkstra(
     forbidden_fibers: Optional[Set[Tuple[Hashable, Hashable]]] = None,
     allow_switch_source: bool = False,
     targets: Optional[Iterable[Hashable]] = None,
-) -> Tuple[Dict[Hashable, float], Dict[Hashable, Hashable]]:
+) -> Tuple[Mapping[Hashable, float], Mapping[Hashable, Hashable]]:
     """Single-source max-rate search (Algorithm 1's main loop).
 
     This is the public channel-search primitive (the building block
@@ -261,9 +342,11 @@ def dijkstra(
 
     Returns ``(dist, prev)`` where ``dist[x]`` is the accumulated weight
     ``α·ΣL − (#swaps)·ln q`` of the best partial channel from *source* to
-    ``x`` and ``prev`` traces the path.  Quantum users are reachable as
-    terminals but never expanded; switches are expanded only while they
-    hold at least 2 residual qubits.
+    ``x`` and ``prev`` traces the path.  Both are read-only mappings
+    over the search's arrays (``dict(dist)`` copies one); a cache hit
+    returns plain dicts with the same items in the same order.  Quantum
+    users are reachable as terminals but never expanded; switches are
+    expanded only while they hold at least 2 residual qubits.
 
     ``allow_switch_source`` lets spur-search callers start from a
     switch; the source's own swap cost is then the caller's
@@ -309,7 +392,10 @@ def dijkstra(
     start = graph.index.get(source)
     if start is None:
         raise UnknownNodeError(source)
-    relay = relay_mask(graph, qubits)
+    if isinstance(qubits, CapacityLedger):
+        blocked = qubits.blocked(graph)
+    else:
+        blocked = blocked_mask(graph, qubits)
     minus_ln_q = -swap_log_rate(network.params.swap_prob)  # in [0, +inf]
     stop_at = None
     if targets is not None and cache is None:
@@ -319,7 +405,7 @@ def dijkstra(
         start,
         network.params.alpha,
         [minus_ln_q] * len(graph.ids),
-        relay,
+        blocked,
         forbidden_fibers or None,
         stop_at,
     )
@@ -336,7 +422,7 @@ def dijkstra(
 
 
 def trace_path(
-    prev: Dict[Hashable, Hashable], source: Hashable, target: Hashable
+    prev: Mapping[Hashable, Hashable], source: Hashable, target: Hashable
 ) -> Tuple[Hashable, ...]:
     """Recover the source→target path from :func:`dijkstra`'s ``prev``.
 

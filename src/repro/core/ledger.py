@@ -22,6 +22,15 @@ once its usage rises above its starting usage, :meth:`peak_usage`
 fills in the starting usage of the others when read, and the global
 mark behind the ``core.ledger.peak_occupancy`` gauge is computed the
 first time a reservation publishes it.
+
+The ledger also keeps the channel search's blocked-switch mask (1 where
+a switch holds fewer than 2 free qubits, Algorithm 1's line 11),
+aligned to a :class:`~repro.network.graph.RoutingSnapshot`'s node
+indices.  :meth:`_apply` and :meth:`_rollback`, the only writers of
+the availability map, flip one byte when a switch crosses 2 qubits, so
+no search rebuilds the mask; :meth:`blocked` rebuilds it only when it
+is asked for a snapshot with a different ``index`` (a node was added,
+or the search runs on a damaged view).
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ from repro.core.problem import Channel, channel_usage
 from repro.utils.heap import IndexedMinHeap
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.network.graph import QuantumNetwork
+    from repro.network.graph import QuantumNetwork, RoutingSnapshot
 
 #: Qubits one transit channel pins at a switch (Def. 3 of the paper).
 QUBITS_PER_CHANNEL = 2
@@ -109,23 +118,51 @@ class CapacityLedger:
         #: Largest single-switch usage seen (peak-occupancy telemetry);
         #: ``None`` until a reservation first publishes it.
         self._peak_global: Optional[int] = None
+        #: The snapshot the blocked-switch mask is aligned to, and the
+        #: mask; both ``None`` until :meth:`blocked` first builds it.
+        self._mask_graph: Optional["RoutingSnapshot"] = None
+        self._blocked: Optional[bytearray] = None
 
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
     @classmethod
     def from_network(cls, network: "QuantumNetwork") -> "CapacityLedger":
-        """A ledger over *network*'s full idle budgets."""
+        """A ledger over *network*'s full idle budgets, with its
+        blocked-switch mask built over the network's routing snapshot."""
         budgets = network.residual_qubits()
-        return cls(budgets, budgets)
+        ledger = cls(budgets, budgets)
+        ledger.blocked(network.routing_snapshot())
+        return ledger
 
     def fork(self) -> "CapacityLedger":
         """A private ledger with the same free qubits and budgets.
 
         Spending from the fork leaves this ledger untouched; its peaks
-        start from the current usage.
+        start from the current usage, and it copies the blocked-switch
+        mask rather than rebuilding it.
         """
-        return CapacityLedger(self._avail, self._budgets)
+        fork = CapacityLedger(self._avail, self._budgets)
+        if self._blocked is not None:
+            fork._mask_graph = self._mask_graph
+            fork._blocked = bytearray(self._blocked)
+        return fork
+
+    def blocked(self, graph: "RoutingSnapshot") -> bytearray:
+        """Blocked-switch mask over *graph*'s node indices.
+
+        ``1`` marks a switch with fewer than 2 free qubits, exactly as
+        :func:`repro.core.channel.blocked_mask` computes it from
+        :meth:`as_dict`.  The mask is the ledger's own and stays current
+        as the ledger changes; callers must not write to it.
+        """
+        held = self._mask_graph
+        if held is None or held.index is not graph.index:
+            from repro.core.channel import blocked_mask
+
+            self._blocked = blocked_mask(graph, self._avail)
+            self._mask_graph = graph
+        return self._blocked
 
     # ------------------------------------------------------------------
     # Read side (Mapping-compatible subset)
@@ -213,8 +250,11 @@ class CapacityLedger:
     # ------------------------------------------------------------------
     def _apply(self, switch: Hashable, delta: int) -> None:
         """Apply a signed availability delta, journalled for rollback."""
-        new = self._avail.get(switch, 0) + delta
+        old = self._avail.get(switch, 0)
+        new = old + delta
         self._avail[switch] = new
+        if (old < QUBITS_PER_CHANNEL) != (new < QUBITS_PER_CHANNEL):
+            self._flip(switch, new)
         peak = self._peak.get(switch)
         if self._journals:
             self._journals[-1].append((switch, delta, peak))
@@ -223,6 +263,15 @@ class CapacityLedger:
             self._peak[switch] = used
             if self._peak_global is not None and used > self._peak_global:
                 self._peak_global = used
+
+    def _flip(self, switch: Hashable, new: int) -> None:
+        """Update *switch*'s mask byte after it crossed 2 free qubits."""
+        blocked = self._blocked
+        if blocked is not None:
+            graph = self._mask_graph
+            i = graph.index.get(switch)
+            if i is not None and graph.is_switch[i]:
+                blocked[i] = new < QUBITS_PER_CHANNEL
 
     def can_reserve(self, usage: Mapping[Hashable, int]) -> bool:
         """Whether every switch in *usage* has the requested headroom."""
@@ -357,7 +406,11 @@ class CapacityLedger:
         self, journal: List[Tuple[Hashable, int, Optional[int]]]
     ) -> None:
         for switch, delta, peak in reversed(journal):
-            self._avail[switch] = self._avail.get(switch, 0) - delta
+            old = self._avail.get(switch, 0)
+            new = old - delta
+            self._avail[switch] = new
+            if (old < QUBITS_PER_CHANNEL) != (new < QUBITS_PER_CHANNEL):
+                self._flip(switch, new)
             if peak is None:
                 self._peak.pop(switch, None)
             else:

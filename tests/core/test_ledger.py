@@ -14,11 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.obs.metrics as obs_metrics
-from repro.core.channel import best_channels_from
+from repro.core.channel import best_channels_from, blocked_mask
 from repro.core.conflict_free import solve_conflict_free
 from repro.core.ledger import CapacityError, CapacityLedger
 from repro.core.prim_based import solve_prim
 from repro.core.problem import Channel
+from repro.extensions.recovery import hold_channels
 from repro.network.graph import NetworkParams, QuantumNetwork
 from repro.utils.rng import ensure_rng
 
@@ -484,3 +485,97 @@ def test_lazy_peaks_match_eager_reference(case):
         if inspect:
             assert _read_out(ledger) == _read_out(reference)
     assert _read_out(ledger) == _read_out(reference)
+
+
+# ----------------------------------------------------------------------
+# The blocked-switch mask the ledger keeps for the channel search
+# ----------------------------------------------------------------------
+_paths = st.lists(
+    st.lists(st.sampled_from(_KNOWN), min_size=1, max_size=3, unique=True),
+    max_size=3,
+)
+_mask_ops = st.recursive(
+    st.tuples(st.sampled_from(["reserve", "release"]), _usage)
+    | st.tuples(st.just("hold"), _paths),
+    lambda inner: st.tuples(
+        st.just("txn"), st.lists(inner, max_size=4), st.booleans()
+    ),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _mask_cases(draw):
+    network = QuantumNetwork(NetworkParams())
+    network.add_user("u0")
+    for switch in draw(st.permutations(_KNOWN)):
+        network.add_switch(switch, qubits=draw(st.integers(0, 6)))
+    network.add_user("u1")
+    if draw(st.booleans()):
+        ledger = CapacityLedger.from_network(network)
+    else:
+        available = draw(
+            st.dictionaries(
+                st.sampled_from(_KNOWN + _UNKNOWN), st.integers(0, 6)
+            )
+        )
+        ledger = CapacityLedger(available)
+    ops = draw(st.lists(_mask_ops | st.just(("fork",)), max_size=8))
+    return network, ledger, ops
+
+
+def _run_mask_op(ledger, op):
+    """Apply *op* to *ledger*; returns the ledger later ops act on."""
+    if op[0] == "fork":
+        return ledger.fork()
+    if op[0] == "hold":
+        hold_channels(
+            ledger, [Channel(("u0", *path, "u1"), 0.0) for path in op[1]]
+        )
+    elif op[0] == "txn":
+        _, inner, fail = op
+        try:
+            with ledger.transaction():
+                for o in inner:
+                    _run_mask_op(ledger, o)
+                if fail:
+                    raise _ForcedRollback
+        except _ForcedRollback:
+            pass
+    else:
+        try:
+            getattr(ledger, op[0])(op[1])
+        except (CapacityError, ValueError):
+            pass
+    return ledger
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_mask_cases())
+def test_kept_mask_matches_a_rebuilt_one(case):
+    """The mask ``_apply``/``_rollback`` keep is the one a search would
+    build from the ledger's free qubits, through every write path."""
+    network, ledger, ops = case
+    graph = network.routing_snapshot()
+    ledger.blocked(graph)
+    for op in ops:
+        ledger = _run_mask_op(ledger, op)
+        assert ledger.blocked(graph) == blocked_mask(graph, ledger.as_dict())
+    network.add_user("late")
+    grown = network.routing_snapshot()
+    assert grown.index is not graph.index
+    assert ledger.blocked(grown) == blocked_mask(grown, ledger.as_dict())
+    ledger = _run_mask_op(ledger, ("release", {s: 2 for s in _KNOWN}))
+    ledger = _run_mask_op(ledger, ("hold", [list(_KNOWN)]))
+    assert ledger.blocked(grown) == blocked_mask(grown, ledger.as_dict())
+
+
+def test_fork_copies_the_mask(line_network):
+    ledger = CapacityLedger.from_network(line_network)
+    graph = line_network.routing_snapshot()
+    fork = ledger.fork()
+    assert fork.blocked(graph) == ledger.blocked(graph)
+    assert fork.blocked(graph) is not ledger.blocked(graph)
+    fork.reserve({"s0": 4})
+    assert fork.blocked(graph)[graph.index["s0"]] == 1
+    assert ledger.blocked(graph)[graph.index["s0"]] == 0
