@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Hashable, Iterable, List, Optional
 
 from repro.core.channel import find_best_channel
+from repro.core.ledger import CapacityLedger
 from repro.core.problem import (
     Channel,
     MUERPSolution,
@@ -55,14 +56,13 @@ def solve_eqcast(
     if set(chain) != set(user_list):
         raise ValueError("order must be a permutation of the users")
 
-    residual = network.residual_qubits()
+    ledger = CapacityLedger.from_network(network)
     selected: List[Channel] = []
     for source, target in zip(chain, chain[1:]):
-        channel = find_best_channel(network, source, target, residual)
+        channel = find_best_channel(network, source, target, ledger)
         if channel is None:
             return infeasible_solution(user_list, "eqcast")
-        for switch in channel.switches:
-            residual[switch] -= 2
+        ledger.reserve_channel(channel)
         selected.append(channel)
 
     return MUERPSolution(

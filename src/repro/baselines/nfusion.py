@@ -24,6 +24,7 @@ import math
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.core.channel import best_channels_from
+from repro.core.ledger import CapacityLedger
 from repro.core.optimal import channel_sort_key
 from repro.core.problem import (
     Channel,
@@ -78,9 +79,10 @@ def solve_nfusion(
     if center is not None and center not in user_list:
         raise ValueError(f"center {center!r} is not among the users")
 
+    idle = CapacityLedger.from_network(network)
     best: Optional[Tuple[float, List[Channel]]] = None
     for candidate in centers:
-        star = _route_star(network, candidate, user_list)
+        star = _route_star(network, candidate, user_list, idle.fork())
         if star is None:
             continue
         fusion = fusion_log_success(
@@ -110,8 +112,9 @@ def _route_star(
     network: QuantumNetwork,
     center: Hashable,
     user_list: List[Hashable],
+    ledger: CapacityLedger,
 ) -> Optional[List[Channel]]:
-    """Route channels center→every other user under residual capacity.
+    """Route channels center→every other user, spending from *ledger*.
 
     Targets are admitted in descending single-shot rate order (the
     baseline's greedy).  The center's search is re-run only after an
@@ -120,13 +123,12 @@ def _route_star(
     admitted targets, is exactly what a new search would return.
     ``None`` when any user becomes unreachable.
     """
-    residual = network.residual_qubits()
     pending = [u for u in user_list if u != center]
     star: List[Channel] = []
     found: Optional[Dict[Hashable, Channel]] = None
     while pending:
         if found is None:
-            found = best_channels_from(network, center, pending, residual)
+            found = best_channels_from(network, center, pending, ledger)
         best_target = None
         best_channel = None
         for target, channel in found.items():
@@ -136,10 +138,9 @@ def _route_star(
                 best_target, best_channel = target, channel
         if best_channel is None:
             return None
-        for switch in best_channel.switches:
-            residual[switch] -= 2
-            if residual[switch] < 2:
-                found = None
+        ledger.reserve_channel(best_channel)
+        if not ledger.can_host(best_channel):
+            found = None
         if found is not None:
             del found[best_target]
         star.append(best_channel)

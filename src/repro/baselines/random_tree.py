@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Hashable, Iterable, List, Optional
 
 from repro.core.channel import find_best_channel
+from repro.core.ledger import CapacityLedger
 from repro.core.problem import (
     Channel,
     MUERPSolution,
@@ -37,16 +38,15 @@ def solve_random_tree(
     order = list(user_list)
     generator.shuffle(order)
 
-    residual = network.residual_qubits()
+    ledger = CapacityLedger.from_network(network)
     connected: List[Hashable] = [order[0]]
     selected: List[Channel] = []
     for newcomer in order[1:]:
         anchor = connected[int(generator.integers(0, len(connected)))]
-        channel = find_best_channel(network, anchor, newcomer, residual)
+        channel = find_best_channel(network, anchor, newcomer, ledger)
         if channel is None:
             return infeasible_solution(user_list, "random_tree")
-        for switch in channel.switches:
-            residual[switch] -= 2
+        ledger.reserve_channel(channel)
         selected.append(channel)
         connected.append(newcomer)
 

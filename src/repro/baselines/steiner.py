@@ -38,6 +38,7 @@ from typing import (
     Tuple,
 )
 
+from repro.core.ledger import CapacityLedger
 from repro.core.problem import (
     Channel,
     MUERPSolution,
@@ -152,10 +153,9 @@ def solve_steiner_naive(
     )
     # Honest pricing: if the classic tree overloads a switch, the
     # quantum network cannot realise it.
-    budgets = network.residual_qubits()
-    for switch, used in solution.switch_usage().items():
-        if used > budgets.get(switch, 0):
-            return infeasible_solution(user_list, "steiner_naive")
+    idle = CapacityLedger.from_network(network)
+    if not idle.can_reserve(solution.switch_usage()):
+        return infeasible_solution(user_list, "steiner_naive")
     return solution
 
 

@@ -57,7 +57,8 @@ from typing import (
 
 import numpy as np
 
-from repro.core.channel import blocked_mask, relay_search, trace_path
+from repro.core.channel import relay_search, trace_path
+from repro.core.ledger import CapacityLedger
 from repro.core.problem import Channel, resolve_users
 from repro.core.rates import swap_log_rate
 from repro.network.graph import QuantumNetwork
@@ -266,24 +267,22 @@ def _pricing_search(
     network: QuantumNetwork,
     source: Hashable,
     penalties: Dict[Hashable, float],
-    budgets: Optional[Dict[Hashable, int]],
+    blocked: bytearray,
 ) -> Tuple[Mapping[Hashable, float], Mapping[Hashable, Hashable]]:
     """Exact pricing: min-cost user→user paths under dual penalties.
 
     Runs the channel-search kernel :func:`repro.core.channel.relay_search`
     (same ``α·L − ln q`` weight space, users never relay) but charges an
     extra nonnegative ``penalties[r]`` when transiting switch ``r``.
-    With *budgets* given, only switches holding ≥ 2 qubits may relay
-    (the capacitated universe); with ``None`` every switch may relay
-    (the uncapacitated universe used to bound capacity-exempt methods).
+    Switches flagged in *blocked* may not relay: the idle ledger's mask
+    (switches below 2 qubits) for the capacitated universe, all zeros
+    for the uncapacitated universe used to bound capacity-exempt
+    methods.  The budgets never change during a relaxation, so the
+    caller builds the mask once.
     """
     graph = network.routing_snapshot()
     minus_ln_q = -swap_log_rate(network.params.swap_prob)
     transit = [minus_ln_q + penalties.get(node, 0.0) for node in graph.ids]
-    if budgets is None:
-        blocked = bytearray(len(graph.ids))
-    else:
-        blocked = blocked_mask(graph, budgets)
     dist, prev, _, _, _ = relay_search(
         graph, graph.index[source], network.params.alpha, transit, blocked
     )
@@ -297,7 +296,7 @@ class _Master:
         self,
         users: Sequence[Hashable],
         switches: Sequence[Hashable],
-        budgets: Dict[Hashable, int],
+        budgets: Mapping[Hashable, int],
         capacitated: bool,
     ) -> None:
         self.users = list(users)
@@ -391,10 +390,14 @@ def solve_relaxation(
     started = time.perf_counter()
     resolved_backend = _resolve_backend(backend)
     user_list = sorted(resolve_users(network, users), key=repr)
-    budgets = network.residual_qubits()
-    switches = sorted(budgets, key=repr)
-    master = _Master(user_list, switches, budgets, capacitated)
-    relay_budgets = budgets if capacitated else None
+    idle = CapacityLedger.from_network(network)
+    switches = sorted(idle, key=repr)
+    master = _Master(user_list, switches, idle, capacitated)
+    graph = network.routing_snapshot()
+    if capacitated:
+        blocked = idle.blocked(graph)
+    else:
+        blocked = bytearray(len(graph.ids))
 
     total_pivots = 0
     rounds = 0
@@ -418,7 +421,7 @@ def solve_relaxation(
         worst = 0.0
         for i, source in enumerate(user_list[:-1]):
             dist, prev = _pricing_search(
-                network, source, penalties, relay_budgets
+                network, source, penalties, blocked
             )
             for target in user_list[i + 1:]:
                 if target not in dist:

@@ -14,11 +14,12 @@ Implementation notes (equivalent reformulation):
 * Only switches with at least 2 residual qubits may relay (Algorithm 1,
   line 11: ``Q_{u_h} ≥ 2``), and quantum users other than the endpoints
   can never relay (a channel is "a path through vertices in R", Def. 2).
-  The search reads its ``residual`` only through that predicate: a
-  :class:`~repro.core.ledger.CapacityLedger` (what the solvers pass)
-  hands over the blocked-switch mask it keeps current as it reserves
-  and releases, and a plain switch → qubits mapping or ``None`` (the
-  full budgets) is turned into one by :func:`blocked_mask`.
+  The search's ``residual`` is a
+  :class:`~repro.core.ledger.CapacityLedger` or ``None`` (the idle
+  network's full budgets), and it is read only through that predicate:
+  the ledger hands over the blocked-switch mask it keeps current as
+  its owner reserves and releases.  Every solver that spends qubits
+  passes its own ledger (the ledger module lists them).
 * ``best_channels_from`` runs the search once per *source* and recovers
   all destinations through the ``Prev`` array — the complexity
   optimization described after Theorem 3, giving
@@ -29,7 +30,8 @@ network's :meth:`~repro.network.graph.QuantumNetwork.routing_snapshot`
 (int node indices, per-node ``(neighbor, fiber_key, length)`` rows)
 with an inlined binary heap.  :func:`dijkstra` and the LP pricing
 search in :mod:`repro.bounds.lp` share it; they differ only in the
-per-node transit costs and blocked-switch mask they pass.  It returns
+per-node transit costs and blocked-switch mask they pass (LP pricing
+builds its mask once per relaxation).  It returns
 ``dist`` / ``prev`` as read-only mappings over its own index arrays,
 so no search builds a per-node dict.
 
@@ -78,7 +80,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core.ledger import QUBITS_PER_CHANNEL, CapacityLedger
+from repro.core.ledger import CapacityLedger
 from repro.core.problem import Channel
 from repro.core.rates import swap_log_rate
 from repro.exec import cache as exec_cache
@@ -93,32 +95,6 @@ __all__ = [
     "best_channels_from",
     "all_pairs_best_channels",
 ]
-
-
-def _residual_qubits(
-    network: QuantumNetwork,
-    residual: Optional[Mapping[Hashable, int]],
-) -> Mapping[Hashable, int]:
-    """Effective residual qubit budget per switch."""
-    if residual is None:
-        return network.residual_qubits()
-    return residual
-
-
-def blocked_mask(
-    graph: RoutingSnapshot, qubits: Mapping[Hashable, int]
-) -> bytearray:
-    """Per-node flags of switches that may not relay (line 11).
-
-    ``1`` marks a switch holding fewer than 2 of *qubits*; users are
-    always ``0``.  A :class:`~repro.core.ledger.CapacityLedger` keeps
-    this mask itself, so only read-only mappings are turned into one.
-    """
-    blocked = bytearray(len(graph.ids))
-    for i, switch_id in graph.switches:
-        if qubits.get(switch_id, 0) < QUBITS_PER_CHANNEL:
-            blocked[i] = 1
-    return blocked
 
 
 class _SearchView(Mapping):
@@ -201,7 +177,8 @@ def relay_search(
 
     Leaving node ``i`` other than the source costs ``transit[i]``
     (``+inf`` forbids it); every fiber costs ``α·L``.  Switches flagged
-    in *blocked* (see :func:`blocked_mask`) may be neither entered nor
+    in *blocked* (see :meth:`CapacityLedger.blocked
+    <repro.core.ledger.CapacityLedger.blocked>`) may be neither entered nor
     expanded; other switches relay.  Users are always enterable, as
     terminals: a user expands only as the source.  Fibers whose key is in
     *forbidden* are skipped.  *blocked* is read, not written.
@@ -328,7 +305,7 @@ def relay_search(
 def dijkstra(
     network: QuantumNetwork,
     source: Hashable,
-    residual: Optional[Mapping[Hashable, int]] = None,
+    residual: Optional[CapacityLedger] = None,
     forbidden_fibers: Optional[Set[Tuple[Hashable, Hashable]]] = None,
     allow_switch_source: bool = False,
     targets: Optional[Iterable[Hashable]] = None,
@@ -346,7 +323,9 @@ def dijkstra(
     over the search's arrays (``dict(dist)`` copies one); a cache hit
     returns plain dicts with the same items in the same order.  Quantum
     users are reachable as terminals but never expanded; switches are
-    expanded only while they hold at least 2 residual qubits.
+    expanded only while they hold at least 2 free qubits on *residual*
+    (a :class:`~repro.core.ledger.CapacityLedger`; ``None`` means the
+    idle network's full budgets).
 
     ``allow_switch_source`` lets spur-search callers start from a
     switch; the source's own swap cost is then the caller's
@@ -375,12 +354,13 @@ def dijkstra(
     """
     if not allow_switch_source and not network.is_user(source):
         raise ValueError(f"source {source!r} must be a quantum user")
-    qubits = _residual_qubits(network, residual)
+    if residual is None:
+        residual = CapacityLedger.from_network(network)
     cache = exec_cache.active()
     cache_key = None
     if cache is not None:
         cache_key = cache.key_for(
-            network, qubits, source, forbidden_fibers, allow_switch_source
+            network, residual, source, forbidden_fibers, allow_switch_source
         )
         cached = cache.get(cache_key)
         if cached is not None:
@@ -392,10 +372,6 @@ def dijkstra(
     start = graph.index.get(source)
     if start is None:
         raise UnknownNodeError(source)
-    if isinstance(qubits, CapacityLedger):
-        blocked = qubits.blocked(graph)
-    else:
-        blocked = blocked_mask(graph, qubits)
     minus_ln_q = -swap_log_rate(network.params.swap_prob)  # in [0, +inf]
     stop_at = None
     if targets is not None and cache is None:
@@ -405,7 +381,7 @@ def dijkstra(
         start,
         network.params.alpha,
         [minus_ln_q] * len(graph.ids),
-        blocked,
+        residual.blocked(graph),
         forbidden_fibers or None,
         stop_at,
     )
@@ -441,7 +417,7 @@ def find_best_channel(
     network: QuantumNetwork,
     source: Hashable,
     target: Hashable,
-    residual: Optional[Mapping[Hashable, int]] = None,
+    residual: Optional[CapacityLedger] = None,
     forbidden_fibers: Optional[Set[Tuple[Hashable, Hashable]]] = None,
 ) -> Optional[Channel]:
     """Algorithm 1: best channel between users *source* and *target*.
@@ -449,8 +425,8 @@ def find_best_channel(
     Args:
         network: The quantum network.
         source, target: Distinct quantum-user ids.
-        residual: Optional remaining-qubit map per switch (defaults to
-            each switch's full budget); switches below 2 qubits are
+        residual: Optional ledger of free qubits per switch (defaults
+            to each switch's full budget); switches below 2 qubits are
             skipped, as in line 11 of Algorithm 1.
         forbidden_fibers: Optional set of fiber keys the channel must not
             use (supports the edge-removal study and ablations).
@@ -478,7 +454,7 @@ def best_channels_from(
     network: QuantumNetwork,
     source: Hashable,
     targets: Iterable[Hashable],
-    residual: Optional[Mapping[Hashable, int]] = None,
+    residual: Optional[CapacityLedger] = None,
 ) -> Dict[Hashable, Channel]:
     """Best channels from *source* to every reachable user in *targets*.
 
@@ -507,7 +483,7 @@ def best_channels_from(
 def all_pairs_best_channels(
     network: QuantumNetwork,
     users: List[Hashable],
-    residual: Optional[Mapping[Hashable, int]] = None,
+    residual: Optional[CapacityLedger] = None,
 ) -> Dict[frozenset, Channel]:
     """Best channel for every unordered user pair (step 1 of Algorithm 2).
 

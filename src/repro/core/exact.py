@@ -28,6 +28,7 @@ import math
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.core.bruteforce import MAX_PATHS_PER_PAIR, enumerate_channels
+from repro.core.ledger import CapacityLedger
 from repro.core.problem import (
     Channel,
     MUERPSolution,
@@ -84,7 +85,6 @@ def solve_exact(
     )
     best_of_pair = [candidates[p][0].log_rate for p in ordered]
 
-    budgets = network.residual_qubits()
     incumbent_channels: Optional[Tuple[Channel, ...]] = None
     incumbent_value = -math.inf
 
@@ -100,7 +100,7 @@ def solve_exact(
         return sum(remaining[:needed])
 
     state_unions = UnionFind(user_list)
-    residual = dict(budgets)
+    ledger = CapacityLedger.from_network(network)
     chosen: List[Channel] = []
 
     def dfs(index: int, value: float, components: int, unions: UnionFind):
@@ -123,11 +123,9 @@ def solve_exact(
                     index + 1, components - 1
                 ) <= incumbent_value:
                     break  # candidates are sorted: the rest are worse
-                switches = channel.switches
-                if any(residual[s] < 2 for s in switches):
+                if not ledger.can_host(channel):
                     continue
-                for switch in switches:
-                    residual[switch] -= 2
+                ledger.reserve_channel(channel)
                 chosen.append(channel)
                 # Union-find has no undo: clone for the branch.
                 branched = UnionFind(user_list)
@@ -135,8 +133,7 @@ def solve_exact(
                     branched.union(*selected.endpoints)
                 dfs(index + 1, value + channel.log_rate, components - 1, branched)
                 chosen.pop()
-                for switch in switches:
-                    residual[switch] += 2
+                ledger.release_channel(channel)
         # Branch: skip this pair entirely.
         dfs(index + 1, value, components, unions)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.core.channel import find_best_channel
+from repro.core.ledger import CapacityLedger
 from repro.core.problem import Channel
 from repro.network.graph import QuantumNetwork
 from repro.network.link import fiber_key
@@ -29,7 +30,7 @@ def k_best_channels(
     source: Hashable,
     target: Hashable,
     k: int,
-    residual: Optional[Dict[Hashable, int]] = None,
+    residual: Optional[CapacityLedger] = None,
 ) -> List[Channel]:
     """Up to *k* best loopless channels between two users.
 
@@ -39,10 +40,14 @@ def k_best_channels(
     Yen's construction: the best channel seeds the list; each candidate
     is derived by forcing a deviation off some prefix (spur node) of an
     already-accepted channel, with the conflicting fibers banned and the
-    prefix's interior switches excluded via a zeroed residual copy.
+    prefix's interior switches excluded: each spur searches a fork of
+    *residual* (``None``: the idle network) with every free qubit of
+    those switches reserved.  *residual* itself is only read.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if residual is None:
+        residual = CapacityLedger.from_network(network)
     best = find_best_channel(network, source, target, residual)
     if best is None:
         return []
@@ -69,13 +74,14 @@ def k_best_channels(
                         )
                     )
             # Exclude the root's interior nodes from the spur search so
-            # the total path stays loopless: zero out their capacity.
-            spur_residual = dict(
-                network.residual_qubits() if residual is None else residual
+            # the total path stays loopless: spend all their qubits.
+            spur_residual = residual.fork()
+            spur_residual.reserve(
+                {
+                    node: spur_residual.available(node)
+                    for node in root[1:-1]
+                }
             )
-            for node in root[:-1]:
-                if network.is_switch(node):
-                    spur_residual[node] = 0
 
             # The spur node itself may be the source (a user) or a
             # switch; both are legal search sources only if user — for
@@ -116,7 +122,7 @@ def _spur_via_prefix(
     network: QuantumNetwork,
     root: Tuple[Hashable, ...],
     target: Hashable,
-    residual: Dict[Hashable, int],
+    residual: CapacityLedger,
     banned: Set[Tuple[Hashable, Hashable]],
 ) -> Optional[Channel]:
     """Best channel extending *root* (source…spur) to *target*."""
@@ -125,7 +131,7 @@ def _spur_via_prefix(
 
     spur = root[-1]
     # Classic Yen: search spur → target with the root's interior nodes
-    # removed (their residual is zeroed by the caller) and the deviation
+    # removed (the caller spent their qubits) and the deviation
     # fibers banned, then glue root[:-1] + spur-path.  The spur is a
     # switch, so the search starts in relay mode; its own swap cost is a
     # constant offset over all spur paths and cannot change the argmax.

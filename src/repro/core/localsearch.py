@@ -22,11 +22,11 @@ against the plain heuristics in ``benchmarks/test_localsearch.py``.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Hashable, List, Optional, Tuple
 
-from repro.core.channel import best_channels_from, find_best_channel
-from repro.core.problem import Channel, MUERPSolution
+from repro.core.channel import best_channels_from
+from repro.core.ledger import CapacityLedger
+from repro.core.problem import Channel, MUERPSolution, channel_usage
 from repro.network.graph import QuantumNetwork
 from repro.utils.unionfind import UnionFind
 
@@ -96,15 +96,16 @@ def _residual_without(
     network: QuantumNetwork,
     channels: List[Channel],
     skip_index: int,
-) -> Dict[Hashable, int]:
-    """Residual qubits with every channel but one deducted."""
-    residual = network.residual_qubits()
-    for index, channel in enumerate(channels):
-        if index == skip_index:
-            continue
-        for switch in channel.switches:
-            residual[switch] -= 2
-    return residual
+) -> CapacityLedger:
+    """An idle ledger with every channel but one reserved.
+
+    Capped, because a capacity-exempt input tree may overbook a switch.
+    """
+    ledger = CapacityLedger.from_network(network)
+    ledger.reserve_capped(
+        channel_usage(c for i, c in enumerate(channels) if i != skip_index)
+    )
+    return ledger
 
 
 def _best_replacement(
@@ -112,7 +113,7 @@ def _best_replacement(
     channels: List[Channel],
     index: int,
     users: List[Hashable],
-    residual: Dict[Hashable, int],
+    residual: CapacityLedger,
 ) -> Optional[Channel]:
     """Best channel reconnecting the two components split by removal.
 

@@ -48,26 +48,26 @@ def channel_sort_key(channel: Channel) -> Tuple[float, int, str]:
 def solve_optimal(
     network: QuantumNetwork,
     users: Optional[Iterable[Hashable]] = None,
-    ignore_capacity: bool = True,
 ) -> MUERPSolution:
     """Algorithm 2.  Optimal when ``Q_r ≥ 2|U|`` for every switch.
+
+    Algorithm 2 assumes abundant capacity and does not track qubit
+    consumption (the paper runs it with ``Q = 2|U|`` switches in
+    Fig. 8a): every pairwise search runs on one idle ledger, so a
+    switch relays when its full budget holds 2 qubits, and the tree
+    spends nothing from it.
 
     Args:
         network: The quantum network.
         users: Users to entangle (default: all users in the network).
-        ignore_capacity: Algorithm 2 assumes abundant capacity and does
-            not track qubit consumption (the paper runs it with
-            ``Q = 2|U|`` switches in Fig. 8a).  Pass ``False`` to make
-            the pairwise channel search honour full-budget switches only
-            — useful for ablations, but no longer Algorithm 2 proper.
 
     Returns:
         The spanning :class:`MUERPSolution`; infeasible (rate 0) when the
         fiber graph cannot connect the users at all.
     """
     user_list = resolve_users(network, users)
-    residual = None if ignore_capacity else CapacityLedger.from_network(network)
-    pairwise = all_pairs_best_channels(network, user_list, residual)
+    idle = CapacityLedger.from_network(network)
+    pairwise = all_pairs_best_channels(network, user_list, idle)
     candidates = sorted(pairwise.values(), key=channel_sort_key)
 
     unions = UnionFind(user_list)

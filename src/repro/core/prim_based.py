@@ -105,7 +105,7 @@ def solve_prim(
                 if best is None:
                     raise _Infeasible()
                 ledger.reserve_channel(best)
-                if any(ledger.get(switch, 0) < 2 for switch in best.switches):
+                if not ledger.can_host(best):
                     searched.clear()
                 newcomer = best.endpoints[1]
                 remaining.discard(newcomer)

@@ -232,8 +232,8 @@ class ChannelCache:
     ) -> CacheKey:
         """The exact cache key of one search.
 
-        *qubits* is the effective residual map the search will consult
-        (a plain dict or a :class:`~repro.core.ledger.CapacityLedger`).
+        *qubits* is the :class:`~repro.core.ledger.CapacityLedger` the
+        search will consult.
 
         The routing fingerprint sorts fibers, so the key ignores
         adjacency order, while the search breaks equal-cost ties by

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
+from repro.core.ledger import CapacityLedger
 from repro.core.problem import (
     Channel,
     MUERPSolution,
@@ -112,7 +113,7 @@ def pareto_channels(
     source: Hashable,
     target: Hashable,
     model: Optional[FidelityModel] = None,
-    residual: Optional[Dict[Hashable, int]] = None,
+    residual: Optional[CapacityLedger] = None,
     max_labels_per_node: int = 32,
 ) -> List[ParetoChannel]:
     """Pareto frontier of (rate, fidelity) channels between two users.
@@ -121,7 +122,9 @@ def pareto_channels(
     (cost, fidelity) labels; extending a label over a fiber adds the
     Algorithm-1 weight to the cost and applies the Werner swap rule to
     the fidelity.  ``max_labels_per_node`` caps the frontier per node
-    (keeping the cheapest labels) to bound worst-case blowup.
+    (keeping the cheapest labels) to bound worst-case blowup.  Switches
+    relay only while they hold 2 free qubits on *residual* (``None``:
+    the idle network), read through the ledger's blocked-switch mask.
 
     Returns the frontier at *target*, sorted by descending rate.
     """
@@ -130,9 +133,11 @@ def pareto_channels(
     if not network.is_user(source) or not network.is_user(target):
         raise ValueError("source and target must be quantum users")
     model = model or FidelityModel()
-    qubits = (
-        network.residual_qubits() if residual is None else residual
-    )
+    if residual is None:
+        residual = CapacityLedger.from_network(network)
+    graph = network.routing_snapshot()
+    blocked = residual.blocked(graph)
+    index = graph.index
     alpha = network.params.alpha
     minus_ln_q = -swap_log_rate(network.params.swap_prob)
 
@@ -147,7 +152,7 @@ def pareto_channels(
         if node == target:
             continue
         if node != source:
-            if not network.is_switch(node) or qubits.get(node, 0) < 2:
+            if not network.is_switch(node) or blocked[index[node]]:
                 continue
             if math.isinf(minus_ln_q):
                 continue
@@ -158,10 +163,7 @@ def pareto_channels(
                 continue
             if neighbor != target and not network.is_switch(neighbor):
                 continue
-            if (
-                network.is_switch(neighbor)
-                and qubits.get(neighbor, 0) < 2
-            ):
+            if blocked[index[neighbor]]:
                 continue
             link_f = model.link_fidelity(fiber.length)
             new_fidelity = (
@@ -205,7 +207,7 @@ def find_best_channel_with_fidelity(
     target: Hashable,
     min_fidelity: float,
     model: Optional[FidelityModel] = None,
-    residual: Optional[Dict[Hashable, int]] = None,
+    residual: Optional[CapacityLedger] = None,
 ) -> Optional[ParetoChannel]:
     """Max-rate channel whose end-to-end fidelity meets *min_fidelity*."""
     frontier = pareto_channels(network, source, target, model, residual)
@@ -240,7 +242,7 @@ def solve_fidelity_prim(
 
     connected = [start]
     remaining = set(user_list) - {start}
-    residual = network.residual_qubits()
+    ledger = CapacityLedger.from_network(network)
     selected: List[Channel] = []
 
     while remaining:
@@ -248,7 +250,7 @@ def solve_fidelity_prim(
         for source in connected:
             for target in remaining:
                 candidate = find_best_channel_with_fidelity(
-                    network, source, target, min_fidelity, model, residual
+                    network, source, target, min_fidelity, model, ledger
                 )
                 if candidate is None:
                     continue
@@ -256,8 +258,7 @@ def solve_fidelity_prim(
                     best = candidate
         if best is None:
             return infeasible_solution(user_list, "fidelity_prim")
-        for switch in best.channel.switches:
-            residual[switch] -= 2
+        ledger.reserve_channel(best.channel)
         newcomer = best.channel.endpoints[1]
         remaining.discard(newcomer)
         connected.append(newcomer)

@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
+from repro.core.ledger import QUBITS_PER_CHANNEL, CapacityLedger
 from repro.core.problem import (
     Channel,
     MUERPSolution,
@@ -87,6 +88,11 @@ class PurificationOption:
         """Copies of the raw channel needed: ``2^k``."""
         return 2**self.rounds
 
+    def switch_usage(self) -> Dict[Hashable, int]:
+        """Qubits the option pins per transit switch: ``2·2^k``."""
+        need = QUBITS_PER_CHANNEL * self.qubit_multiplier
+        return {switch: need for switch in self.channel.switches}
+
     def as_channel(self) -> Channel:
         """The option as a rate-adjusted :class:`Channel` (same path)."""
         return Channel(self.channel.path, self.log_rate)
@@ -122,27 +128,26 @@ def best_purified_option(
     target: Hashable,
     min_fidelity: float,
     model: Optional[FidelityModel] = None,
-    residual: Optional[Dict[Hashable, int]] = None,
+    residual: Optional[CapacityLedger] = None,
     max_rounds: int = 3,
 ) -> Optional[PurificationOption]:
     """Max-rate (channel, purification level) meeting the fidelity floor.
 
     Capacity-aware twice over: the underlying channel search respects
-    *residual*, and a ``k``-round option is admissible only if every
-    transit switch still holds ``2·2^k`` qubits.
+    *residual* (``None``: the idle network), and a ``k``-round option
+    is admissible only if every transit switch still holds ``2·2^k``
+    qubits.
     """
     model = model or FidelityModel()
-    qubits = network.residual_qubits() if residual is None else residual
+    if residual is None:
+        residual = CapacityLedger.from_network(network)
     frontier = pareto_channels(network, source, target, model, residual)
     best: Optional[PurificationOption] = None
     for pareto in frontier:
         for option in purification_ladder(pareto, max_rounds):
             if option.fidelity < min_fidelity:
                 continue
-            need = 2 * option.qubit_multiplier
-            if any(
-                qubits.get(s, 0) < need for s in option.channel.switches
-            ):
+            if not residual.can_reserve(option.switch_usage()):
                 continue
             if best is None or option.log_rate > best.log_rate:
                 best = option
@@ -177,7 +182,7 @@ def solve_purified_prim(
 
     connected = [start]
     remaining = set(user_list) - {start}
-    residual = network.residual_qubits()
+    ledger = CapacityLedger.from_network(network)
     selected: List[Channel] = []
     rounds_by_path: Dict[Tuple[Hashable, ...], int] = {}
 
@@ -192,7 +197,7 @@ def solve_purified_prim(
                     target,
                     min_fidelity,
                     model,
-                    residual,
+                    ledger,
                     max_rounds,
                 )
                 if option is None:
@@ -205,9 +210,7 @@ def solve_purified_prim(
                 infeasible_solution(user_list, "purified_prim"),
                 {},
             )
-        need = 2 * best.qubit_multiplier
-        for switch in best.channel.switches:
-            residual[switch] -= need
+        ledger.reserve(best.switch_usage())
         remaining.discard(best_target)
         connected.append(best_target)
         selected.append(best.as_channel())

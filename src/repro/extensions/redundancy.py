@@ -23,7 +23,8 @@ from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
 import numpy as np
 
 from repro.core.channel import find_best_channel
-from repro.core.problem import Channel, MUERPSolution
+from repro.core.ledger import CapacityLedger
+from repro.core.problem import Channel, MUERPSolution, channel_usage
 from repro.network.graph import QuantumNetwork
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -59,19 +60,13 @@ class RedundantTree:
         return sum(len(group) - 1 for group in self.groups)
 
     def switch_usage(self) -> Dict[Hashable, int]:
-        usage: Dict[Hashable, int] = {}
-        for group in self.groups:
-            for channel in group:
-                for switch in channel.switches:
-                    usage[switch] = usage.get(switch, 0) + 2
-        return usage
+        return channel_usage(c for group in self.groups for c in group)
 
 
 def add_redundancy(
     network: QuantumNetwork,
     solution: MUERPSolution,
     max_backups: Optional[int] = None,
-    residual: Optional[Dict[Hashable, int]] = None,
 ) -> RedundantTree:
     """Greedily add backup channels to *solution* within leftover capacity.
 
@@ -80,22 +75,14 @@ def add_redundancy(
     originals — they only share endpoints).  Stops when no admissible
     backup improves the rate or *max_backups* is reached.
 
-    *residual* is the free-qubit pool backups may draw from, with the
-    base tree (and anything else in service) **already deducted** — the
-    shared-ledger case of the multi-tenant serving layer.  ``None``
-    preserves the historical behaviour: assume an otherwise idle
-    network and deduct the base tree here.
+    Backups spend from an idle ledger with the base tree reserved
+    (capped, since a capacity-exempt base tree may overbook a switch).
     """
     if not solution.feasible:
         raise ValueError("cannot add redundancy to an infeasible solution")
     groups: List[List[Channel]] = [[c] for c in solution.channels]
-    if residual is None:
-        residual = network.residual_qubits()
-        for channel in solution.channels:
-            for switch in channel.switches:
-                residual[switch] -= 2
-    else:
-        residual = dict(residual)
+    ledger = CapacityLedger.from_network(network)
+    ledger.reserve_capped(solution.switch_usage())
 
     added = 0
     while max_backups is None or added < max_backups:
@@ -108,7 +95,7 @@ def add_redundancy(
             if miss <= 0.0:
                 continue  # edge already certain
             a, b = group[0].endpoints
-            backup = find_best_channel(network, a, b, residual)
+            backup = find_best_channel(network, a, b, ledger)
             if backup is None:
                 continue
             current = 1.0 - miss
@@ -120,8 +107,7 @@ def add_redundancy(
         if best is None:
             break
         index, backup = best
-        for switch in backup.switches:
-            residual[switch] -= 2
+        ledger.reserve_channel(backup)
         groups[index].append(backup)
         added += 1
 

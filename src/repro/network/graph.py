@@ -539,10 +539,6 @@ class QuantumNetwork:
         clone._fingerprints.clear()  # alpha / swap_prob are hashed
         return clone
 
-    def residual_capacities(self) -> Dict[Hashable, int]:
-        """Fresh per-switch channel-capacity map ``{switch_id: ⌊Q/2⌋}``."""
-        return {s.id: s.channel_capacity for s in self.switches}
-
     def residual_qubits(self) -> Dict[Hashable, int]:
         """Fresh per-switch qubit map ``{switch_id: Q}``."""
         return {s.id: s.qubits for s in self.switches}

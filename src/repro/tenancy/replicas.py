@@ -31,7 +31,6 @@ from typing import (
 from repro.core.ledger import CapacityLedger
 from repro.core.problem import MUERPSolution
 from repro.extensions.recovery import apply_failures, channel_broken
-from repro.extensions.redundancy import RedundantTree, add_redundancy
 from repro.network.graph import QuantumNetwork
 from repro.network.link import fiber_key
 
@@ -54,37 +53,27 @@ class ReplicationPolicy:
             replicas.
         allow_overlap: When a disjoint standby is infeasible, accept an
             overlapping route instead of going without (best effort).
-        edge_backups: Additionally spend leftover capacity on per-edge
-            backup channels for the primary tree
-            (:func:`repro.extensions.redundancy.add_redundancy`).
-        max_edge_backups: Backup-channel cap when *edge_backups* is on.
     """
 
     k: int = 2
     prefer_disjoint: bool = True
     allow_overlap: bool = True
-    edge_backups: bool = False
-    max_edge_backups: int = 2
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.max_edge_backups < 0:
-            raise ValueError("max_edge_backups must be >= 0")
 
 
 @dataclass
 class ReplicaSet:
     """The live replica state of one in-service reservation.
 
-    ``usages[0]`` covers the primary tree *plus* any edge-backup
-    channels grafted onto it, so releasing a replica's usage entry
-    always returns exactly the qubits it pinned.
+    ``usages[i]`` is the qubits replica ``i`` pinned, so releasing a
+    replica's usage entry returns exactly what it reserved.
     """
 
     replicas: List[MUERPSolution]
     usages: List[Dict[Hashable, int]]
-    redundant: Optional[RedundantTree] = None
     serving: int = 0
     failovers: int = 0
     shortfall: int = 0  #: replicas requested but not plannable
@@ -151,8 +140,6 @@ class ReplicaSet:
             keep = self.serving
             self.replicas = [self.replicas[keep]]
             self.usages = [self.usages[keep]]
-            if keep != 0:
-                self.redundant = None
             self.serving = 0
             return EXHAUSTED, released
         event = PRUNED
@@ -164,8 +151,6 @@ class ReplicaSet:
         new_serving_old_index = (
             old_serving if old_serving in survivors else survivors[0]
         )
-        if 0 in broken:
-            self.redundant = None
         self.replicas = [self.replicas[i] for i in survivors]
         self.usages = [self.usages[i] for i in survivors]
         self.serving = survivors.index(new_serving_old_index)
@@ -181,17 +166,6 @@ def _replica_fibers(
             for u, v in zip(channel.path, channel.path[1:]):
                 used.add(fiber_key(u, v))
     return used
-
-
-def _usage_delta(
-    full: Dict[Hashable, int], base: Dict[Hashable, int]
-) -> Dict[Hashable, int]:
-    delta: Dict[Hashable, int] = {}
-    for switch, qubits in full.items():
-        extra = qubits - base.get(switch, 0)
-        if extra > 0:
-            delta[switch] = extra
-    return delta
 
 
 def plan_replica_set(
@@ -211,7 +185,7 @@ def plan_replica_set(
     failing the admission.  Any exception inside rolls every
     reservation back (the ledger transaction).
     """
-    usage0 = dict(primary.switch_usage())
+    usage0 = primary.switch_usage()
     rset = ReplicaSet(replicas=[primary], usages=[usage0])
     with ledger.transaction():
         ledger.reserve(usage0)
@@ -230,25 +204,11 @@ def plan_replica_set(
             if extra is None:
                 rset.shortfall += 1
                 break
-            usage = dict(extra.switch_usage())
+            usage = extra.switch_usage()
             if not ledger.can_reserve(usage):
                 rset.shortfall += 1
                 break
             ledger.reserve(usage)
             rset.replicas.append(extra)
             rset.usages.append(usage)
-        if policy.edge_backups and policy.max_edge_backups > 0:
-            tree = add_redundancy(
-                network,
-                primary,
-                max_backups=policy.max_edge_backups,
-                residual=ledger.as_dict(),
-            )
-            if tree.n_backups:
-                backup_usage = _usage_delta(tree.switch_usage(), usage0)
-                if ledger.can_reserve(backup_usage):
-                    ledger.reserve(backup_usage)
-                    rset.redundant = tree
-                    for switch, qubits in backup_usage.items():
-                        usage0[switch] = usage0.get(switch, 0) + qubits
     return rset

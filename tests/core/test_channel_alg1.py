@@ -14,6 +14,7 @@ from repro.core.channel import (
     best_channels_from,
     find_best_channel,
 )
+from repro.core.ledger import CapacityLedger
 from repro.network import NetworkBuilder, NetworkParams
 from repro.topology import TopologyConfig, waxman_network
 
@@ -37,14 +38,20 @@ class TestBasics:
 
     def test_prefers_direct_when_switch_depleted(self, two_path_network):
         channel = find_best_channel(
-            two_path_network, "alice", "bob", residual={"mid": 0}
+            two_path_network,
+            "alice",
+            "bob",
+            residual=CapacityLedger({"mid": 0}),
         )
         assert channel.path == ("alice", "bob")
 
     def test_residual_one_qubit_is_not_enough(self, two_path_network):
         """Line 11 of Algorithm 1: a transit switch needs >= 2 qubits."""
         channel = find_best_channel(
-            two_path_network, "alice", "bob", residual={"mid": 1}
+            two_path_network,
+            "alice",
+            "bob",
+            residual=CapacityLedger({"mid": 1}),
         )
         assert channel.path == ("alice", "bob")
 

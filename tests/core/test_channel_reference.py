@@ -202,12 +202,12 @@ def search_cases(draw, dense=False):
         residual = None
         qubits = network.residual_qubits()
     else:
-        residual = {
+        qubits = {
             s: draw(st.integers(0, 4))
             for s in switches
             if draw(st.booleans())
         }
-        qubits = residual
+        residual = CapacityLedger(qubits)
     fiber_keys = [f.key for f in network.fibers]
     forbidden = None
     if fiber_keys and draw(st.booleans()):
@@ -289,7 +289,12 @@ def test_pricing_matches_frozen_reference(case, data):
     expected_dist, expected_prev = _reference_pricing(
         network, source, penalties, budgets
     )
-    dist, prev = lp._pricing_search(network, source, penalties, budgets)
+    graph = network.routing_snapshot()
+    if budgets is None:
+        blocked = bytearray(len(graph.ids))
+    else:
+        blocked = CapacityLedger(budgets).blocked(graph)
+    dist, prev = lp._pricing_search(network, source, penalties, blocked)
     assert _ordered(dist) == _ordered(expected_dist)
     assert _ordered(prev) == _ordered(expected_prev)
 
@@ -300,7 +305,8 @@ def target_cases(draw):
 
     Targets are any users, so the list mixes reachable and unreachable
     ones, may name the source and may repeat.  The residual is passed
-    as drawn (``None`` or a dict) or wrapped in a ``CapacityLedger``.
+    as drawn (``None`` or a ledger) or replaced by a fresh
+    ``CapacityLedger`` over the same free qubits.
     """
     network, source, residual, qubits, forbidden, _ = draw(
         search_cases(dense=True)

@@ -134,12 +134,13 @@ def test_source_has_a_weight_but_no_predecessor():
 
 def test_ledger_mask_and_dict_residual_search_alike():
     """A search on a ledger reads the mask the ledger kept through its
-    reservations; on the ledger's dict it builds one.  Same result."""
+    reservations; a fresh ledger over the ledger's dict builds one.
+    Same result."""
     network = _line()
     ledger = CapacityLedger.from_network(network)
     assert "b" in dijkstra(network, "a", ledger)[0]
     ledger.reserve({"s": 2})
-    for residual in (ledger, ledger.as_dict()):
+    for residual in (ledger, CapacityLedger(ledger.as_dict())):
         dist, prev = dijkstra(network, "a", residual)
         assert dict(dist) == {"a": 0.0} and dict(prev) == {}
     ledger.release({"s": 2})

@@ -9,6 +9,7 @@ import pytest
 from repro.core.bruteforce import enumerate_channels
 from repro.core.channel import find_best_channel
 from repro.core.kbest import channel_diversity, k_best_channels
+from repro.core.ledger import CapacityLedger
 from repro.network import NetworkBuilder
 from repro.topology import TopologyConfig, waxman_network
 
@@ -77,7 +78,11 @@ class TestKBest:
 
     def test_residual_capacity_respected(self, two_path_network):
         channels = k_best_channels(
-            two_path_network, "alice", "bob", k=5, residual={"mid": 0}
+            two_path_network,
+            "alice",
+            "bob",
+            k=5,
+            residual=CapacityLedger({"mid": 0}),
         )
         assert [c.path for c in channels] == [("alice", "bob")]
 

@@ -14,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.obs.metrics as obs_metrics
-from repro.core.channel import best_channels_from, blocked_mask
+from repro.core.channel import best_channels_from
 from repro.core.conflict_free import solve_conflict_free
 from repro.core.ledger import CapacityError, CapacityLedger
+from repro.core.ledger import _blocked_mask as blocked_mask
 from repro.core.prim_based import solve_prim
 from repro.core.problem import Channel
 from repro.extensions.recovery import hold_channels
@@ -49,6 +50,14 @@ class TestBasicAccounting:
         assert excinfo.value.switch == "b"
         assert excinfo.value.requested == 2
         assert excinfo.value.available == 1
+
+    def test_reserve_capped_stops_at_zero(self):
+        """An overbooking usage (a capacity-exempt tree) leaves the
+        switch empty, and so blocked, rather than raising."""
+        ledger = CapacityLedger({"a": 4, "b": 4})
+        ledger.reserve_capped({"a": 6, "b": 2})
+        assert ledger.as_dict() == {"a": 0, "b": 2}
+        assert ledger.used("a") == 4
 
     def test_negative_amounts_rejected(self):
         ledger = CapacityLedger({"a": 4})

@@ -87,13 +87,20 @@ def _reference_route_star(
     network: QuantumNetwork,
     center: Hashable,
     user_list: List[Hashable],
+    ledger: Optional[CapacityLedger] = None,
 ) -> Optional[List[Channel]]:
-    """``nfusion._route_star`` before search reuse."""
+    """``nfusion._route_star`` before search reuse.
+
+    It keeps its own account, so the solver's *ledger* is ignored; each
+    search reads a ledger over that account's current free qubits.
+    """
     residual = network.residual_qubits()
     pending = [u for u in user_list if u != center]
     star: List[Channel] = []
     while pending:
-        found = best_channels_from(network, center, pending, residual)
+        found = best_channels_from(
+            network, center, pending, CapacityLedger(residual)
+        )
         best_target = None
         best_channel = None
         for target, channel in found.items():
@@ -191,7 +198,9 @@ def test_prim_matches_frozen_reference(case):
 def test_nfusion_matches_frozen_reference(network, data):
     users = data.draw(st.permutations(network.user_ids))
     center = data.draw(st.sampled_from(users))
-    star = nfusion._route_star(network, center, users)
+    star = nfusion._route_star(
+        network, center, users, CapacityLedger.from_network(network)
+    )
     expected_star = _reference_route_star(network, center, users)
     assert (star is None) == (expected_star is None)
     if star is not None:
@@ -260,7 +269,12 @@ class TestSearchCounts:
         )
         search = counting(nfusion)
         center = network.user_ids[0]
-        star = nfusion._route_star(network, center, network.user_ids)
+        star = nfusion._route_star(
+            network,
+            center,
+            network.user_ids,
+            CapacityLedger.from_network(network),
+        )
         assert star is not None and len(star) == n_users - 1
         assert search.sources == [center]
 
@@ -301,6 +315,8 @@ class TestSearchCounts:
     ):
         network = self._hub_network(hub_qubits)
         search = counting(nfusion)
-        star = nfusion._route_star(network, "a", ["a", "b", "c"])
+        star = nfusion._route_star(
+            network, "a", ["a", "b", "c"], CapacityLedger.from_network(network)
+        )
         assert [c.path for c in star] == [("a", "h", "b"), ("a", "c")]
         assert search.sources == sources

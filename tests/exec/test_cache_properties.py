@@ -87,7 +87,7 @@ def test_cached_search_tracks_reserve_release_sequences(seed, ops):
             else:
                 if ledger.used(switch) >= QUBITS_PER_CHANNEL:
                     ledger.release(usage)
-            residual = ledger.as_dict()
+            residual = CapacityLedger(ledger.as_dict())
             for source in (users[0], users[1]):
                 cached_dist, cached_prev = dijkstra(net, source, residual)
                 with exec_cache.caching(ChannelCache()):

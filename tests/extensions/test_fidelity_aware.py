@@ -7,6 +7,7 @@ import math
 import pytest
 
 from repro.core.channel import find_best_channel
+from repro.core.ledger import CapacityLedger
 from repro.core.tree import validate_solution
 from repro.extensions.fidelity_aware import (
     FidelityModel,
@@ -119,7 +120,7 @@ class TestParetoSearch:
 
     def test_residual_capacity_respected(self, tradeoff_network):
         frontier = pareto_channels(
-            tradeoff_network, "a", "b", residual={"m": 0}
+            tradeoff_network, "a", "b", residual=CapacityLedger({"m": 0})
         )
         paths = {pc.channel.path for pc in frontier}
         assert paths == {("a", "b")}

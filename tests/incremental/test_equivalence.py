@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.channel import dijkstra
+from repro.core.ledger import CapacityLedger
 from repro.exec import cache as exec_cache
 from repro.exec.cache import ChannelCache
 from repro.incremental import IncrementalRouter
@@ -191,8 +192,9 @@ def _scoped_searches(seed, steps, scope):
     with cache_ctx, bus_ctx:
         for step in steps:
             fiber = fibers[step % len(fibers)]
-            residual = network.residual_qubits()
-            residual[switches[step % len(switches)]] = 0
+            qubits = network.residual_qubits()
+            qubits[switches[step % len(switches)]] = 0
+            residual = CapacityLedger(qubits)
             for phase in ("before", "cut", "restored"):
                 if phase == "cut":
                     network.remove_fiber(fiber.u, fiber.v)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.channel import dijkstra
+from repro.core.ledger import CapacityLedger
 from repro.exec import cache as exec_cache
 from repro.exec.cache import ChannelCache
 from repro.incremental.warmstart import WarmStartIndex
@@ -42,7 +43,7 @@ def chain_with_spur():
 def residual(net, **overrides):
     qubits = net.residual_qubits()
     qubits.update(overrides)
-    return qubits
+    return CapacityLedger(qubits)
 
 
 class TestFrontierConditions:

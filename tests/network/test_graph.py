@@ -171,8 +171,7 @@ class TestGraphOps:
         assert changed.params.swap_prob == 0.5
         assert simple.params.swap_prob == 0.9
 
-    def test_residual_capacities(self, simple):
-        assert simple.residual_capacities() == {"s": 3}
+    def test_residual_qubits(self, simple):
         assert simple.residual_qubits() == {"s": 6}
 
     def test_to_networkx(self, simple):

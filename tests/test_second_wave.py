@@ -180,10 +180,13 @@ class TestEngineSlotDuration:
 class TestChannelAllPairsWithResidual:
     def test_residual_shared_across_pairs(self, star_network):
         from repro.core.channel import all_pairs_best_channels
+        from repro.core.ledger import CapacityLedger
 
         # Hub depleted: no pair has a channel.
         channels = all_pairs_best_channels(
-            star_network, star_network.user_ids, residual={"hub": 0}
+            star_network,
+            star_network.user_ids,
+            residual=CapacityLedger({"hub": 0}),
         )
         assert channels == {}
 
