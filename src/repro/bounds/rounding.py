@@ -7,25 +7,23 @@ of :func:`repro.bounds.lp.solve_relaxation`:
 
 1. Solve the LP relaxation once; its columns are concrete
    :class:`~repro.core.problem.Channel` objects with fractional mass.
-2. Run a weighted Kruskal pass over the columns — attempt 0 visits
-   them in deterministic descending-rate order, attempt 1 prefers the
-   fractional support, and later attempts draw a mass-biased random
-   order from the caller's rng stream (the standard exponential-key
-   weighted shuffle, so same seed ⇒ byte-identical attempt
-   sequence).  A column is accepted iff its endpoints are in
-   different user components *and* the
-   :class:`~repro.core.ledger.CapacityLedger` can still host it; each
-   attempt runs inside a ledger transaction so a failed attempt rolls
-   back to a clean slate.
-3. If the accepted columns do not span every user (their mass sat on
-   switches another column already drained), repair greedily with
-   Algorithm 1 best-channel searches against the *residual* ledger —
-   the same completion step Algorithm 2 uses.
+2. Each attempt spends on its own fork of the idle
+   :class:`~repro.core.ledger.CapacityLedger` and runs Algorithm 3's
+   Phase 1, :func:`~repro.core.conflict_free.retain`, over the columns
+   — attempt 0 visits them in deterministic descending-rate order,
+   attempt 1 prefers the fractional support, and later attempts draw a
+   mass-biased random order from the caller's rng stream (the standard
+   exponential-key weighted shuffle, so same seed ⇒ byte-identical
+   attempt sequence).  A column is kept iff its endpoints are in
+   different user components *and* the fork can still host it.
+3. If the kept columns do not span every user (their mass sat on
+   switches another column already drained), Algorithm 3's Phase 2,
+   :func:`~repro.core.conflict_free.reconnect`, joins the components
+   with best-channel searches against the fork's residual.
 4. Audit the result with :class:`~repro.verify.verifier.SolutionVerifier`
    (capacity enforced) and keep the best verified tree across attempts.
 
-Because accepted channels only ever enter through
-``try_reserve_channel`` / ``can_host`` checks against one ledger, the
+Because every channel enters through a capacity check on the fork, the
 output can never overbook a switch; the audit in step 4 re-derives
 that from scratch anyway.
 """
@@ -33,15 +31,14 @@ that from scratch anyway.
 from __future__ import annotations
 
 import time
-from typing import Hashable, Iterable, List, Optional, Tuple
+from typing import Hashable, Iterable, List, Optional
 
 import numpy as np
 
 from repro.bounds.lp import LPRelaxationResult, solve_relaxation
-from repro.core.channel import best_channels_from
+from repro.core.conflict_free import reconnect, retain
 from repro.core.ledger import CapacityLedger
 from repro.core.problem import (
-    Channel,
     MUERPSolution,
     infeasible_solution,
     resolve_users,
@@ -61,10 +58,6 @@ DEFAULT_ATTEMPTS = 8
 #: priority boost; pure-zero columns still participate (they are real
 #: channels and the repair step may want them).
 _MASS_FLOOR = 1e-4
-
-
-class _AttemptFailed(Exception):
-    """Raised inside a ledger transaction to roll an attempt back."""
 
 
 def _attempt_order(
@@ -103,66 +96,6 @@ def _attempt_order(
         range(n),
         key=lambda j: (-keys[j], -columns[j].channel.log_rate, j),
     )
-
-
-def _kruskal_pass(
-    network: QuantumNetwork,
-    users: List[Hashable],
-    relaxation: LPRelaxationResult,
-    order: List[int],
-    ledger: CapacityLedger,
-) -> Tuple[List[Channel], UnionFind]:
-    """One capacity-checked Kruskal sweep over the LP columns."""
-    unions = UnionFind(users)
-    chosen: List[Channel] = []
-    for j in order:
-        column = relaxation.columns[j]
-        a, b = column.pair
-        if unions.connected(a, b):
-            continue
-        if ledger.try_reserve_channel(column.channel):
-            unions.union(a, b)
-            chosen.append(column.channel)
-        if len(chosen) == len(users) - 1:
-            break
-    return chosen, unions
-
-
-def _repair(
-    network: QuantumNetwork,
-    users: List[Hashable],
-    chosen: List[Channel],
-    unions: UnionFind,
-    ledger: CapacityLedger,
-) -> int:
-    """Greedy Algorithm-1 completion against the residual ledger.
-
-    Returns the number of repair channels added; raises
-    :class:`_AttemptFailed` when the remaining components cannot be
-    joined under the residual capacities.
-    """
-    added = 0
-    while unions.n_components > 1:
-        best: Optional[Channel] = None
-        for source in users:
-            targets = [
-                u for u in users if not unions.connected(source, u)
-            ]
-            if not targets:
-                continue
-            found = best_channels_from(network, source, targets, ledger)
-            for channel in found.values():
-                if best is None or channel.log_rate > best.log_rate:
-                    best = channel
-        if best is None:
-            raise _AttemptFailed("components cannot be reconnected")
-        if not ledger.try_reserve_channel(best):  # pragma: no cover
-            raise _AttemptFailed("residual search returned a full switch")
-        a, b = best.endpoints
-        unions.union(a, b)
-        chosen.append(best)
-        added += 1
-    return added
 
 
 def solve_lp_rounding(
@@ -210,7 +143,7 @@ def solve_lp_rounding(
         np.asarray(relaxation.values, dtype=float), _MASS_FLOOR
     )
     verifier = SolutionVerifier()
-    ledger = CapacityLedger.from_network(network)
+    idle = CapacityLedger.from_network(network)
     best_solution: Optional[MUERPSolution] = None
     attempts = max(1, attempts)
     failures = 0
@@ -218,32 +151,26 @@ def solve_lp_rounding(
 
     for attempt in range(attempts):
         order = _attempt_order(attempt, relaxation, weights, generator)
-        try:
-            with ledger.transaction():
-                chosen, unions = _kruskal_pass(
-                    network, user_list, relaxation, order, ledger
-                )
-                if unions.n_components > 1:
-                    repairs += _repair(
-                        network, user_list, chosen, unions, ledger
-                    )
-                candidate = MUERPSolution(
-                    channels=tuple(chosen),
-                    users=frozenset(user_list),
-                    method="lp_rounding",
-                )
-                if verifier.audit(
-                    network, candidate, users=user_list,
-                    enforce_capacity=True,
-                ):
-                    raise _AttemptFailed("verifier rejected candidate")
-                # Roll the reservations back either way: the solution
-                # carries its own usage and callers own the real ledger.
-                raise _AttemptFailed("unwind")
-        except _AttemptFailed as failure:
-            if str(failure) != "unwind":
-                failures += 1
-                continue
+        ledger = idle.fork()
+        unions = UnionFind(user_list)
+        chosen = retain(
+            (relaxation.columns[j].channel for j in order), unions, ledger
+        )
+        added = reconnect(network, user_list, unions, ledger)
+        if unions.n_components > 1:
+            failures += 1
+            continue
+        repairs += len(added)
+        candidate = MUERPSolution(
+            channels=tuple(chosen + added),
+            users=frozenset(user_list),
+            method="lp_rounding",
+        )
+        if verifier.audit(
+            network, candidate, users=user_list, enforce_capacity=True
+        ):
+            failures += 1
+            continue
         if (
             best_solution is None
             or candidate.log_rate > best_solution.log_rate

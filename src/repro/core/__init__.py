@@ -30,7 +30,7 @@ from repro.core.conflict_free import solve_conflict_free
 from repro.core.prim_based import solve_prim
 from repro.core.tree import ValidationReport, validate_solution
 from repro.core.bruteforce import brute_force_optimal, enumerate_channels
-from repro.core.exact import solve_exact, optimality_gap
+from repro.core.exact import solve_exact
 from repro.core.kbest import k_best_channels, channel_diversity
 from repro.core.localsearch import improve_solution
 from repro.core.registry import SOLVERS, register_solver, solve
@@ -56,7 +56,6 @@ __all__ = [
     "brute_force_optimal",
     "enumerate_channels",
     "solve_exact",
-    "optimality_gap",
     "k_best_channels",
     "channel_diversity",
     "improve_solution",

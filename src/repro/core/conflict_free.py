@@ -16,10 +16,15 @@ set can overload switches.  Algorithm 3 repairs this in two phases:
   merge, until one union remains or no channel exists (→ infeasible,
   rate 0).
 
-:func:`reconnect` is that Phase-2 loop on its own; incremental repair
+:func:`retain` and :func:`reconnect` are the two phases on their own,
+the greedy steps every other tree builder reuses: LP rounding
+(:func:`repro.bounds.rounding.solve_lp_rounding`) retains LP columns
+and reconnects what they leave apart, local search
+(:func:`repro.core.localsearch.improve_solution`) reconnects the two
+sides of a removed channel, and incremental repair
 (:func:`repro.extensions.recovery.repair_solution`) and the splice
 ladder (:func:`repro.incremental.tree.splice_solution`) reconnect their
-surviving unions with it too.
+surviving unions.
 """
 
 from __future__ import annotations
@@ -94,21 +99,9 @@ def solve_conflict_free(
     if ledger is None:
         ledger = CapacityLedger.from_network(network)
     unions = UnionFind(user_list)
-    selected: List[Channel] = []
-
     try:
         with ledger.transaction():
-            # Phase 1: keep what fits, in retention order.
-            for channel in ordered:
-                a, b = channel.endpoints
-                if unions.connected(a, b):
-                    continue
-                if ledger.try_reserve_channel(channel):
-                    unions.union(a, b)
-                    selected.append(channel)
-
-            # Phase 2: reconnect remaining unions with capacity-aware
-            # routing.
+            selected = retain(ordered, unions, ledger)
             selected += reconnect(network, user_list, unions, ledger)
             if unions.n_components > 1:
                 raise _Infeasible()
@@ -121,6 +114,29 @@ def solve_conflict_free(
         method="conflict_free",
         feasible=True,
     )
+
+
+def retain(
+    channels: Iterable[Channel],
+    unions: UnionFind,
+    ledger: CapacityLedger,
+) -> List[Channel]:
+    """Phase 1: keep each of *channels* that joins two unions and fits.
+
+    Walks *channels* in the given order; a channel whose endpoints are
+    in distinct *unions* and whose every transit switch still holds 2
+    free qubits on *ledger* is reserved there and merges its endpoints.
+    Returns the kept channels in that order.
+    """
+    kept: List[Channel] = []
+    for channel in channels:
+        a, b = channel.endpoints
+        if unions.connected(a, b) or not ledger.can_host(channel):
+            continue
+        ledger.reserve_channel(channel)
+        unions.union(a, b)
+        kept.append(channel)
+    return kept
 
 
 def reconnect(

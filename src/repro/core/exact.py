@@ -147,22 +147,3 @@ def solve_exact(
         method="exact",
         feasible=True,
     )
-
-
-def optimality_gap(
-    network: QuantumNetwork, solution: MUERPSolution
-) -> float:
-    """Log-rate gap of *solution* to the capacity-relaxed optimum.
-
-    ``0`` means the heuristic hit Algorithm 2's upper bound; more
-    negative means more was lost to capacity or heuristic choices.
-    Returns ``-inf`` for infeasible solutions.
-    """
-    from repro.core.optimal import solve_optimal
-
-    if not solution.feasible:
-        return -math.inf
-    relaxed = solve_optimal(network, sorted(solution.users, key=repr))
-    if not relaxed.feasible:
-        return 0.0
-    return solution.log_rate - relaxed.log_rate

@@ -20,6 +20,7 @@ from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.core.channel import find_best_channel
 from repro.core.ledger import CapacityLedger
+from repro.core.optimal import channel_sort_key
 from repro.core.problem import Channel
 from repro.network.graph import QuantumNetwork
 from repro.network.link import fiber_key
@@ -112,7 +113,7 @@ def k_best_channels(
         ]
         if not fresh:
             break
-        fresh.sort(key=lambda c: (-c.log_rate, len(c.path), repr(c.path)))
+        fresh.sort(key=channel_sort_key)
         accepted.append(fresh[0])
         candidates.pop(fresh[0].path)
     return accepted

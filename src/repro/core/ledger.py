@@ -18,14 +18,12 @@ transaction semantics:
   copy before installing it on the live ledger.
 
 The ledger also keeps a high-water mark per switch (peak usage
-telemetry) and can report the tightest switches via an indexed heap —
-the operator-facing "which switch will exhaust first" question.  Most
-ledgers live for one solve and touch a few switches, so construction
-does no per-switch work: a switch's mark is recorded by :meth:`_apply`
-once its usage rises above its starting usage, :meth:`peak_usage`
-fills in the starting usage of the others when read, and the global
-mark behind the ``core.ledger.peak_occupancy`` gauge is computed the
-first time a reservation publishes it.
+telemetry).  Most ledgers live for one solve and touch a few switches,
+so construction does no per-switch work: a switch's mark is recorded by
+:meth:`_apply` once its usage rises above its starting usage,
+:meth:`peak_usage` fills in the starting usage of the others when read,
+and the global mark behind the ``core.ledger.peak_occupancy`` gauge is
+computed the first time a reservation publishes it.
 
 The ledger also keeps the channel search's blocked-switch mask (1 where
 a switch holds fewer than 2 free qubits, Algorithm 1's line 11),
@@ -50,13 +48,13 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    NoReturn,
     Optional,
     Tuple,
 )
 
 import repro.obs.metrics as obs_metrics
 from repro.core.problem import Channel, channel_usage
-from repro.utils.heap import IndexedMinHeap
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.network.graph import QuantumNetwork, RoutingSnapshot
@@ -248,22 +246,6 @@ class CapacityLedger:
             out.setdefault(switch, used)
         return out
 
-    def tightest(self, k: int = 3) -> List[Tuple[Hashable, int]]:
-        """The *k* switches with the least remaining capacity.
-
-        Uses the indexed heap so repeated telemetry pulls stay cheap on
-        large networks; ties break deterministically by switch repr.
-        """
-        heap = IndexedMinHeap()
-        order = {s: i for i, s in enumerate(sorted(self._avail, key=repr))}
-        for switch, free in self._avail.items():
-            heap.push(switch, free * (len(order) + 1) + order[switch])
-        out: List[Tuple[Hashable, int]] = []
-        while len(heap) and len(out) < k:
-            switch, _ = heap.pop_min()
-            out.append((switch, self._avail[switch]))
-        return out
-
     # ------------------------------------------------------------------
     # Write side
     # ------------------------------------------------------------------
@@ -305,6 +287,28 @@ class CapacityLedger:
         Raises :class:`CapacityError` (before mutating anything) when
         any switch lacks the headroom.
         """
+        avail = self._avail
+        for switch, qubits in usage.items():
+            if not 0 <= qubits <= avail.get(switch, 0):
+                self._refuse_reserve(usage)
+        for switch, qubits in usage.items():
+            if qubits:
+                self._apply(switch, -qubits)
+        metrics = obs_metrics.active()
+        if metrics is not None:
+            if self._peak_global is None:
+                self._peak_global = max(
+                    self.peak_usage().values(), default=0
+                )
+            metrics.inc("core.ledger.reserves")
+            metrics.inc("core.ledger.qubits_reserved", sum(usage.values()))
+            metrics.max_gauge(
+                "core.ledger.peak_occupancy", self._peak_global
+            )
+
+    def _refuse_reserve(self, usage: Mapping[Hashable, int]) -> NoReturn:
+        """Raise for the first switch in ``repr`` order that *usage*
+        overdraws, so the error does not depend on *usage*'s order."""
         for switch in sorted(usage, key=repr):
             qubits = usage[switch]
             if qubits < 0:
@@ -320,20 +324,7 @@ class CapacityLedger:
                     qubits,
                     free,
                 )
-        for switch, qubits in usage.items():
-            if qubits:
-                self._apply(switch, -qubits)
-        metrics = obs_metrics.active()
-        if metrics is not None:
-            if self._peak_global is None:
-                self._peak_global = max(
-                    self.peak_usage().values(), default=0
-                )
-            metrics.inc("core.ledger.reserves")
-            metrics.inc("core.ledger.qubits_reserved", sum(usage.values()))
-            metrics.max_gauge(
-                "core.ledger.peak_occupancy", self._peak_global
-            )
+        raise AssertionError("no switch overdrawn")  # pragma: no cover
 
     def reserve_capped(self, usage: Mapping[Hashable, int]) -> None:
         """Reserve *usage*, capped at each switch's free qubits.
@@ -354,6 +345,24 @@ class CapacityLedger:
         Releasing above a switch's known budget is a double-release bug
         and raises :class:`CapacityError` before mutating anything.
         """
+        avail, budgets = self._avail, self._budgets
+        for switch, qubits in usage.items():
+            budget = budgets.get(switch)
+            if qubits < 0 or (
+                budget is not None and qubits > budget - avail.get(switch, 0)
+            ):
+                self._refuse_release(usage)
+        for switch, qubits in usage.items():
+            if qubits:
+                self._apply(switch, qubits)
+        metrics = obs_metrics.active()
+        if metrics is not None:
+            metrics.inc("core.ledger.releases")
+            metrics.inc("core.ledger.qubits_released", sum(usage.values()))
+
+    def _refuse_release(self, usage: Mapping[Hashable, int]) -> NoReturn:
+        """Raise for the first switch in ``repr`` order that *usage*
+        over-releases, so the error does not depend on *usage*'s order."""
         for switch in sorted(usage, key=repr):
             qubits = usage[switch]
             if qubits < 0:
@@ -371,13 +380,7 @@ class CapacityLedger:
                         qubits,
                         headroom,
                     )
-        for switch, qubits in usage.items():
-            if qubits:
-                self._apply(switch, qubits)
-        metrics = obs_metrics.active()
-        if metrics is not None:
-            metrics.inc("core.ledger.releases")
-            metrics.inc("core.ledger.qubits_released", sum(usage.values()))
+        raise AssertionError("no switch over-released")  # pragma: no cover
 
     # Channel conveniences ------------------------------------------------
     def can_host(self, channel: Channel) -> bool:
@@ -394,13 +397,6 @@ class CapacityLedger:
     def release_channel(self, channel: Channel) -> None:
         """Return the qubits :meth:`reserve_channel` pinned."""
         self.release(channel_usage((channel,)))
-
-    def try_reserve_channel(self, channel: Channel) -> bool:
-        """Reserve *channel*'s qubits if possible; ``False`` otherwise."""
-        if not self.can_host(channel):
-            return False
-        self.reserve_channel(channel)
-        return True
 
     # ------------------------------------------------------------------
     # Transactions

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Hashable, List, Optional, Tuple
 
-from repro.core.channel import best_channels_from
+from repro.core.conflict_free import reconnect
 from repro.core.ledger import CapacityLedger
 from repro.core.problem import Channel, MUERPSolution, channel_usage
 from repro.network.graph import QuantumNetwork
@@ -75,20 +75,33 @@ def _best_move(
     users: List[Hashable],
     tolerance: float,
 ) -> Optional[Tuple[int, Channel]]:
-    """Best single-channel replacement improving total log rate."""
+    """Best single-channel replacement improving total log rate.
+
+    Removing a tree channel splits the users into two sides; Algorithm
+    3's :func:`reconnect` joins them again with the best channel that
+    fits beside the other channels.  That covers both moves: the removed
+    channel's endpoints are one of the cross pairs (re-route), every
+    other cross pair realises the reconnect move.  The side holding the
+    removed channel's first endpoint is listed first, so every search
+    starts there.
+    """
     best_gain = tolerance
     best: Optional[Tuple[int, Channel]] = None
     for index, channel in enumerate(channels):
+        unions = UnionFind(users)
+        for other in channels[:index] + channels[index + 1 :]:
+            unions.union(*other.endpoints)
+        anchor = channel.endpoints[0]
+        side_a = [u for u in users if unions.connected(u, anchor)]
+        side_b = [u for u in users if not unions.connected(u, anchor)]
         residual = _residual_without(network, channels, index)
-        replacement = _best_replacement(
-            network, channels, index, users, residual
-        )
-        if replacement is None:
+        added = reconnect(network, side_a + side_b, unions, residual)
+        if not added:
             continue
-        gain = replacement.log_rate - channel.log_rate
+        gain = added[0].log_rate - channel.log_rate
         if gain > best_gain:
             best_gain = gain
-            best = (index, replacement)
+            best = (index, added[0])
     return best
 
 
@@ -106,34 +119,3 @@ def _residual_without(
         channel_usage(c for i, c in enumerate(channels) if i != skip_index)
     )
     return ledger
-
-
-def _best_replacement(
-    network: QuantumNetwork,
-    channels: List[Channel],
-    index: int,
-    users: List[Hashable],
-    residual: CapacityLedger,
-) -> Optional[Channel]:
-    """Best channel reconnecting the two components split by removal.
-
-    Covers both moves: the original endpoints are one of the candidate
-    cross pairs (re-route) and all other cross pairs realise the
-    reconnect move.
-    """
-    remaining = [c for i, c in enumerate(channels) if i != index]
-    unions = UnionFind(users)
-    for channel in remaining:
-        unions.union(*channel.endpoints)
-    side_a = [u for u in users if unions.connected(u, channels[index].endpoints[0])]
-    side_b = [u for u in users if u not in set(side_a)]
-    if not side_a or not side_b:
-        return None  # removal didn't split: shouldn't happen on a tree
-
-    best: Optional[Channel] = None
-    for source in side_a:
-        found = best_channels_from(network, source, side_b, residual)
-        for candidate in found.values():
-            if best is None or candidate.log_rate > best.log_rate:
-                best = candidate
-    return best

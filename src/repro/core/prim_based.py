@@ -20,7 +20,7 @@ Unlike Algorithm 3 this needs no Algorithm 2 output to start from.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Set
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set
 
 from repro.core.channel import best_channels_from
 from repro.core.ledger import CapacityLedger
@@ -37,6 +37,24 @@ from repro.utils.rng import RngLike, ensure_rng
 
 class _Infeasible(Exception):
     """Internal control flow: abort the solve and roll back reservations."""
+
+
+def choose_start(
+    users: Sequence[Hashable],
+    start: Optional[Hashable] = None,
+    rng: RngLike = None,
+) -> Hashable:
+    """The seed user ``u_0`` a Prim-style growth starts from.
+
+    *start* when given (it must be one of *users*); otherwise one user
+    drawn uniformly with *rng*, as the paper does.  Every Prim variant
+    draws its seed here, so one rng seed starts them all alike.
+    """
+    if start is None:
+        return users[int(ensure_rng(rng).integers(0, len(users)))]
+    if start not in users:
+        raise ValueError(f"start {start!r} is not among the users")
+    return start
 
 
 def solve_prim(
@@ -70,12 +88,7 @@ def solve_prim(
         when growth gets stuck before spanning all users.
     """
     user_list = resolve_users(network, users)
-    if start is None:
-        generator = ensure_rng(rng)
-        start = user_list[int(generator.integers(0, len(user_list)))]
-    elif start not in user_list:
-        raise ValueError(f"start {start!r} is not among the users")
-
+    start = choose_start(user_list, start, rng)
     connected: List[Hashable] = [start]
     remaining: Set[Hashable] = set(user_list) - {start}
     ledger = residual

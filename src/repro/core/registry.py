@@ -320,7 +320,6 @@ def solve_robust(
     chain: Sequence[str] = DEFAULT_CHAIN,
     timeout_s: Optional[float] = None,
     verify: bool = True,
-    capacity_exempt: Iterable[str] = CAPACITY_EXEMPT_METHODS,
     rate_tolerance: float = 1e-9,
     breaker: Optional[CircuitBreaker] = None,
 ) -> RobustSolveResult:
@@ -343,8 +342,6 @@ def solve_robust(
         verify: Run the independent solution verifier on every
             candidate (strongly recommended; ``False`` only skips the
             re-check, the audit is still produced).
-        capacity_exempt: Solver names verified *without* the capacity
-            invariant (Algorithm 2 models abundant capacity).
         rate_tolerance: Tolerance for the Eq. 1/2 rate recomputation.
         breaker: Optional :class:`CircuitBreaker` shared across calls.
 
@@ -368,7 +365,6 @@ def solve_robust(
             raise UnknownSolverError(method, SOLVERS)
 
     user_list = resolve_users(network, users)
-    exempt = frozenset(capacity_exempt)
     verifier = SolutionVerifier(rate_tolerance=rate_tolerance)
     audit = SolveAudit(chain=chain)
 
@@ -471,7 +467,7 @@ def solve_robust(
                         network,
                         solution,
                         users=user_list,
-                        enforce_capacity=method not in exempt,
+                        enforce_capacity=method not in CAPACITY_EXEMPT_METHODS,
                     )
                     if violations:
                         _note_attempt(

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.ledger import CapacityLedger
+from repro.core.optimal import channel_sort_key
+from repro.core.prim_based import choose_start
 from repro.core.problem import (
     Channel,
     MUERPSolution,
@@ -34,7 +36,7 @@ from repro.quantum.fidelity import (
     link_fidelity_from_length,
     werner_fidelity_after_swap,
 )
-from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.rng import RngLike
 
 
 @dataclass(frozen=True)
@@ -234,35 +236,32 @@ def solve_fidelity_prim(
     """
     user_list = resolve_users(network, users)
     model = model or FidelityModel()
-    if start is None:
-        generator = ensure_rng(rng)
-        start = user_list[int(generator.integers(0, len(user_list)))]
-    elif start not in user_list:
-        raise ValueError(f"start {start!r} is not among the users")
-
+    start = choose_start(user_list, start, rng)
     connected = [start]
-    remaining = set(user_list) - {start}
+    remaining = [u for u in user_list if u != start]
     ledger = CapacityLedger.from_network(network)
     selected: List[Channel] = []
 
     while remaining:
-        best: Optional[ParetoChannel] = None
+        best: Optional[Channel] = None
         for source in connected:
             for target in remaining:
                 candidate = find_best_channel_with_fidelity(
                     network, source, target, min_fidelity, model, ledger
                 )
-                if candidate is None:
-                    continue
-                if best is None or candidate.channel.log_rate > best.channel.log_rate:
-                    best = candidate
+                if candidate is not None and (
+                    best is None
+                    or channel_sort_key(candidate.channel)
+                    < channel_sort_key(best)
+                ):
+                    best = candidate.channel
         if best is None:
             return infeasible_solution(user_list, "fidelity_prim")
-        ledger.reserve_channel(best.channel)
-        newcomer = best.channel.endpoints[1]
-        remaining.discard(newcomer)
+        ledger.reserve_channel(best)
+        newcomer = best.endpoints[1]
+        remaining.remove(newcomer)
         connected.append(newcomer)
-        selected.append(best.channel)
+        selected.append(best)
 
     return MUERPSolution(
         channels=tuple(selected),

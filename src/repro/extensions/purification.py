@@ -32,6 +32,8 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.core.ledger import QUBITS_PER_CHANNEL, CapacityLedger
+from repro.core.optimal import channel_sort_key
+from repro.core.prim_based import choose_start
 from repro.core.problem import (
     Channel,
     MUERPSolution,
@@ -44,7 +46,7 @@ from repro.extensions.fidelity_aware import (
     pareto_channels,
 )
 from repro.network.graph import QuantumNetwork
-from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.rng import RngLike
 from repro.utils.validation import require_probability
 
 
@@ -174,21 +176,15 @@ def solve_purified_prim(
     """
     user_list = resolve_users(network, users)
     model = model or FidelityModel()
-    if start is None:
-        generator = ensure_rng(rng)
-        start = user_list[int(generator.integers(0, len(user_list)))]
-    elif start not in user_list:
-        raise ValueError(f"start {start!r} is not among the users")
-
+    start = choose_start(user_list, start, rng)
     connected = [start]
-    remaining = set(user_list) - {start}
+    remaining = [u for u in user_list if u != start]
     ledger = CapacityLedger.from_network(network)
     selected: List[Channel] = []
     rounds_by_path: Dict[Tuple[Hashable, ...], int] = {}
 
     while remaining:
         best: Optional[PurificationOption] = None
-        best_target: Optional[Hashable] = None
         for source in connected:
             for target in remaining:
                 option = best_purified_option(
@@ -200,19 +196,21 @@ def solve_purified_prim(
                     ledger,
                     max_rounds,
                 )
-                if option is None:
-                    continue
-                if best is None or option.log_rate > best.log_rate:
+                if option is not None and (
+                    best is None
+                    or channel_sort_key(option.as_channel())
+                    < channel_sort_key(best.as_channel())
+                ):
                     best = option
-                    best_target = target
         if best is None:
             return (
                 infeasible_solution(user_list, "purified_prim"),
                 {},
             )
         ledger.reserve(best.switch_usage())
-        remaining.discard(best_target)
-        connected.append(best_target)
+        newcomer = best.channel.endpoints[1]
+        remaining.remove(newcomer)
+        connected.append(newcomer)
         selected.append(best.as_channel())
         rounds_by_path[best.channel.path] = best.rounds
 

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from repro.core.bruteforce import brute_force_optimal
 from repro.core.conflict_free import solve_conflict_free
-from repro.core.exact import optimality_gap, solve_exact
+from repro.core.optimal import solve_optimal
+from repro.core.exact import solve_exact
 from repro.core.prim_based import solve_prim
 from repro.core.tree import validate_solution
 from repro.topology import TopologyConfig, waxman_network
@@ -115,22 +116,24 @@ class TestProperties:
 
 
 class TestOptimalityGap:
+    """Log-rate gaps to Algorithm 2's capacity-relaxed optimum."""
+
     def test_zero_gap_under_sufficient_capacity(self, medium_waxman):
         roomy = medium_waxman.with_switch_qubits(
             2 * len(medium_waxman.users)
         )
         solution = solve_conflict_free(roomy)
-        assert abs(optimality_gap(roomy, solution)) < 1e-9
+        relaxed = solve_optimal(roomy)
+        assert abs(solution.log_rate - relaxed.log_rate) < 1e-9
 
     def test_gap_nonpositive(self, medium_waxman):
         solution = solve_prim(medium_waxman, rng=0)
-        assert optimality_gap(medium_waxman, solution) <= 1e-12
+        relaxed = solve_optimal(medium_waxman)
+        assert solution.log_rate - relaxed.log_rate <= 1e-12
 
     def test_infeasible_gap(self, tight_star_network):
         from repro.core.problem import infeasible_solution
 
-        gap = optimality_gap(
-            tight_star_network,
-            infeasible_solution(tight_star_network.user_ids, "x"),
-        )
-        assert gap == -math.inf
+        solution = infeasible_solution(tight_star_network.user_ids, "x")
+        relaxed = solve_optimal(tight_star_network)
+        assert solution.log_rate - relaxed.log_rate == -math.inf

@@ -95,10 +95,6 @@ class TestBasicAccounting:
         ledger.reserve({"a": 2})
         assert ledger.peak_usage()["a"] == 4
 
-    def test_tightest_orders_by_headroom(self):
-        ledger = CapacityLedger({"a": 4, "b": 1, "c": 2})
-        assert ledger.tightest(2) == [("b", 1), ("c", 2)]
-
 
 class TestChannelConveniences:
     def test_reserve_channel_pins_two_per_switch(self, line_network):
@@ -113,13 +109,14 @@ class TestChannelConveniences:
         ledger.release_channel(channel)
         assert ledger.as_dict() == {"s0": 4, "s1": 4}
 
-    def test_try_reserve_channel(self, tight_star_network):
+    def test_can_host_refuses_a_full_switch(self, tight_star_network):
         ledger = CapacityLedger.from_network(tight_star_network)
         channel = Channel.from_path(
             tight_star_network, ("alice", "hub", "bob")
         )
-        assert ledger.try_reserve_channel(channel)
-        assert not ledger.try_reserve_channel(channel)
+        assert ledger.can_host(channel)
+        ledger.reserve_channel(channel)
+        assert not ledger.can_host(channel)
         assert ledger.available("hub") == 0
 
 
