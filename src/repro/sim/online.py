@@ -47,23 +47,40 @@ With none of them set, a blocked request is retried every slot until
 from __future__ import annotations
 
 import logging
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import repro.obs.metrics as obs_metrics
 import repro.obs.trace as obs_trace
+from repro.admission.backpressure import TIER_DEGRADED, TIER_FULL, TIER_SHED
 from repro.core.conflict_free import solve_conflict_free
-from repro.core.ledger import CapacityError, CapacityLedger
+from repro.core.ledger import CapacityLedger
 from repro.core.prim_based import solve_prim
 from repro.core.problem import MUERPSolution
+from repro.extensions.recovery import (
+    STEP_DEGRADE,
+    STEP_REPAIR,
+    apply_failures,
+    channel_broken,
+    recover,
+)
 from repro.network.graph import QuantumNetwork
+from repro.resilience.faults import _FIBER_KINDS, FaultInjector, FaultKind
+from repro.resilience.report import (
+    ABANDONED,
+    DEADLINE_EXCEEDED,
+    DEGRADED,
+    REJECTED,
+    SERVED,
+    SHED,
+    RequestDisposition,
+    ResilienceReport,
+)
 from repro.utils.rng import RngLike, ensure_rng
+from repro.verify.verifier import SolutionVerifier
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.admission.control import AdmissionController
-    from repro.resilience.faults import FaultInjector
-    from repro.resilience.report import ResilienceReport
     from repro.resilience.retry import RetryPolicy
     from repro.tenancy.replicas import ReplicaSet, ReplicationPolicy
 
@@ -330,659 +347,653 @@ class OnlineScheduler:
             return self._run(requests)
 
     # ------------------------------------------------------------------
-    # The run loop — releases, faults, admission, routing, retries.
+    # The run loop — one call per slot phase, in order.
     # ------------------------------------------------------------------
     def _run(
         self, requests: Sequence[EntanglementRequest]
     ) -> OnlineResult:
-        from repro.admission.backpressure import (
-            TIER_DEGRADED,
-            TIER_FULL,
-            TIER_SHED,
-        )
-        from repro.extensions.recovery import (
-            STEP_DEGRADE,
-            STEP_REPAIR,
-            apply_failures,
-            channel_broken,
-            recover,
-        )
-        from repro.resilience import report as report_mod
-        from repro.resilience.faults import _FIBER_KINDS, FaultKind
-        from repro.resilience.report import (
-            RequestDisposition,
-            ResilienceReport,
-        )
-        from repro.tenancy.slo import tenant_label
+        run = _Run(self, requests)
+        # An empty stream simulates no slot, even with faults scheduled.
+        while requests and run.running():
+            cuts, darks = run.advance_faults()
+            run.release_expired()
+            run.absorb_faults(cuts, darks)
+            run.expire_queue()
+            for waiter in run.gather_candidates():
+                if not run.try_start(waiter):
+                    run.block(waiter)
+            run.slot += 1
+        return run.result()
 
-        replication = self.replication
-        plan_replicas = None
-        if replication is not None and replication.k > 1:
-            from repro.tenancy.replicas import (
-                EXHAUSTED,
-                FAILOVER,
-                INTACT,
-                plan_replica_set,
-            )
 
-            plan_replicas = plan_replica_set
+def _timed_out(request: EntanglementRequest, otherwise: str) -> str:
+    """Status of a request whose time ran out before service."""
+    if request.deadline is not None:
+        return DEADLINE_EXCEEDED
+    return otherwise
 
-        metrics = obs_metrics.active()
-        injector = self.fault_injector
-        if injector is not None:
-            injector.reset()
-        admission = self.admission
-        if admission is not None:
-            admission.reset()
-        report = ResilienceReport()
 
-        base = self.network
+class _Run:
+    """One :meth:`OnlineScheduler.run`'s state, with one method per phase.
+
+    Every slot runs the phases in this order:
+
+    0. :meth:`advance_faults` — the fault clock and the damaged view;
+    1. :meth:`release_expired` — completed service closes;
+    2. :meth:`absorb_faults` — mid-service :meth:`failover` among
+       replicas, then the :meth:`repair_ladder` (repair, degrade or
+       abandon);
+    2b. :meth:`expire_queue` — admission-queue expiry and the brownout
+       tier;
+    3. :meth:`gather_candidates` (queue drain, arrivals, due waiters),
+       then :meth:`try_start` per candidate and :meth:`block` for each
+       one that found no route.
+    """
+
+    def __init__(
+        self,
+        scheduler: OnlineScheduler,
+        requests: Sequence[EntanglementRequest],
+    ) -> None:
+        self.scheduler = scheduler
+        self.requests = requests
+        self.metrics = obs_metrics.active()
+        self.injector = scheduler.fault_injector
+        if self.injector is not None:
+            self.injector.reset()
+        self.admission = scheduler.admission
+        if self.admission is not None:
+            self.admission.reset()
+        self.report = ResilienceReport()
         # The transactional capacity account: reserve on admission,
         # release on completion; the repair path swaps reservations
         # inside a transaction so an exception can never leak qubits.
-        ledger = CapacityLedger.from_network(base)
-        verifier = None
-        if self.verify:
-            from repro.verify.verifier import SolutionVerifier
+        self.ledger = CapacityLedger.from_network(scheduler.network)
+        self.verifier = SolutionVerifier() if scheduler.verify else None
+        # repro.tenancy is imported per run, here and in failover() and
+        # result(), not per module: its package imports
+        # repro.tenancy.serving, which imports this module.
+        from repro.tenancy.replicas import plan_replica_set
+        from repro.tenancy.slo import tenant_label
 
-            verifier = SolutionVerifier()
+        self.tenant_label = tenant_label
+        self.plan_replicas = None
+        replication = scheduler.replication
+        if replication is not None and replication.k > 1:
+            self.plan_replicas = plan_replica_set
 
-        reservations: List[_Reservation] = []
-        waiting: List[_Waiter] = []
-        outcomes: Dict[str, RequestOutcome] = {}
-
-        by_arrival: Dict[int, List[EntanglementRequest]] = {}
+        self.reservations: List[_Reservation] = []
+        self.waiting: List[_Waiter] = []
+        self.outcomes: Dict[str, RequestOutcome] = {}
+        self.by_arrival: Dict[int, List[EntanglementRequest]] = {}
         for request in requests:
-            by_arrival.setdefault(request.arrival, []).append(request)
-        if not requests:
-            return OnlineResult(
-                (),
-                0,
-                ledger.peak_usage(),
-                report,
-                admission.stats() if admission is not None else None,
-            )
-        horizon = max(r.last_start_slot for r in requests) + 1
-        if injector is not None:
-            horizon = max(horizon, injector.schedule.last_slot)
+            self.by_arrival.setdefault(request.arrival, []).append(request)
+        self.horizon = max(
+            (r.last_start_slot + 1 for r in requests), default=0
+        )
+        if self.injector is not None:
+            self.horizon = max(self.horizon, self.injector.schedule.last_slot)
+        self.damaged = scheduler.network
+        self.active_sig: Tuple[frozenset, frozenset] = (
+            frozenset(),
+            frozenset(),
+        )
+        self.tier = TIER_FULL
+        self.slot = 0
 
-        def _close(
-            request: EntanglementRequest,
-            status: str,
-            reason: str,
-            slot: int,
-            retries: int = 0,
-            res: Optional[_Reservation] = None,
-        ) -> None:
-            """Record *request*'s one outcome and disposition.
+    def running(self) -> bool:
+        """Whether the slot is within the horizon, a release or a retry."""
+        end = self.horizon
+        if self.reservations:
+            end = max(end, max(r.release_slot for r in self.reservations))
+        if self.waiting:
+            end = max(end, max(w.next_slot for w in self.waiting))
+        return self.slot <= end
 
-            *res* is the request's reservation once it has started:
-            served (``SERVED``/``DEGRADED``) or abandoned mid-service.
-            """
-            served = status in (report_mod.SERVED, report_mod.DEGRADED)
-            served_users: Tuple[Hashable, ...] = ()
-            reroutes = failovers = 0
-            if res is not None:
-                retries = res.retries
-                reroutes = res.reroutes
-                failovers = res.failovers
-                if served:
-                    served_users = tuple(sorted(res.solution.users, key=repr))
-            outcomes[request.name] = RequestOutcome(
-                request=request,
-                accepted=served,
-                solution=res.solution if served else None,
-                start_slot=None if res is None else res.start_slot,
-                release_slot=res.release_slot if served else None,
-                disposition=status,
-                degraded=status == report_mod.DEGRADED,
-                served_users=served_users,
+    def route(
+        self,
+        request: EntanglementRequest,
+        network: Optional[QuantumNetwork] = None,
+        method: Optional[str] = None,
+        users: Optional[Tuple[Hashable, ...]] = None,
+    ) -> Optional[MUERPSolution]:
+        """Route *request* on the damaged view without spending capacity.
+
+        *network* overrides the view (replica planning), *method* the
+        scheduler's solver (hedged attempts) and *users* the request's
+        group (brownout degradation).
+        """
+        scheduler = self.scheduler
+        how = scheduler.method if method is None else method
+        solve = solve_prim if how == "prim" else solve_conflict_free
+        solution = solve(
+            self.damaged if network is None else network,
+            request.users if users is None else users,
+            rng=scheduler.rng,
+            residual=self.ledger.fork(),
+        )
+        return solution if solution.feasible else None
+
+    def count(self, name: str, amount: int = 1) -> None:
+        """Add *amount* to counter *name* when metrics are on."""
+        if self.metrics is not None:
+            self.metrics.inc(name, amount)
+
+    def count_request(self, what: str, request: EntanglementRequest) -> None:
+        """Count ``sim.online.<what>``, and its twin for a tenant request."""
+        if self.metrics is not None:
+            self.metrics.inc(f"sim.online.{what}")
+            if request.tenant:
+                self.metrics.inc(
+                    f"sim.online.tenant.{request.tenant}.{what}"
+                )
+
+    def close(
+        self,
+        request: EntanglementRequest,
+        status: str,
+        reason: str,
+        retries: int = 0,
+        res: Optional[_Reservation] = None,
+    ) -> None:
+        """Record *request*'s one outcome and disposition at this slot.
+
+        *res* is the request's reservation once it has started: served
+        (``SERVED``/``DEGRADED``) or abandoned mid-service.
+        """
+        served = status in (SERVED, DEGRADED)
+        served_users: Tuple[Hashable, ...] = ()
+        reroutes = failovers = 0
+        if res is not None:
+            retries = res.retries
+            reroutes = res.reroutes
+            failovers = res.failovers
+            if served:
+                served_users = tuple(sorted(res.solution.users, key=repr))
+        self.outcomes[request.name] = RequestOutcome(
+            request=request,
+            accepted=served,
+            solution=res.solution if served else None,
+            start_slot=None if res is None else res.start_slot,
+            release_slot=res.release_slot if served else None,
+            disposition=status,
+            degraded=status == DEGRADED,
+            served_users=served_users,
+            reroutes=reroutes,
+            failovers=failovers,
+        )
+        self.report.close_request(
+            RequestDisposition(
+                name=request.name,
+                status=status,
+                reason=reason,
+                slot=self.slot,
+                retries=retries,
                 reroutes=reroutes,
+                served_users=served_users,
+                tenant=request.tenant or "",
                 failovers=failovers,
             )
-            report.close_request(
-                RequestDisposition(
-                    name=request.name,
-                    status=status,
-                    reason=reason,
-                    slot=slot,
-                    retries=retries,
-                    reroutes=reroutes,
-                    served_users=served_users,
-                    tenant=request.tenant or "",
-                    failovers=failovers,
-                )
+        )
+        self.count_request(f"dispositions.{status}", request)
+        if self.admission is not None:
+            self.admission.on_closed(request, self.slot, status)
+        if not served:
+            logger.info(
+                "request %s lost at slot %d: %s (%s)",
+                request.name,
+                self.slot,
+                status,
+                reason,
             )
-            if metrics is not None:
-                metrics.inc(f"sim.online.dispositions.{status}")
-                if request.tenant:
-                    metrics.inc(
-                        f"sim.online.tenant.{request.tenant}"
-                        f".dispositions.{status}"
-                    )
-            if admission is not None:
-                admission.on_closed(request, slot, status)
-            if not served:
-                logger.info(
-                    "request %s lost at slot %d: %s (%s)",
-                    request.name,
-                    slot,
-                    status,
-                    reason,
+        elif res.hit_by_fault and status == SERVED:
+            self.report.record_recovery(request.name)
+
+    def advance_faults(self) -> Tuple[Set, Set]:
+        """Advance the fault clock and refresh the damaged view.
+
+        Returns the fiber cuts and dark switches that fired this jump
+        and are still active.  Only those can newly break a serving
+        tree: every surviving reservation was routed, repaired or
+        degraded on a damaged view that already excluded the elements
+        active before.  A transient that fires and expires within one
+        clock jump is back up, so it must not trigger repairs.
+        """
+        injector = self.injector
+        if injector is None:
+            return set(), set()
+        repaired_before = injector.faults_repaired
+        fired = injector.advance(self.slot)
+        for event in fired:
+            self.report.record_fault(event.describe())
+        self.report.record_repairs(injector.faults_repaired - repaired_before)
+        cuts = frozenset(injector.active_fiber_cuts)
+        darks = frozenset(injector.active_dark_switches)
+        if (cuts, darks) != self.active_sig:
+            self.active_sig = (cuts, darks)
+            base = self.scheduler.network
+            self.damaged = (
+                apply_failures(base, cuts, darks) if (cuts or darks) else base
+            )
+        return (
+            {e.target for e in fired if e.kind in _FIBER_KINDS} & cuts,
+            {e.target for e in fired if e.kind is FaultKind.SWITCH_DARK}
+            & darks,
+        )
+
+    def release_expired(self) -> None:
+        """Release the reservations whose service completed."""
+        still: List[_Reservation] = []
+        for res in self.reservations:
+            if res.release_slot > self.slot:
+                still.append(res)
+                continue
+            self.ledger.release(res.usage)
+            status, reason = SERVED, ""
+            if res.degraded:
+                status = DEGRADED
+                reason = (
+                    f"degraded to {len(res.solution.users)}/"
+                    f"{len(res.request.users)} users"
                 )
-            elif res.hit_by_fault and status == report_mod.SERVED:
-                report.record_recovery(request.name)
+            self.close(res.request, status, reason, res=res)
+        self.reservations = still
 
-        def _timed_out(request: EntanglementRequest, otherwise: str) -> str:
-            """Status of a request whose time ran out before service."""
-            if request.deadline is not None:
-                return report_mod.DEADLINE_EXCEEDED
-            return otherwise
+    def absorb_faults(self, cuts: Set, darks: Set) -> None:
+        """Fail over, repair, degrade or abandon what *cuts*/*darks* broke.
 
-        def _swap(res: _Reservation, solution: MUERPSolution) -> None:
-            """Move *res* onto *solution*'s qubits in one transaction.
-
-            An exception between release and reserve can never leak.
-            """
-            usage = solution.switch_usage()
-            with ledger.transaction():
-                ledger.release(res.usage)
-                ledger.reserve(usage)
-            res.solution = solution
-            res.usage = usage
-
-        damaged = base
-        active_sig: Tuple[frozenset, frozenset] = (frozenset(), frozenset())
-        slot = 0
-        while True:
-            end = horizon
-            if reservations:
-                end = max(end, max(r.release_slot for r in reservations))
-            if waiting:
-                end = max(end, max(w.next_slot for w in waiting))
-            if slot > end:
-                break
-
-            # 0. Advance the fault clock; refresh the damaged view.
-            fired = []
-            if injector is not None:
-                repaired_before = injector.faults_repaired
-                fired = injector.advance(slot)
-                for event in fired:
-                    report.record_fault(event.describe())
-                report.record_repairs(
-                    injector.faults_repaired - repaired_before
-                )
-                sig = (
-                    frozenset(injector.active_fiber_cuts),
-                    frozenset(injector.active_dark_switches),
-                )
-                if sig != active_sig:
-                    active_sig = sig
-                    damaged = (
-                        apply_failures(base, sig[0], sig[1])
-                        if (sig[0] or sig[1])
-                        else base
-                    )
-
-            # 1. Release expired reservations (service completed).
-            still: List[_Reservation] = []
-            for res in reservations:
-                if res.release_slot <= slot:
-                    ledger.release(res.usage)
-                    if res.degraded:
-                        status = report_mod.DEGRADED
-                        reason = (
-                            f"degraded to {len(res.solution.users)}/"
-                            f"{len(res.request.users)} users"
-                        )
-                    else:
-                        status, reason = report_mod.SERVED, ""
-                    _close(res.request, status, reason, slot, res=res)
-                else:
-                    still.append(res)
-            reservations = still
-
-            # 2. Mid-service faults: repair, degrade, or abandon.
-            #
-            # Tree-disjoint pre-check (the incremental fast path): only
-            # elements that fired *this jump* and are *still active* can
-            # newly break a serving tree — every surviving reservation
-            # was routed, repaired, or degraded on a damaged view that
-            # already excluded the previously-active elements.  The
-            # intersection with the active sets matters: a transient
-            # that fires and expires within one clock jump shows up in
-            # ``fired`` but is back up, so it must not trigger repairs.
-            fired_cuts: Set[Tuple[Hashable, Hashable]] = set()
-            fired_darks: Set[Hashable] = set()
-            if injector is not None and fired:
-                cuts, darks = active_sig
-                fired_cuts = {
-                    e.target for e in fired if e.kind in _FIBER_KINDS
-                } & cuts
-                fired_darks = {
-                    e.target
-                    for e in fired
-                    if e.kind is FaultKind.SWITCH_DARK
-                } & darks
-            if fired_cuts or fired_darks:
-                cuts, darks = active_sig
-                surviving: List[_Reservation] = []
-                for res in reservations:
-                    if res.replicas is not None:
-                        # k-redundant serving: absorb the fault at the
-                        # replica layer first.  Only when every replica
-                        # is dead does the request fall through to the
-                        # structural repair ladder below.
-                        event, released = res.replicas.handle_faults(
-                            fired_cuts, fired_darks
-                        )
-                        if released:
-                            with ledger.transaction():
-                                for extra_usage in released:
-                                    ledger.release(extra_usage)
-                        if event == INTACT:
-                            if metrics is not None:
-                                metrics.inc(
-                                    "repro.incremental.online.disjoint_noop"
-                                )
-                            surviving.append(res)
-                            continue
-                        res.hit_by_fault = True
-                        res.usage = res.replicas.total_usage()
-                        if event != EXHAUSTED:
-                            res.solution = res.replicas.serving_solution
-                            if event == FAILOVER:
-                                res.failovers += 1
-                                if metrics is not None:
-                                    metrics.inc("sim.online.failovers")
-                                    if res.request.tenant:
-                                        metrics.inc(
-                                            "sim.online.tenant."
-                                            f"{res.request.tenant}"
-                                            ".failovers"
-                                        )
-                                if (
-                                    admission is not None
-                                    and admission.slo is not None
-                                ):
-                                    admission.slo.record_failover(
-                                        tenant_label(res.request)
-                                    )
-                                report.record_failover(
-                                    res.request.name,
-                                    f"slot {slot}: promoted standby "
-                                    f"({res.replicas.k} replicas left)",
-                                )
-                            elif metrics is not None:
-                                metrics.inc("sim.online.replicas_pruned")
-                            surviving.append(res)
-                            continue
-                        # All replicas dead: collapse to a plain
-                        # single-tree reservation and escalate.
-                        res.replicas = None
-                        if metrics is not None:
-                            metrics.inc("sim.online.replicas_exhausted")
-                    if not any(
-                        channel_broken(c, fired_cuts, fired_darks)
-                        for c in res.solution.channels
-                    ):
-                        if metrics is not None:
-                            metrics.inc(
-                                "repro.incremental.online.disjoint_noop"
-                            )
-                        surviving.append(res)
-                        continue
-                    res.hit_by_fault = True
-                    # Capacity-aware repair: the reservation's own
-                    # qubits plus the global residual are available.
-                    avail = ledger.fork()
-                    avail.release(res.usage)
-                    step, fixed, rep = recover(
-                        # Step 0 rebuilt the damaged view for this fault
-                        # signature; every broken reservation reuses it.
-                        damaged,
-                        res.solution,
-                        cuts,
-                        darks,
-                        residual=avail,
-                        allow_degradation=self.allow_degradation,
-                        verifier=verifier,
-                        report=report,
-                        name=res.request.name,
-                    )
-                    if step:
-                        _swap(res, fixed)
-                        surviving.append(res)
-                    if step == STEP_REPAIR:
-                        res.reroutes += 1
-                        if metrics is not None:
-                            metrics.inc("sim.online.repairs")
-                        report.record_reroute(
-                            res.request.name,
-                            f"slot {slot}: "
-                            f"{len(rep.broken_channels)} broken channels "
-                            f"re-routed",
-                        )
-                        continue
-                    if step == STEP_DEGRADE:
-                        res.degraded = True
-                        if metrics is not None:
-                            metrics.inc("sim.online.degradations")
-                        report.record_degradation(
-                            res.request.name,
-                            f"slot {slot}: serving "
-                            f"{len(fixed.users)}/{len(res.request.users)} "
-                            f"users after unrepairable fault",
-                        )
-                        continue
-                    # Abandon: no repair, no viable subset.
-                    ledger.release(res.usage)
-                    detail_parts = []
-                    if cuts:
-                        detail_parts.append(
-                            f"cut fibers {sorted(cuts, key=repr)!r}"
-                        )
-                    if darks:
-                        detail_parts.append(
-                            f"dark switches {sorted(darks, key=repr)!r}"
-                        )
-                    _close(
-                        res.request,
-                        report_mod.ABANDONED,
-                        f"mid-service fault at slot {slot} "
-                        f"({' and '.join(detail_parts)}); repair infeasible "
-                        "and no >=2-user subset survives",
-                        slot,
-                        res=res,
-                    )
-                reservations = surviving
-
-            # 2b. Admission housekeeping: with releases and fault
-            # handling settled, expire overdue queue entries and refresh
-            # the brownout tier from the fresh load signal.
-            tier = TIER_FULL
-            if admission is not None:
-                aqueue = admission.queue
-                if aqueue is not None:
-                    for entry in aqueue.expired(slot):
-                        admission.count_expired()
-                        admission.observe_queue_wait(
-                            entry.request, slot - entry.enqueued_slot
-                        )
-                        _close(
-                            entry.request,
-                            _timed_out(entry.request, report_mod.SHED),
-                            "expired in admission queue after "
-                            f"{slot - entry.enqueued_slot} slots without "
-                            "a limiter slot",
-                            slot,
-                        )
-                tier = admission.begin_slot(slot, ledger)
-
-            # 3. Admission: queued backlog, new arrivals, due waiters.
-            candidates: List[_Waiter] = []
-            if (
-                admission is not None
-                and admission.queue is not None
-                and tier != TIER_SHED
+        A tree that avoids every newly fired element is left alone (the
+        incremental fast path).
+        """
+        if not (cuts or darks):
+            return
+        surviving: List[_Reservation] = []
+        for res in self.reservations:
+            if res.replicas is not None and self.failover(res, cuts, darks):
+                surviving.append(res)
+            elif not any(
+                channel_broken(c, cuts, darks) for c in res.solution.channels
             ):
-                # Drain the backlog in policy order while the limiter
-                # chain has headroom; the first throttle ends the drain
-                # (no later entry may jump the priority order).
-                for entry in admission.queue.drain_order():
-                    decision = admission.decide(entry.request, slot)
-                    if not decision.admitted:
-                        break
-                    admission.queue.remove(entry)
+                self.count("repro.incremental.online.disjoint_noop")
+                surviving.append(res)
+            elif self.repair_ladder(res):
+                surviving.append(res)
+        self.reservations = surviving
+
+    def failover(self, res: _Reservation, cuts: Set, darks: Set) -> bool:
+        """Absorb the fault at *res*'s replica layer.
+
+        Returns False once every replica is dead: *res* then collapses to
+        a plain single-tree reservation for the repair ladder.
+        """
+        from repro.tenancy.replicas import EXHAUSTED, FAILOVER, INTACT
+
+        event, released = res.replicas.handle_faults(cuts, darks)
+        if released:
+            with self.ledger.transaction():
+                for extra_usage in released:
+                    self.ledger.release(extra_usage)
+        if event == INTACT:
+            self.count("repro.incremental.online.disjoint_noop")
+            return True
+        res.hit_by_fault = True
+        res.usage = res.replicas.total_usage()
+        if event == EXHAUSTED:
+            res.replicas = None
+            self.count("sim.online.replicas_exhausted")
+            return False
+        res.solution = res.replicas.serving_solution
+        if event != FAILOVER:
+            self.count("sim.online.replicas_pruned")
+            return True
+        res.failovers += 1
+        self.count_request("failovers", res.request)
+        if self.admission is not None and self.admission.slo is not None:
+            self.admission.slo.record_failover(self.tenant_label(res.request))
+        self.report.record_failover(
+            res.request.name,
+            f"slot {self.slot}: promoted standby "
+            f"({res.replicas.k} replicas left)",
+        )
+        return True
+
+    def repair_ladder(self, res: _Reservation) -> bool:
+        """Repair *res*'s broken tree, degrade it, or abandon it.
+
+        Returns whether *res* still serves.
+        """
+        res.hit_by_fault = True
+        cuts, darks = self.active_sig
+        # Capacity-aware repair: the reservation's own qubits plus the
+        # global residual are available.
+        avail = self.ledger.fork()
+        avail.release(res.usage)
+        step, fixed, rep = recover(
+            # Phase 0 rebuilt the damaged view for this fault signature;
+            # every broken reservation reuses it.
+            self.damaged,
+            res.solution,
+            cuts,
+            darks,
+            residual=avail,
+            allow_degradation=self.scheduler.allow_degradation,
+            verifier=self.verifier,
+            report=self.report,
+            name=res.request.name,
+        )
+        if not step:
+            # No repair, no viable subset.
+            self.ledger.release(res.usage)
+            detail_parts = []
+            if cuts:
+                detail_parts.append(f"cut fibers {sorted(cuts, key=repr)!r}")
+            if darks:
+                detail_parts.append(
+                    f"dark switches {sorted(darks, key=repr)!r}"
+                )
+            self.close(
+                res.request,
+                ABANDONED,
+                f"mid-service fault at slot {self.slot} "
+                f"({' and '.join(detail_parts)}); repair infeasible "
+                "and no >=2-user subset survives",
+                res=res,
+            )
+            return False
+        # Move onto the fixed tree's qubits in one transaction, so an
+        # exception between release and reserve can never leak.
+        usage = fixed.switch_usage()
+        with self.ledger.transaction():
+            self.ledger.release(res.usage)
+            self.ledger.reserve(usage)
+        res.solution = fixed
+        res.usage = usage
+        if step == STEP_REPAIR:
+            res.reroutes += 1
+            self.count("sim.online.repairs")
+            self.report.record_reroute(
+                res.request.name,
+                f"slot {self.slot}: "
+                f"{len(rep.broken_channels)} broken channels re-routed",
+            )
+        elif step == STEP_DEGRADE:
+            res.degraded = True
+            self.count("sim.online.degradations")
+            self.report.record_degradation(
+                res.request.name,
+                f"slot {self.slot}: serving "
+                f"{len(fixed.users)}/{len(res.request.users)} "
+                f"users after unrepairable fault",
+            )
+        return True
+
+    def expire_queue(self) -> None:
+        """Expire overdue queue entries; refresh the brownout tier.
+
+        Runs once releases and fault handling have settled, so the tier
+        reads the fresh load signal.
+        """
+        admission = self.admission
+        if admission is None:
+            return
+        slot = self.slot
+        if admission.queue is not None:
+            for entry in admission.queue.expired(slot):
+                admission.count_expired()
+                admission.observe_queue_wait(
+                    entry.request, slot - entry.enqueued_slot
+                )
+                self.close(
+                    entry.request,
+                    _timed_out(entry.request, SHED),
+                    "expired in admission queue after "
+                    f"{slot - entry.enqueued_slot} slots without "
+                    "a limiter slot",
+                )
+        self.tier = admission.begin_slot(slot, self.ledger)
+
+    def gather_candidates(self) -> List[_Waiter]:
+        """This slot's start candidates: queued backlog, arrivals, waiters."""
+        slot = self.slot
+        admission = self.admission
+        candidates: List[_Waiter] = []
+        if (
+            admission is not None
+            and admission.queue is not None
+            and self.tier != TIER_SHED
+        ):
+            # Drain the backlog in policy order while the limiter chain
+            # has headroom; the first throttle ends the drain (no later
+            # entry may jump the priority order).
+            for entry in admission.queue.drain_order():
+                decision = admission.decide(entry.request, slot)
+                if not decision.admitted:
+                    break
+                admission.queue.remove(entry)
+                admission.observe_queue_wait(
+                    entry.request, slot - entry.enqueued_slot
+                )
+                candidates.append(
+                    _Waiter(request=entry.request, next_slot=slot)
+                )
+        for request in self.by_arrival.get(slot, []):
+            if admission is None or self.admit_arrival(request):
+                candidates.append(_Waiter(request=request, next_slot=slot))
+        candidates.extend(w for w in self.waiting if w.next_slot <= slot)
+        self.waiting = [w for w in self.waiting if w.next_slot > slot]
+        return candidates
+
+    def admit_arrival(self, request: EntanglementRequest) -> bool:
+        """Whether admission control lets *request* route this slot.
+
+        A refused arrival is shed, or parked in the admission queue.
+        """
+        slot = self.slot
+        admission = self.admission
+        admission.on_arrival(request, slot)
+        if self.tier == TIER_SHED:
+            # SLO guard: arrivals within their tenant's contracted rate
+            # are spared the wholesale brownout refusal and still face
+            # the limiter chain — a compliant tenant is never starved by
+            # a flooding neighbour.
+            slo = admission.slo
+            if slo is None or not slo.within_guarantee(
+                self.tenant_label(request), slot
+            ):
+                admission.count_shed("brownout", request=request)
+                self.close(
+                    request,
+                    SHED,
+                    f"brownout tier {TIER_SHED!r} at slot {slot}: "
+                    "new arrivals refused under overload",
+                )
+                return False
+            self.count("sim.online.admission.slo_guard_passes")
+        decision = admission.decide(request, slot)
+        if decision.admitted:
+            return True
+        aqueue = admission.queue
+        if decision.action == "shed":
+            reason = f"shed by admission policy {decision.policy!r}" + (
+                f": {decision.reason}" if decision.reason else ""
+            )
+        elif aqueue is None:
+            admission.count_shed("no-queue", request=request)
+            reason = (
+                f"throttled by {decision.policy!r} "
+                f"({decision.reason}) with no admission queue configured"
+            )
+        else:
+            # Throttled: park in the bounded queue.
+            queued, victim = aqueue.offer(request, slot)
+            if victim is not None:
+                admission.count_shed(
+                    aqueue.shed_policy, request=victim.request
+                )
+                if queued:
                     admission.observe_queue_wait(
-                        entry.request, slot - entry.enqueued_slot
+                        victim.request, slot - victim.enqueued_slot
                     )
-                    candidates.append(
-                        _Waiter(request=entry.request, next_slot=slot)
-                    )
-            for request in by_arrival.get(slot, []):
-                if admission is None:
-                    candidates.append(
-                        _Waiter(request=request, next_slot=slot)
-                    )
-                    continue
-                admission.on_arrival(request, slot)
-                if tier == TIER_SHED:
-                    # SLO guard: arrivals within their tenant's
-                    # contracted rate are spared the wholesale brownout
-                    # refusal and still face the limiter chain — a
-                    # compliant tenant is never starved by a flooding
-                    # neighbour.
-                    slo = admission.slo
-                    if slo is not None and slo.within_guarantee(
-                        tenant_label(request), slot
-                    ):
-                        if metrics is not None:
-                            metrics.inc(
-                                "sim.online.admission.slo_guard_passes"
-                            )
-                    else:
-                        admission.count_shed("brownout", request=request)
-                        _close(
-                            request,
-                            report_mod.SHED,
-                            f"brownout tier {TIER_SHED!r} at slot {slot}: "
-                            "new arrivals refused under overload",
-                            slot,
-                        )
-                        continue
-                decision = admission.decide(request, slot)
-                if decision.admitted:
-                    candidates.append(
-                        _Waiter(request=request, next_slot=slot)
-                    )
-                    continue
-                if decision.action == "shed":
-                    _close(
-                        request,
-                        report_mod.SHED,
-                        f"shed by admission policy {decision.policy!r}"
-                        + (f": {decision.reason}" if decision.reason else ""),
-                        slot,
-                    )
-                    continue
-                # Throttled: park in the bounded queue (or shed if none).
-                aqueue = admission.queue
-                if aqueue is None:
-                    admission.count_shed("no-queue", request=request)
-                    _close(
-                        request,
-                        report_mod.SHED,
-                        f"throttled by {decision.policy!r} "
-                        f"({decision.reason}) with no admission queue "
-                        "configured",
-                        slot,
-                    )
-                    continue
-                queued, victim = aqueue.offer(request, slot)
-                if victim is not None:
-                    admission.count_shed(
-                        aqueue.shed_policy, request=victim.request
-                    )
-                    if queued:
-                        admission.observe_queue_wait(
-                            victim.request, slot - victim.enqueued_slot
-                        )
-                    _close(
-                        victim.request,
-                        report_mod.SHED,
-                        f"evicted from full admission queue at slot "
-                        f"{slot} ({aqueue.shed_policy})",
-                        slot,
-                    )
-            due = [w for w in waiting if w.next_slot <= slot]
-            waiting = [w for w in waiting if w.next_slot > slot]
-            candidates.extend(due)
+                self.close(
+                    victim.request,
+                    SHED,
+                    f"evicted from full admission queue at slot "
+                    f"{slot} ({aqueue.shed_policy})",
+                )
+            return False
+        self.close(request, SHED, reason)
+        return False
 
-            for waiter in candidates:
-                request = waiter.request
-                if slot > request.last_start_slot:
-                    _close(
-                        request,
-                        _timed_out(request, report_mod.REJECTED),
-                        f"not started by slot {request.last_start_slot}",
-                        slot,
-                        retries=waiter.retries,
-                    )
-                    continue
-                solution = self._route(request, ledger, network=damaged)
-                degraded_admit = False
-                if solution is None and admission is not None:
-                    hedge = admission.hedge
-                    if hedge is not None and hedge.should_hedge(
-                        request, slot
-                    ):
-                        # Near its give-up point a failed attempt is
-                        # fatal, so spend alternate solvers now.
-                        for alt in hedge.methods:
-                            if alt == self.method:
-                                continue
-                            hedge.record_attempt()
-                            if metrics is not None:
-                                metrics.inc("sim.online.admission.hedges")
-                            solution = self._route(
-                                request,
-                                ledger,
-                                network=damaged,
-                                method=alt,
-                            )
-                            if solution is not None:
-                                hedge.record_win(request.name, alt)
-                                if metrics is not None:
-                                    metrics.inc(
-                                        "sim.online.admission.hedge_wins"
-                                    )
-                                break
-                    if (
-                        solution is None
-                        and tier == TIER_DEGRADED
-                        and self.allow_degradation
-                        and len(request.users) > 2
-                    ):
-                        # Brownout degradation: admit the largest
-                        # routable user subset instead of blocking.
-                        ordered_users = sorted(request.users, key=repr)
-                        for size in range(len(ordered_users) - 1, 1, -1):
-                            sub = self._route(
-                                request,
-                                ledger,
-                                network=damaged,
-                                users=tuple(ordered_users[:size]),
-                            )
-                            if sub is not None:
-                                solution = replace(
-                                    sub, method=sub.method + "+degraded"
-                                )
-                                degraded_admit = True
-                                break
-                if solution is not None:
-                    rset = None
-                    if plan_replicas is not None and not degraded_admit:
-                        rset = plan_replicas(
-                            damaged,
-                            solution,
-                            ledger,
-                            replication,
-                            lambda view: self._route(
-                                request, ledger, network=view
-                            ),
-                        )
-                        usage = rset.total_usage()
-                        if metrics is not None:
-                            metrics.inc(
-                                "sim.online.replicas_planned", rset.k
-                            )
-                            if rset.shortfall:
-                                metrics.inc(
-                                    "sim.online.replica_shortfall",
-                                    rset.shortfall,
-                                )
-                    else:
-                        usage = solution.switch_usage()
-                        ledger.reserve(usage)
-                    release_slot = slot + request.hold
-                    if metrics is not None:
-                        metrics.inc("sim.online.admitted")
-                        metrics.observe(
-                            "sim.online.queue_wait_slots",
-                            slot - request.arrival,
-                        )
-                    if degraded_admit:
-                        if metrics is not None:
-                            metrics.inc(
-                                "sim.online.admission.brownout_degradations"
-                            )
-                        report.record_degradation(
-                            request.name,
-                            f"slot {slot}: admitted under brownout "
-                            f"serving {len(solution.users)}/"
-                            f"{len(request.users)} users",
-                        )
-                    reservations.append(
-                        _Reservation(
-                            request=request,
-                            solution=solution,
-                            usage=usage,
-                            start_slot=slot,
-                            release_slot=release_slot,
-                            retries=waiter.retries,
-                            degraded=degraded_admit,
-                            replicas=rset,
-                        )
-                    )
-                    logger.debug(
-                        "request %s admitted at slot %d (release %d)",
-                        request.name,
-                        slot,
-                        release_slot,
-                    )
-                    continue
-                # Blocked: consult the retry policy (or retry next slot).
-                waiter.attempts += 1
-                if self.retry_policy is not None:
-                    delay = self.retry_policy.next_delay(waiter.attempts)
-                    if delay is None:
-                        _close(
-                            request,
-                            report_mod.REJECTED,
-                            f"retry policy exhausted after "
-                            f"{waiter.attempts} attempts",
-                            slot,
-                            retries=waiter.retries,
-                        )
-                        continue
-                else:
-                    delay = 0
-                next_slot = slot + 1 + delay
-                if next_slot > request.last_start_slot:
-                    _close(
-                        request,
-                        _timed_out(request, report_mod.REJECTED),
-                        "blocked until give-up slot "
-                        f"{request.last_start_slot}",
-                        slot,
-                        retries=waiter.retries,
-                    )
-                    continue
-                if self.retry_policy is not None:
-                    waiter.retries += 1
-                    report.record_retries()
-                    if metrics is not None:
-                        metrics.inc("sim.online.retries")
-                waiter.next_slot = next_slot
-                waiting.append(waiter)
-            slot += 1
+    def try_start(self, waiter: _Waiter) -> bool:
+        """Route and reserve *waiter*'s request at this slot.
 
+        Returns False when it is blocked.  A request already past its
+        last start slot is closed without a routing attempt.
+        """
+        request = waiter.request
+        slot = self.slot
+        if slot > request.last_start_slot:
+            self.close(
+                request,
+                _timed_out(request, REJECTED),
+                f"not started by slot {request.last_start_slot}",
+                retries=waiter.retries,
+            )
+            return True
+        solution = self.route(request)
+        degraded = False
+        if solution is None and self.admission is not None:
+            solution = self.hedge(request)
+            if (
+                solution is None
+                and self.tier == TIER_DEGRADED
+                and self.scheduler.allow_degradation
+                and len(request.users) > 2
+            ):
+                solution = self.brownout_subset(request)
+                degraded = solution is not None
+        if solution is None:
+            return False
+        rset = None
+        if self.plan_replicas is not None and not degraded:
+            rset = self.plan_replicas(
+                self.damaged,
+                solution,
+                self.ledger,
+                self.scheduler.replication,
+                lambda view: self.route(request, network=view),
+            )
+            usage = rset.total_usage()
+            self.count("sim.online.replicas_planned", rset.k)
+            if rset.shortfall:
+                self.count("sim.online.replica_shortfall", rset.shortfall)
+        else:
+            usage = solution.switch_usage()
+            self.ledger.reserve(usage)
+        release_slot = slot + request.hold
+        if self.metrics is not None:
+            self.metrics.inc("sim.online.admitted")
+            self.metrics.observe(
+                "sim.online.queue_wait_slots", slot - request.arrival
+            )
+        if degraded:
+            self.count("sim.online.admission.brownout_degradations")
+            self.report.record_degradation(
+                request.name,
+                f"slot {slot}: admitted under brownout "
+                f"serving {len(solution.users)}/{len(request.users)} users",
+            )
+        self.reservations.append(
+            _Reservation(
+                request=request,
+                solution=solution,
+                usage=usage,
+                start_slot=slot,
+                release_slot=release_slot,
+                retries=waiter.retries,
+                degraded=degraded,
+                replicas=rset,
+            )
+        )
+        logger.debug(
+            "request %s admitted at slot %d (release %d)",
+            request.name,
+            slot,
+            release_slot,
+        )
+        return True
+
+    def hedge(self, request: EntanglementRequest) -> Optional[MUERPSolution]:
+        """Route *request* with alternate solvers near its give-up point.
+
+        There a failed attempt is fatal, so the hedge spends them now.
+        """
+        hedge = self.admission.hedge
+        if hedge is None or not hedge.should_hedge(request, self.slot):
+            return None
+        for alt in hedge.methods:
+            if alt == self.scheduler.method:
+                continue
+            hedge.record_attempt()
+            self.count("sim.online.admission.hedges")
+            solution = self.route(request, method=alt)
+            if solution is not None:
+                hedge.record_win(request.name, alt)
+                self.count("sim.online.admission.hedge_wins")
+                return solution
+        return None
+
+    def brownout_subset(
+        self, request: EntanglementRequest
+    ) -> Optional[MUERPSolution]:
+        """Route the largest routable subset of *request*'s users."""
+        ordered_users = sorted(request.users, key=repr)
+        for size in range(len(ordered_users) - 1, 1, -1):
+            sub = self.route(request, users=tuple(ordered_users[:size]))
+            if sub is not None:
+                return replace(sub, method=sub.method + "+degraded")
+        return None
+
+    def block(self, waiter: _Waiter) -> None:
+        """Schedule a blocked *waiter*'s next attempt, or close it."""
+        request = waiter.request
+        waiter.attempts += 1
+        policy = self.scheduler.retry_policy
+        delay = 0
+        if policy is not None:
+            delay = policy.next_delay(waiter.attempts)
+            if delay is None:
+                self.close(
+                    request,
+                    REJECTED,
+                    f"retry policy exhausted after {waiter.attempts} "
+                    "attempts",
+                    retries=waiter.retries,
+                )
+                return
+        next_slot = self.slot + 1 + delay
+        if next_slot > request.last_start_slot:
+            self.close(
+                request,
+                _timed_out(request, REJECTED),
+                f"blocked until give-up slot {request.last_start_slot}",
+                retries=waiter.retries,
+            )
+            return
+        if policy is not None:
+            waiter.retries += 1
+            self.report.record_retries()
+            self.count("sim.online.retries")
+        waiter.next_slot = next_slot
+        self.waiting.append(waiter)
+
+    def result(self) -> OnlineResult:
+        """The run's telemetry, once the loop has stopped."""
+        ordered = tuple(self.outcomes[r.name] for r in self.requests)
+        metrics = self.metrics
         if metrics is not None:
-            metrics.inc("sim.online.slots", slot)
-        ordered = tuple(outcomes[r.name] for r in requests)
-        if metrics is not None:
+            if self.slot:
+                metrics.inc("sim.online.slots", self.slot)
             # Fairness gauge: Jain's index over per-tenant acceptance
             # fractions (only meaningful when requests carry tenants).
             arrivals: Dict[str, int] = {}
@@ -1002,40 +1013,16 @@ class OnlineScheduler:
                     for tenant, count in sorted(arrivals.items())
                 ]
                 metrics.set_gauge(
-                    "sim.online.tenant.jain_index",
-                    jain_index(fractions),
+                    "sim.online.tenant.jain_index", jain_index(fractions)
                 )
         return OnlineResult(
             outcomes=ordered,
-            slots_simulated=slot - 1,
-            peak_qubit_usage=ledger.peak_usage(),
-            resilience=report,
-            admission=admission.stats() if admission is not None else None,
+            # self.slot is one past the last slot the loop ran; an
+            # empty stream ran none.
+            slots_simulated=max(self.slot - 1, 0),
+            peak_qubit_usage=self.ledger.peak_usage(),
+            resilience=self.report,
+            admission=(
+                self.admission.stats() if self.admission is not None else None
+            ),
         )
-
-    def _route(
-        self,
-        request: EntanglementRequest,
-        ledger: CapacityLedger,
-        network: Optional[QuantumNetwork] = None,
-        method: Optional[str] = None,
-        users: Optional[Tuple[Hashable, ...]] = None,
-    ) -> Optional[MUERPSolution]:
-        """Route one request against *ledger* without mutating it.
-
-        *method* overrides the scheduler's solver (hedged attempts);
-        *users* overrides the request's group (brownout degradation).
-        """
-        net = self.network if network is None else network
-        group = request.users if users is None else users
-        how = self.method if method is None else method
-        budget = ledger.fork()
-        if how == "prim":
-            solution = solve_prim(
-                net, group, rng=self.rng, residual=budget
-            )
-        else:
-            solution = solve_conflict_free(
-                net, group, rng=self.rng, residual=budget
-            )
-        return solution if solution.feasible else None
