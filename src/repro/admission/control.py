@@ -44,6 +44,7 @@ from repro.admission.queue import (
     AdmissionQueue,
     request_value_fn,
 )
+from repro.utils.tenant import tenant_label
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.ledger import CapacityLedger
@@ -52,12 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.tenancy.slo import SLORegistry
 
 logger = logging.getLogger("repro.admission.control")
-
-
-def _tenant_label(request: "EntanglementRequest") -> str:
-    from repro.tenancy.slo import tenant_label
-
-    return tenant_label(request)
 
 
 class AdmissionController:
@@ -216,7 +211,7 @@ class AdmissionController:
     ) -> None:
         """Account one arrival against its tenant's contract."""
         if self.slo is not None:
-            self.slo.record_arrival(_tenant_label(request), slot)
+            self.slo.record_arrival(tenant_label(request), slot)
         metrics = obs_metrics.active()
         if metrics is not None and request.tenant:
             metrics.inc(
@@ -256,7 +251,7 @@ class AdmissionController:
         if metrics is not None:
             metrics.inc(f"sim.online.admission.shed.{cause}")
         if request is not None:
-            tenant = _tenant_label(request)
+            tenant = tenant_label(request)
             bucket = self.shed_by_tenant.setdefault(tenant, {})
             bucket[cause] = bucket.get(cause, 0) + 1
             if metrics is not None and request.tenant:
@@ -301,7 +296,7 @@ class AdmissionController:
             if self.policy is not None:
                 self.policy.on_released(request, slot)
         if status and self.slo is not None:
-            self.slo.record_disposition(_tenant_label(request), status)
+            self.slo.record_disposition(tenant_label(request), status)
 
     # ------------------------------------------------------------------
     # Telemetry

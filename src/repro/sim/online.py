@@ -77,6 +77,7 @@ from repro.resilience.report import (
     ResilienceReport,
 )
 from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.tenant import tenant_label
 from repro.verify.verifier import SolutionVerifier
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -414,9 +415,7 @@ class _Run:
         # result(), not per module: its package imports
         # repro.tenancy.serving, which imports this module.
         from repro.tenancy.replicas import plan_replica_set
-        from repro.tenancy.slo import tenant_label
 
-        self.tenant_label = tenant_label
         self.plan_replicas = None
         replication = scheduler.replication
         if replication is not None and replication.k > 1:
@@ -649,7 +648,7 @@ class _Run:
         res.failovers += 1
         self.count_request("failovers", res.request)
         if self.admission is not None and self.admission.slo is not None:
-            self.admission.slo.record_failover(self.tenant_label(res.request))
+            self.admission.slo.record_failover(tenant_label(res.request))
         self.report.record_failover(
             res.request.name,
             f"slot {self.slot}: promoted standby "
@@ -798,7 +797,7 @@ class _Run:
             # a flooding neighbour.
             slo = admission.slo
             if slo is None or not slo.within_guarantee(
-                self.tenant_label(request), slot
+                tenant_label(request), slot
             ):
                 admission.count_shed("brownout", request=request)
                 self.close(

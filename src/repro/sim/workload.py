@@ -10,6 +10,11 @@ shape independently of the topology:
   requests are pairs, a tail wants many-user GHZ-style groups);
 * **hotspot skew** — a Zipf-like preference for popular users, so some
   switches see concentrated demand (the hard case for budgets).
+
+The streams are *stream-exact*: every weighted draw goes through
+:class:`~repro.utils.rng.WeightedIndex`, which replays numpy's
+``Generator.choice`` draw for draw but validates its weights once per
+stream, so a seed gives the same stream and final generator state.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Hashable, List, Optional, Sequence
 import numpy as np
 
 from repro.sim.online import EntanglementRequest
-from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.rng import RngLike, WeightedIndex, ensure_rng
 from repro.utils.validation import require_positive, require_probability
 
 
@@ -118,11 +123,13 @@ def generate_workload(
         raise ValueError("need at least 2 users")
     spec = spec or WorkloadSpec()
     generator = ensure_rng(rng)
-    popularity = user_popularity(len(users), spec.hotspot_skew)
+    popularity = WeightedIndex(
+        user_popularity(len(users), spec.hotspot_skew)
+    )
     tenant_popularity = None
     if spec.n_tenants > 0 and spec.tenant_skew > 0:
-        tenant_popularity = user_popularity(
-            spec.n_tenants, spec.tenant_skew
+        tenant_popularity = WeightedIndex(
+            user_popularity(spec.n_tenants, spec.tenant_skew)
         )
 
     requests: List[EntanglementRequest] = []
@@ -146,22 +153,17 @@ def generate_workload(
         for _ in range(n_arrivals):
             size = 2 + int(generator.geometric(geometric_p)) - 1
             size = min(size, max_size)
-            members = generator.choice(
-                len(users), size=size, replace=False, p=popularity
-            )
+            members = popularity.draw_distinct(generator, size)
             hold = int(generator.geometric(hold_p))
             tenant = None
             if tenant_popularity is not None:
-                tenant = (
-                    f"tenant-"
-                    f"{int(generator.choice(spec.n_tenants, p=tenant_popularity))}"
-                )
+                tenant = f"tenant-{tenant_popularity.draw(generator)}"
             elif spec.n_tenants > 0:
                 tenant = f"tenant-{int(generator.integers(spec.n_tenants))}"
             requests.append(
                 EntanglementRequest(
                     name=f"req-{counter}",
-                    users=tuple(users[int(i)] for i in members),
+                    users=tuple(users[i] for i in members),
                     arrival=slot,
                     hold=max(1, hold),
                     max_wait=spec.max_wait,
@@ -249,14 +251,14 @@ def generate_churn(
         weights[1] = weights[2] = 0.0
     if weights.sum() <= 0:
         raise ValueError("network has no elements for the requested mix")
-    weights = weights / weights.sum()
+    families = WeightedIndex(weights / weights.sum())
 
     down_fibers: List[tuple] = []  # insertion-ordered for determinism
     down_switches: List[Hashable] = []
     blocked: List[Hashable] = []
     events: list = []
     for index in range(spec.n_faults):
-        family = int(generator.choice(3, p=weights))
+        family = families.draw(generator)
         restore = bool(generator.random() < spec.restore_bias)
         if family == 0:
             if down_fibers and (

@@ -27,14 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
-#: Canonical account label for requests without a tenant tag.
-UNTENANTED = "(untenanted)"
-
-
-def tenant_label(request) -> str:
-    """The account name a request's dispositions bill to."""
-    tenant = getattr(request, "tenant", None)
-    return tenant if tenant else UNTENANTED
+from repro.utils.tenant import UNTENANTED, tenant_label  # noqa: F401
 
 
 @dataclass(frozen=True)

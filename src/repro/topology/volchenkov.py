@@ -6,11 +6,18 @@ degree for every node from a truncated power law ``P(k) ∝ k^{-τ}``
 (re-scaled so the mean matches the configured average degree), then
 realise the degree sequence with a preferential, distance-agnostic
 stub-matching pass.  Connectivity is repaired geometrically afterwards.
+
+Stub matching is *stream-exact*: it draws through
+:class:`~repro.utils.rng.WeightedIndex`, one double per pick exactly as
+``Generator.choice``.  Once every pair of nodes with free stubs is an
+edge, no attempt can succeed, so one ``generator.random`` call consumes
+the two doubles of each attempt left (up to ``50·Σstubs``) and the loop
+stops: the generator ends where the full loop would leave it.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from typing import List, Set, Tuple
 
 import numpy as np
@@ -25,7 +32,7 @@ from repro.topology.base import (
     scatter_positions,
     trim_to_edge_target,
 )
-from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.rng import RngLike, WeightedIndex, ensure_rng
 
 DEFAULT_EXPONENT = 2.5
 
@@ -55,30 +62,33 @@ def volchenkov_topology(
     # by remaining-degree weight; rejected pairs (duplicates/self-loops)
     # are retried a bounded number of times.
     edges: Set[Tuple[int, int]] = set()
-    stubs = degrees.copy()
+    stubs = np.array(degrees, dtype=np.int64)
     attempts = 0
-    max_attempts = 50 * max(1, sum(stubs))
-    while sum(1 for s in stubs if s > 0) >= 2 and attempts < max_attempts:
+    max_attempts = 50 * max(1, int(stubs.sum()))
+    picks = None  # WeightedIndex over the current stubs, rebuilt per edge
+    while np.count_nonzero(stubs) >= 2 and attempts < max_attempts:
+        if picks is None:
+            if _saturated(stubs, edges):
+                # No attempt left can succeed: consume the two doubles
+                # each of them would draw, then stop.
+                generator.random(2 * (max_attempts - attempts))
+                break
+            weights = stubs.astype(float)
+            weights /= weights.sum()
+            picks = WeightedIndex(weights)
         attempts += 1
-        weights = np.array([max(s, 0) for s in stubs], dtype=float)
-        total = weights.sum()
-        if total <= 0:
-            break
-        weights /= total
-        i = int(generator.choice(n, p=weights))
-        weights_j = weights.copy()
+        i = picks.draw(generator)
+        weights_j = picks.p.copy()
         weights_j[i] = 0.0
-        total_j = weights_j.sum()
-        if total_j <= 0:
-            break
-        weights_j /= total_j
-        j = int(generator.choice(n, p=weights_j))
+        weights_j /= weights_j.sum()
+        j = WeightedIndex(weights_j).draw(generator)
         edge = (i, j) if i < j else (j, i)
         if edge in edges:
             continue
         edges.add(edge)
         stubs[i] -= 1
         stubs[j] -= 1
+        picks = None
 
     edges = repair_connectivity(positions, edges)
     edges = trim_to_edge_target(
@@ -91,6 +101,14 @@ def volchenkov_topology(
         config=config,
         method="volchenkov",
         positions={node.id: node.position for node in network.nodes},
+    )
+
+
+def _saturated(stubs: np.ndarray, edges: Set[Tuple[int, int]]) -> bool:
+    """True when every pair of nodes with free stubs is already an edge."""
+    open_nodes = np.flatnonzero(stubs).tolist()
+    return all(
+        pair in edges for pair in itertools.combinations(open_nodes, 2)
     )
 
 

@@ -11,10 +11,9 @@ connectivity.
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import List, Set, Tuple
-
-import numpy as np
+from typing import Set, Tuple
 
 from repro.network.graph import QuantumNetwork
 from repro.topology.base import (
@@ -57,23 +56,27 @@ def waxman_topology(
     positions = scatter_positions(config, generator)
     n = config.n_nodes
 
-    max_distance = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            max_distance = max(max_distance, euclidean(positions[i], positions[j]))
+    distances = [
+        euclidean(a, b) for a, b in itertools.combinations(positions, 2)
+    ]
+    max_distance = max(distances, default=0.0)
     if max_distance <= 0.0:
         max_distance = 1.0
 
     # Score every pair by log(Waxman probability) + Gumbel noise; taking
     # the top-k of such scores samples k pairs with probabilities
-    # proportional to the Waxman weights (the Gumbel-max trick).
-    scores: List[Tuple[float, int, int]] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            distance = euclidean(positions[i], positions[j])
-            log_prob = math.log(beta) - distance / (gamma * max_distance)
-            gumbel = -math.log(-math.log(generator.uniform(1e-12, 1.0)))
-            scores.append((log_prob + gumbel, i, j))
+    # proportional to the Waxman weights (the Gumbel-max trick).  The
+    # scores stay scalar: a numpy score may differ in the last ulp and
+    # flip a pair at the top-k boundary.
+    log_beta = math.log(beta)
+    scale = gamma * max_distance
+    uniforms = generator.uniform(1e-12, 1.0, size=len(distances)).tolist()
+    scores = [
+        (log_beta - distance / scale - math.log(-math.log(u)), i, j)
+        for (i, j), distance, u in zip(
+            itertools.combinations(range(n), 2), distances, uniforms
+        )
+    ]
     scores.sort(reverse=True)
 
     target = min(config.target_edges, len(scores))
