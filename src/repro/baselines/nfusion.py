@@ -21,11 +21,10 @@ the GHZ-measurement difficulty factor ``μ`` (default 0.9).
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Hashable, Iterable, List, Optional, Tuple
 
-from repro.core.channel import best_channels_from
+from repro.core.channel import ChannelSearches
 from repro.core.ledger import CapacityLedger
-from repro.core.optimal import channel_sort_key
 from repro.core.problem import (
     Channel,
     MUERPSolution,
@@ -117,32 +116,21 @@ def _route_star(
     """Route channels center→every other user, spending from *ledger*.
 
     Targets are admitted in descending single-shot rate order (the
-    baseline's greedy).  The center's search is re-run only after an
-    admission takes some switch below 2 qubits, since only that changes
-    which switches may relay; until then the earlier result, minus the
-    admitted targets, is exactly what a new search would return.
-    ``None`` when any user becomes unreachable.
+    baseline's greedy).  The center's search is kept across admissions
+    (:class:`~repro.core.channel.ChannelSearches`) and re-run only when
+    an admission blocks a switch on its channel to a pending user, or
+    the search met an exact tie.  ``None`` when any user becomes
+    unreachable.
     """
     pending = [u for u in user_list if u != center]
     star: List[Channel] = []
-    found: Optional[Dict[Hashable, Channel]] = None
+    searches = ChannelSearches(network, ledger)
     while pending:
-        if found is None:
-            found = best_channels_from(network, center, pending, ledger)
-        best_target = None
-        best_channel = None
-        for target, channel in found.items():
-            if best_channel is None or channel_sort_key(channel) < channel_sort_key(
-                best_channel
-            ):
-                best_target, best_channel = target, channel
-        if best_channel is None:
+        best = searches.best(center, pending)
+        if best is None:
             return None
-        ledger.reserve_channel(best_channel)
-        if not ledger.can_host(best_channel):
-            found = None
-        if found is not None:
-            del found[best_target]
-        star.append(best_channel)
-        pending.remove(best_target)
+        channel = best[1]
+        searches.reserve(channel)
+        star.append(channel)
+        pending.remove(channel.endpoints[1])
     return star

@@ -57,7 +57,7 @@ from typing import (
 
 import numpy as np
 
-from repro.core.channel import relay_search, trace_path
+from repro.core.channel import relay_search
 from repro.core.ledger import CapacityLedger
 from repro.core.problem import Channel, resolve_users
 from repro.core.rates import swap_log_rate
@@ -430,10 +430,8 @@ def solve_relaxation(
                 if duals is None:
                     # Seed round: the best channel per reachable pair
                     # unconditionally (reduced costs need duals).
-                    path = trace_path(prev, source, target)
-                    if master.add_column(
-                        PathColumn(pair, Channel.from_path(network, path))
-                    ):
+                    channel = prev.channel(source, target, network.params)
+                    if master.add_column(PathColumn(pair, channel)):
                         new_columns += 1
                     continue
                 n_cap = len(master.switches)
@@ -449,11 +447,8 @@ def solve_relaxation(
                 slack += min(0.0, reduced)
                 worst = min(worst, reduced)
                 if reduced < -tolerance:
-                    path = trace_path(prev, source, target)
-                    column = PathColumn(
-                        pair, Channel.from_path(network, path)
-                    )
-                    if master.add_column(column):
+                    channel = prev.channel(source, target, network.params)
+                    if master.add_column(PathColumn(pair, channel)):
                         new_columns += 1
 
         if duals is not None:

@@ -23,7 +23,12 @@ Implementation notes (equivalent reformulation):
 * ``best_channels_from`` runs the search once per *source* and recovers
   all destinations through the ``Prev`` array — the complexity
   optimization described after Theorem 3, giving
-  ``O(|U|(|E| + |V| log |V|))`` for the all-pairs step.
+  ``O(|U|(|E| + |V| log |V|))`` for the all-pairs step.  Each channel
+  is built from the search's own arrays: the predecessor chain and each
+  node's incoming fiber length.
+* :class:`ChannelSearches` keeps each source's search across the
+  rounds of one greedy solve (Prim, Algorithm 3's reconnect, N-FUSION)
+  for as long as a fresh search would return the same channels.
 
 The search itself (:func:`relay_search`) runs on plain lists over the
 network's :meth:`~repro.network.graph.QuantumNetwork.routing_snapshot`
@@ -68,6 +73,7 @@ from __future__ import annotations
 
 import math
 from typing import (
+    Collection,
     Dict,
     Hashable,
     Iterable,
@@ -80,12 +86,12 @@ from typing import (
     Tuple,
 )
 
-from repro.core.ledger import CapacityLedger
-from repro.core.problem import Channel
-from repro.core.rates import swap_log_rate
+from repro.core.ledger import QUBITS_PER_CHANNEL, CapacityLedger
+from repro.core.problem import Channel, channel_sort_key
+from repro.core.rates import channel_log_rate_from_lengths, swap_log_rate
 from repro.exec import cache as exec_cache
 from repro.network.errors import UnknownNodeError
-from repro.network.graph import QuantumNetwork, RoutingSnapshot
+from repro.network.graph import NetworkParams, QuantumNetwork, RoutingSnapshot
 import repro.obs.metrics as obs_metrics
 
 __all__ = [
@@ -94,6 +100,7 @@ __all__ = [
     "find_best_channel",
     "best_channels_from",
     "all_pairs_best_channels",
+    "ChannelSearches",
 ]
 
 
@@ -151,15 +158,58 @@ class _DistView(_SearchView):
 
 
 class _PrevView(_SearchView):
-    """``prev``: node id → predecessor id on its best partial channel."""
+    """``prev``: node id → predecessor id on its best partial channel.
 
-    __slots__ = ()
+    Also keeps each node's incoming fiber length on that channel, from
+    which :meth:`channel` builds channels, and the search's
+    :attr:`tied` flag.
+    """
+
+    __slots__ = ("_lengths", "tied")
+
+    def __init__(self, ids, index, prev, order, root, lengths, tied) -> None:
+        super().__init__(ids, index, prev, order, root)
+        self._lengths = lengths
+        #: Whether the search met an exact tie (see :func:`relay_search`).
+        self.tied = tied
 
     def __getitem__(self, key: Hashable) -> Hashable:
         i = self._at(key)
         if i < 0:
             raise KeyError(key)
         return self._ids[self._prev[i]]
+
+    def channel(
+        self, source: Hashable, target: Hashable, params: NetworkParams
+    ) -> Optional[Channel]:
+        """The channel from the search's *source* to *target*, or
+        ``None`` when the search did not reach *target*.
+
+        Its Eq. (1) rate is summed from the chain's fiber lengths, the
+        value :meth:`Channel.from_path <repro.core.problem.Channel.from_path>`
+        computes (the sum is exact, so the order is immaterial).
+        """
+        index = self._index
+        chain = self._prev
+        node = index[target]
+        if chain[node] < 0:
+            return None
+        ids = self._ids
+        lengths = self._lengths
+        start = index[source]
+        path = [target]
+        segments = []
+        while node != start:
+            segments.append(lengths[node])
+            node = chain[node]
+            path.append(ids[node])
+        path.reverse()
+        return Channel(
+            tuple(path),
+            channel_log_rate_from_lengths(
+                segments, params.alpha, params.swap_prob
+            ),
+        )
 
 
 def relay_search(
@@ -192,6 +242,11 @@ def relay_search(
     where ``dist`` / ``prev`` are read-only mappings keyed by node id,
     in the tie order the module docstring pins down.  Every popped node
     is settled, so ``heap_pops`` is also the settled-node count.
+    ``prev.tied`` reports an exact tie: some relaxation met a candidate
+    equal to the neighbor's weight, or two nodes settled at one weight.
+    Without one, the node that set a settled node's weight is the only
+    node reaching it, which lets :class:`ChannelSearches` keep a search
+    across reservations.
     """
     ids = graph.ids
     rows = graph.rows
@@ -201,6 +256,7 @@ def relay_search(
     dist = [inf] * n
     dist[source] = 0.0
     prev = [-1] * n
+    lengths = [0.0] * n  # incoming fiber length on each prev link
     # Settled nodes and blocked switches: one byte test per fiber.
     closed = bytearray(blocked)
     pos = [-1] * n  # heap slot per node, -1 when not queued
@@ -210,10 +266,15 @@ def relay_search(
     pos[source] = 0
     heap_pops = edges_scanned = relaxations = 0
     pending = len(targets) if targets else 0
+    tied = False
+    last_weight = -1.0  # the last popped weight; every weight is >= 0
 
     while items:
         node = items[0]
         node_dist = keys[0]
+        if node_dist == last_weight:
+            tied = True
+        last_weight = node_dist
         last = items.pop()
         last_key = keys.pop()
         pos[node] = -1
@@ -265,11 +326,13 @@ def relay_search(
             if forbidden is not None and key in forbidden:
                 continue
             candidate = base + alpha * length
-            if candidate < dist[neighbor]:
+            known = dist[neighbor]
+            if candidate < known:
                 if prev[neighbor] < 0:
                     order.append(neighbor)
                 dist[neighbor] = candidate
                 prev[neighbor] = node
+                lengths[neighbor] = length
                 relaxations += 1
                 # Insert or decrease-key, then sift up
                 # (IndexedMinHeap.push / _sift_up).
@@ -291,11 +354,13 @@ def relay_search(
                 keys[i] = candidate
                 items[i] = neighbor
                 pos[neighbor] = i
+            elif candidate == known:
+                tied = True
 
     index = graph.index
     return (
         _DistView(ids, index, prev, order, source, dist),
-        _PrevView(ids, index, prev, order[1:], -1),
+        _PrevView(ids, index, prev, order[1:], -1, lengths, tied),
         heap_pops,
         edges_scanned,
         relaxations,
@@ -321,7 +386,7 @@ def dijkstra(
     ``α·ΣL − (#swaps)·ln q`` of the best partial channel from *source* to
     ``x`` and ``prev`` traces the path.  Both are read-only mappings
     over the search's arrays (``dict(dist)`` copies one); a cache hit
-    returns plain dicts with the same items in the same order.  Quantum
+    returns the stored pair of an earlier search.  Quantum
     users are reachable as terminals but never expanded; switches are
     expanded only while they hold at least 2 free qubits on *residual*
     (a :class:`~repro.core.ledger.CapacityLedger`; ``None`` means the
@@ -442,12 +507,35 @@ def find_best_channel(
     metrics = obs_metrics.active()
     if metrics is not None:
         metrics.inc("core.channel_search.pair_calls")
-    dist, prev = dijkstra(
+    _, prev = dijkstra(
         network, source, residual, forbidden_fibers, targets=(target,)
     )
-    if target not in dist:
-        return None
-    return Channel.from_path(network, trace_path(prev, source, target))
+    return prev.channel(source, target, network.params)
+
+
+def _search_from(
+    network: QuantumNetwork,
+    source: Hashable,
+    targets: Iterable[Hashable],
+    residual: Optional[CapacityLedger],
+) -> Tuple[Dict[Hashable, Channel], bool]:
+    """:func:`best_channels_from`'s channels and the search's tie flag."""
+    target_list = list(targets)
+    for target in target_list:
+        if not network.is_user(target):
+            raise ValueError(f"target {target!r} must be a quantum user")
+    _, prev = dijkstra(network, source, residual, targets=target_list)
+    params = network.params
+    channels: Dict[Hashable, Channel] = {}
+    for target in target_list:
+        channel = prev.channel(source, target, params)
+        if channel is not None:  # never the source's own entry
+            channels[target] = channel
+    metrics = obs_metrics.active()
+    if metrics is not None:
+        metrics.inc("core.channel_search.single_source_calls")
+        metrics.inc("core.channel_search.channels_found", len(channels))
+    return channels, prev.tied
 
 
 def best_channels_from(
@@ -461,23 +549,114 @@ def best_channels_from(
     One Dijkstra run serves all destinations (the paper's complexity
     optimization).  Unreachable targets are absent from the result.
     """
-    target_list = list(targets)
-    for target in target_list:
-        if not network.is_user(target):
-            raise ValueError(f"target {target!r} must be a quantum user")
-    dist, prev = dijkstra(network, source, residual, targets=target_list)
-    channels: Dict[Hashable, Channel] = {}
-    for target in target_list:
-        if target == source or target not in dist:
-            continue
-        channels[target] = Channel.from_path(
-            network, trace_path(prev, source, target)
+    return _search_from(network, source, targets, residual)[0]
+
+
+class _Kept:
+    """One source's search as :class:`ChannelSearches` keeps it."""
+
+    __slots__ = ("targets", "ranked", "tied", "seen")
+
+    def __init__(self, targets, ranked, tied, seen) -> None:
+        #: The targets the ranked channels are still exact for.
+        self.targets = targets
+        #: target → (``channel_sort_key``, channel), reachable ones only.
+        self.ranked = ranked
+        self.tied = tied
+        #: How many of the solve's newly blocked switches it was checked
+        #: against.
+        self.seen = seen
+
+
+class ChannelSearches:
+    """Algorithm 1's searches within one greedy solve, kept while exact.
+
+    The greedy tree builders (Algorithm 4's Prim growth, Algorithm 3's
+    reconnect and N-FUSION's star) repeat the search from the same
+    sources round after round, with fewer wanted targets and, after
+    each reservation, a relay mask that can only have lost switches.
+    :meth:`best` keeps each source's search and runs it again only
+    when a fresh one could differ, that is when switches became blocked
+    since it ran and either the search met an exact tie (``prev.tied``
+    of :func:`relay_search`) or its channel to a wanted target crosses
+    one of them.  The kept answer is then exactly the fresh one:
+
+    * blocking only removes paths, so a kept channel that avoids every
+      newly blocked switch is still feasible and still of least weight;
+    * float path sums are monotone, so each node on it keeps its weight;
+    * without a tie each such node had exactly one predecessor reaching
+      its weight, and the fresh search can only pick that one.
+
+    Each channel is ranked by
+    :func:`~repro.core.problem.channel_sort_key` once, when found.
+
+    The solve must spend *ledger* only through :meth:`reserve`.  A
+    source asked for a target its kept search was not run for searches
+    again; the greedy builders only ever drop targets.
+    """
+
+    def __init__(self, network: QuantumNetwork, ledger: CapacityLedger) -> None:
+        self._network = network
+        self._ledger = ledger
+        self._kept: Dict[Hashable, _Kept] = {}
+        #: Switches the solve's reservations took below 2 free qubits.
+        self._blocked: List[Hashable] = []
+
+    def best(
+        self, source: Hashable, targets: Collection[Hashable]
+    ) -> Optional[Tuple[Tuple, Channel]]:
+        """``(channel_sort_key(c), c)`` for the best channel ``c`` from
+        *source* to one of *targets* under the ledger, or ``None``."""
+        kept = self._kept.get(source)
+        if kept is None or not self._exact(kept, targets):
+            kept = self._kept[source] = self._search(source, targets)
+        ranked = kept.ranked
+        best = None
+        for target in targets:
+            entry = ranked.get(target)
+            if entry is not None and (best is None or entry[0] < best[0]):
+                best = entry
+        return best
+
+    def reserve(self, channel: Channel) -> None:
+        """Reserve *channel* on the ledger and note the switches it
+        blocks."""
+        ledger = self._ledger
+        ledger.reserve_channel(channel)
+        self._blocked.extend(
+            s
+            for s in channel.switches
+            if ledger.available(s) < QUBITS_PER_CHANNEL
         )
-    metrics = obs_metrics.active()
-    if metrics is not None:
-        metrics.inc("core.channel_search.single_source_calls")
-        metrics.inc("core.channel_search.channels_found", len(channels))
-    return channels
+
+    def _search(self, source: Hashable, targets: Collection[Hashable]) -> _Kept:
+        found, tied = _search_from(
+            self._network, source, targets, self._ledger
+        )
+        ranked = {
+            target: (channel_sort_key(channel), channel)
+            for target, channel in found.items()
+        }
+        return _Kept(set(targets), ranked, tied, len(self._blocked))
+
+    def _exact(self, kept: _Kept, targets: Collection[Hashable]) -> bool:
+        """Whether *kept* still answers a fresh search for *targets*."""
+        if not kept.targets.issuperset(targets):
+            return False
+        blocked = self._blocked
+        if kept.seen == len(blocked):
+            return True
+        if kept.tied:
+            return False
+        fresh = set(blocked[kept.seen :])
+        ranked = kept.ranked
+        for target in targets:
+            entry = ranked.get(target)
+            if entry is not None and not fresh.isdisjoint(entry[1].switches):
+                return False
+        kept.targets = set(targets)
+        kept.seen = len(blocked)
+        return True
 
 
 def all_pairs_best_channels(

@@ -31,12 +31,13 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, List, Optional, Sequence
 
-from repro.core.channel import best_channels_from
+from repro.core.channel import ChannelSearches
 from repro.core.ledger import CapacityLedger
-from repro.core.optimal import channel_sort_key, solve_optimal
+from repro.core.optimal import solve_optimal
 from repro.core.problem import (
     Channel,
     MUERPSolution,
+    channel_sort_key,
     infeasible_solution,
     resolve_users,
 )
@@ -147,29 +148,34 @@ def reconnect(
 ) -> List[Channel]:
     """Join *unions*' user components greedily, best channel first.
 
-    Each round searches from every user toward the users of other
-    unions under *ledger*'s relay mask, reserves the best channel found
-    (two qubits per relay) on *ledger* and merges its endpoints.
-    Returns the added channels; ``unions.n_components > 1`` afterwards
-    means some component could not be reached.  *users* fixes the
-    search order, and with it the tie-breaking.
+    Each round takes, over every user and the later users of other
+    unions, the best channel under *ledger*'s relay mask, reserves it
+    (two qubits per relay) on *ledger* and merges its endpoints.  A
+    user's search is kept across rounds
+    (:class:`~repro.core.channel.ChannelSearches`) and re-run only when
+    a reservation blocks a switch on its channel to a wanted user, or
+    it met an exact tie.  Returns the added channels;
+    ``unions.n_components > 1`` afterwards means some component could
+    not be reached.  *users* fixes the search order, and with it each
+    channel's direction.
     """
     added: List[Channel] = []
+    searches = ChannelSearches(network, ledger)
     while unions.n_components > 1:
-        best: Optional[Channel] = None
+        best = None
         for index, source in enumerate(users):
             targets = [
                 t for t in users[index + 1 :] if not unions.connected(source, t)
             ]
             if not targets:
                 continue
-            found = best_channels_from(network, source, targets, ledger)
-            for channel in found.values():
-                if best is None or channel_sort_key(channel) < channel_sort_key(best):
-                    best = channel
+            found = searches.best(source, targets)
+            if found is not None and (best is None or found[0] < best[0]):
+                best = found
         if best is None:
             break
-        ledger.reserve_channel(best)
-        unions.union(*best.endpoints)
-        added.append(best)
+        channel = best[1]
+        searches.reserve(channel)
+        unions.union(*channel.endpoints)
+        added.append(channel)
     return added

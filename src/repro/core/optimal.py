@@ -16,13 +16,14 @@ the classic cut-property argument transplanted to log-rate weights.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Hashable, Iterable, List, Optional
 
 from repro.core.channel import all_pairs_best_channels
 from repro.core.ledger import CapacityLedger
 from repro.core.problem import (
     Channel,
     MUERPSolution,
+    channel_sort_key,
     infeasible_solution,
     resolve_users,
 )
@@ -33,16 +34,6 @@ from repro.utils.unionfind import UnionFind
 def sufficient_capacity(network: QuantumNetwork, n_users: int) -> bool:
     """Check Theorem 3's sufficient condition ``Q_r ≥ 2|U|`` ∀r ∈ R."""
     return all(s.qubits >= 2 * n_users for s in network.switches)
-
-
-def channel_sort_key(channel: Channel) -> Tuple[float, int, str]:
-    """Descending-rate ordering with a deterministic tie-break.
-
-    Higher rate first; ties broken by fewer links, then lexicographic
-    path representation, so runs are reproducible across Python hash
-    randomization.
-    """
-    return (-channel.log_rate, channel.n_links, repr(channel.path))
 
 
 def solve_optimal(

@@ -8,23 +8,23 @@ qubits, and moves the newly connected user into the tree.  After
 finds no channel the instance is declared infeasible (rate 0).
 
 Algorithm 1's search reads the residual budget only through its relay
-mask (switches with ≥ 2 free qubits), and a round's reservation changes
-that mask only when it takes some switch below 2.  Until then each
-connected user's earlier search result is still exact, so a round
-searches only from the newcomer; the first round that exhausts a switch
-drops every kept result.  With ``Q ≥ 2|U|`` no switch is ever exhausted
-and a solve runs ``|U| − 1`` searches.
+mask (switches with ≥ 2 free qubits), so each connected user's search
+is kept across rounds (:class:`~repro.core.channel.ChannelSearches`): a
+round searches from the newcomer, and again from an earlier source only
+when a switch the round blocked lies on that source's channel to a
+still-unconnected user, or the source's search met an exact tie.  With
+``Q ≥ 2|U|`` no switch is ever blocked and a solve runs ``|U| − 1``
+searches.
 
 Unlike Algorithm 3 this needs no Algorithm 2 output to start from.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set
+from typing import Hashable, Iterable, List, Optional, Sequence, Set
 
-from repro.core.channel import best_channels_from
+from repro.core.channel import ChannelSearches
 from repro.core.ledger import CapacityLedger
-from repro.core.optimal import channel_sort_key
 from repro.core.problem import (
     Channel,
     MUERPSolution,
@@ -95,35 +95,24 @@ def solve_prim(
     if ledger is None:
         ledger = CapacityLedger.from_network(network)
     selected: List[Channel] = []
-
-    # Each source's search result, kept while the relay mask holds.
-    searched: Dict[Hashable, Dict[Hashable, Channel]] = {}
+    searches = ChannelSearches(network, ledger)
 
     try:
         with ledger.transaction():
             while remaining:
-                best: Optional[Channel] = None
+                best = None
                 for source in connected:
-                    found = searched.get(source)
-                    if found is None:
-                        found = searched[source] = best_channels_from(
-                            network, source, remaining, ledger
-                        )
-                    for target, channel in found.items():
-                        if target in remaining and (
-                            best is None
-                            or channel_sort_key(channel) < channel_sort_key(best)
-                        ):
-                            best = channel
+                    found = searches.best(source, remaining)
+                    if found is not None and (best is None or found[0] < best[0]):
+                        best = found
                 if best is None:
                     raise _Infeasible()
-                ledger.reserve_channel(best)
-                if not ledger.can_host(best):
-                    searched.clear()
-                newcomer = best.endpoints[1]
+                channel = best[1]
+                searches.reserve(channel)
+                newcomer = channel.endpoints[1]
                 remaining.discard(newcomer)
                 connected.append(newcomer)
-                selected.append(best)
+                selected.append(channel)
     except _Infeasible:
         return infeasible_solution(user_list, "prim")
 

@@ -95,6 +95,16 @@ class Channel:
         return f"Channel[{arrow}] rate={self.rate:.3e}"
 
 
+def channel_sort_key(channel: Channel) -> Tuple[float, int, str]:
+    """Descending-rate ordering with a deterministic tie-break.
+
+    Higher rate first; ties broken by fewer links, then lexicographic
+    path representation, so runs are reproducible across Python hash
+    randomization.
+    """
+    return (-channel.log_rate, channel.n_links, repr(channel.path))
+
+
 @dataclass(frozen=True)
 class MUERPSolution:
     """An entanglement tree (or a recorded failure to build one).

@@ -101,8 +101,9 @@ CacheKey = Tuple[
     bool,
 ]
 
-#: A cached search result: the (dist, prev) maps of one Dijkstra run.
-CacheValue = Tuple[Dict[Hashable, float], Dict[Hashable, Hashable]]
+#: A cached search result: the read-only (dist, prev) maps of one
+#: Dijkstra run.
+CacheValue = Tuple[Mapping[Hashable, float], Mapping[Hashable, Hashable]]
 
 
 #: The invalidation causes broken out in :class:`CacheStats`.
@@ -196,8 +197,9 @@ class ChannelCache:
     """LRU-bounded, exact-key memo of Algorithm-1 search results.
 
     Thread-safe (the solver watchdog runs solvers on worker threads).
-    Values are stored and returned as copies, so neither the caller nor
-    the cache can corrupt the other through shared dicts.
+    Values are the search's own read-only ``(dist, prev)`` mappings,
+    stored and returned as they are: nobody can write to them, so the
+    caller and the cache cannot corrupt each other through them.
 
     Args:
         max_entries: LRU bound on resident entries (>= 1).
@@ -264,7 +266,8 @@ class ChannelCache:
     def get(self, key: CacheKey) -> Optional[CacheValue]:
         """The cached ``(dist, prev)`` for *key*, or ``None`` on a miss.
 
-        Returns fresh dict copies; hits refresh LRU recency.
+        Returns the stored read-only mappings; hits refresh LRU
+        recency.
         """
         with self._lock:
             value = self._entries.get(key)
@@ -283,7 +286,7 @@ class ChannelCache:
             )
         if not hit:
             return None
-        return dict(dist), dict(prev)
+        return dist, prev
 
     def put(self, key: CacheKey, value: CacheValue) -> None:
         """Store ``(dist, prev)`` under *key*, evicting LRU overflow.
@@ -292,10 +295,9 @@ class ChannelCache:
         any), so later searches in the same family can reuse it across
         blocked-set drift.
         """
-        dist, prev = value
         evicted = 0
         with self._lock:
-            self._entries[key] = (dict(dist), dict(prev))
+            self._entries[key] = value
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)

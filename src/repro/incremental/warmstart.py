@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, FrozenSet, Hashable, Optional, Tuple
+from typing import Dict, FrozenSet, Hashable, Mapping, Optional, Tuple
 
 import repro.obs.metrics as obs_metrics
 
@@ -76,7 +76,7 @@ class WarmStartIndex:
             )
         self.max_families = max_families
         self._lock = threading.RLock()
-        self._families: "OrderedDict[FamilyKey, Tuple[FrozenSet, Dict, Dict]]" = (
+        self._families: "OrderedDict[FamilyKey, Tuple[FrozenSet, Mapping, Mapping]]" = (
             OrderedDict()
         )
         self.hits = 0
@@ -95,7 +95,7 @@ class WarmStartIndex:
         dist, prev = value
         family = _family(key)
         with self._lock:
-            self._families[family] = (key[2], dict(dist), dict(prev))
+            self._families[family] = (key[2], dist, prev)
             self._families.move_to_end(family)
             while len(self._families) > self.max_families:
                 self._families.popitem(last=False)
@@ -103,8 +103,10 @@ class WarmStartIndex:
     # ------------------------------------------------------------------
     # Read side (consulted on exact-cache miss)
     # ------------------------------------------------------------------
-    def lookup(self, key, network) -> Optional[Tuple[Dict, Dict]]:
+    def lookup(self, key, network) -> Optional[Tuple[Mapping, Mapping]]:
         """A byte-identical ``(dist, prev)`` for *key*, or ``None``.
+
+        The pair is the recorded search's own read-only mappings.
 
         Applies the frontier-reuse conditions against the family's
         stored result; any doubt is a miss (reuse must be provable, not
@@ -128,7 +130,7 @@ class WarmStartIndex:
             self._count(hit=False)
             return None
         self._count(hit=True, settled=len(dist))
-        return dict(dist), dict(prev)
+        return dist, prev
 
     @staticmethod
     def _frontier_reusable(
@@ -136,7 +138,7 @@ class WarmStartIndex:
         source: Hashable,
         blocked_old: FrozenSet,
         blocked_new: FrozenSet,
-        dist: Dict,
+        dist: Mapping,
     ) -> bool:
         for switch in blocked_new - blocked_old:
             if switch in dist:

@@ -9,10 +9,12 @@ stub-matching pass.  Connectivity is repaired geometrically afterwards.
 
 Stub matching is *stream-exact*: it draws through
 :class:`~repro.utils.rng.WeightedIndex`, one double per pick exactly as
-``Generator.choice``.  Once every pair of nodes with free stubs is an
-edge, no attempt can succeed, so one ``generator.random`` call consumes
-the two doubles of each attempt left (up to ``50·Σstubs``) and the loop
-stops: the generator ends where the full loop would leave it.
+``Generator.choice``.  Both picks' weights change only when an edge
+lands, so until then the second pick's index is built once per first
+endpoint.  Once every pair of nodes with free stubs is an edge, no
+attempt can succeed, so one ``generator.random`` call consumes the two
+doubles of each attempt left (up to ``50·Σstubs``) and the loop stops:
+the generator ends where the full loop would leave it.
 """
 
 from __future__ import annotations
@@ -76,12 +78,16 @@ def volchenkov_topology(
             weights = stubs.astype(float)
             weights /= weights.sum()
             picks = WeightedIndex(weights)
+            partners = {}  # first endpoint → WeightedIndex over the rest
         attempts += 1
         i = picks.draw(generator)
-        weights_j = picks.p.copy()
-        weights_j[i] = 0.0
-        weights_j /= weights_j.sum()
-        j = WeightedIndex(weights_j).draw(generator)
+        pick_j = partners.get(i)
+        if pick_j is None:
+            weights_j = picks.p.copy()
+            weights_j[i] = 0.0
+            weights_j /= weights_j.sum()
+            pick_j = partners[i] = WeightedIndex(weights_j)
+        j = pick_j.draw(generator)
         edge = (i, j) if i < j else (j, i)
         if edge in edges:
             continue

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.obs.metrics as obs_metrics
-from repro.core.channel import best_channels_from
+from repro.core.channel import ChannelSearches
 from repro.core.conflict_free import solve_conflict_free
 from repro.core.ledger import CapacityError, CapacityLedger
 from repro.core.ledger import _blocked_mask as blocked_mask
@@ -219,19 +219,15 @@ class TestSolversNeverLeak:
     ):
         network = request.getfixturevalue(fixture)
         calls = {"n": 0}
+        search = ChannelSearches._search
 
-        def exploding(net, source, targets, residual=None):
+        def exploding(self, source, targets):
             calls["n"] += 1
             if calls["n"] >= 2:
                 raise RuntimeError("simulated mid-solve crash")
-            return best_channels_from(net, source, targets, residual)
+            return search(self, source, targets)
 
-        module = (
-            "repro.core.conflict_free"
-            if solver is solve_conflict_free
-            else "repro.core.prim_based"
-        )
-        monkeypatch.setattr(f"{module}.best_channels_from", exploding)
+        monkeypatch.setattr(ChannelSearches, "_search", exploding)
         shared = CapacityLedger.from_network(network)
         before = shared.as_dict()
         with pytest.raises(RuntimeError, match="mid-solve"):
@@ -250,15 +246,10 @@ class TestSolversNeverLeak:
     ):
         network = request.getfixturevalue(fixture)
 
-        def exploding(net, source, targets, residual=None):
+        def exploding(self, source, targets):
             raise RuntimeError("simulated crash")
 
-        module = (
-            "repro.core.conflict_free"
-            if solver is solve_conflict_free
-            else "repro.core.prim_based"
-        )
-        monkeypatch.setattr(f"{module}.best_channels_from", exploding)
+        monkeypatch.setattr(ChannelSearches, "_search", exploding)
         ledger = CapacityLedger.from_network(network)
         before = ledger.as_dict()
         with pytest.raises(RuntimeError):

@@ -1,32 +1,40 @@
-"""Search reuse inside one solve: Prim (Algorithm 4) and N-Fusion.
+"""Search reuse inside one solve: Prim, N-Fusion and Algorithm 3.
 
 Algorithm 1's search reads the residual budget only through its relay
-mask (switches holding ≥ 2 free qubits), so within one solve a source's
-search result stays valid until a reservation takes some switch below
-2.  ``solve_prim`` and ``nfusion._route_star`` keep each source's
-result until then instead of searching again after every reservation.
+mask (switches holding ≥ 2 free qubits).  ``solve_prim``,
+``nfusion._route_star`` and ``conflict_free.reconnect`` keep each
+source's search in a :class:`~repro.core.channel.ChannelSearches` and
+run it again only when a reservation blocked a switch on its channel to
+a still-wanted user, or the search met an exact tie.
 
-The loops below are the solvers as they stood before that reuse, frozen
+The loops below are the solvers as they stood before any reuse, frozen
 as references: the reusing solvers must return the same channels in the
 same order and leave the same residual account behind.  Networks use
-small integer fiber lengths so that equal-rate channels (ties) are
-common, and budgets of 2–4 qubits so that reservations block relays
-mid-solve.
+small integer fiber lengths, or lattices of equal fibers, so that
+equal-rate channels (ties) are common, and budgets of 2–4 qubits so
+that reservations block relays mid-solve.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional, Set
+from typing import Hashable, List, Optional, Sequence, Set
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import nfusion
 from repro.baselines.nfusion import solve_nfusion
-from repro.core import prim_based
-from repro.core.channel import best_channels_from
+from repro.core import conflict_free
+from repro.core.channel import (
+    ChannelSearches,
+    best_channels_from,
+    dijkstra,
+    trace_path,
+)
+from repro.core.conflict_free import solve_conflict_free
 from repro.core.ledger import CapacityLedger
 from repro.core.optimal import channel_sort_key
 from repro.core.prim_based import solve_prim
@@ -38,6 +46,7 @@ from repro.core.problem import (
 )
 from repro.network.graph import NetworkParams, QuantumNetwork
 from repro.topology import TopologyConfig, waxman_network
+from repro.utils.unionfind import UnionFind
 
 
 class _Infeasible(Exception):
@@ -115,6 +124,40 @@ def _reference_route_star(
         star.append(best_channel)
         pending.remove(best_target)
     return star
+
+
+def _reference_reconnect(
+    network: QuantumNetwork,
+    users: Sequence[Hashable],
+    unions: UnionFind,
+    ledger: CapacityLedger,
+) -> List[Channel]:
+    """``conflict_free.reconnect`` before search reuse."""
+    added: List[Channel] = []
+    while unions.n_components > 1:
+        best: Optional[Channel] = None
+        for index, source in enumerate(users):
+            targets = [
+                t for t in users[index + 1 :] if not unions.connected(source, t)
+            ]
+            if not targets:
+                continue
+            found = best_channels_from(network, source, targets, ledger)
+            for channel in found.values():
+                if best is None or channel_sort_key(channel) < channel_sort_key(best):
+                    best = channel
+        if best is None:
+            break
+        ledger.reserve_channel(best)
+        unions.union(*best.endpoints)
+        added.append(best)
+    return added
+
+
+def _reference_conflict_free(network, users, residual=None) -> MUERPSolution:
+    """``solve_conflict_free`` with the frozen reconnect."""
+    with mock.patch.object(conflict_free, "reconnect", _reference_reconnect):
+        return solve_conflict_free(network, users, residual=residual)
 
 
 @st.composite
@@ -213,25 +256,136 @@ def test_nfusion_matches_frozen_reference(network, data):
     assert _outcome(solution) == _outcome(expected)
 
 
-class _CountingSearch:
-    """Stands in for ``best_channels_from`` and records each source."""
+@settings(max_examples=300, deadline=None)
+@given(case=prim_cases())
+def test_conflict_free_matches_frozen_reference(case):
+    network, users, _, kind, available = case
+    expected_residual = _residual(kind, available, network)
+    expected = _reference_conflict_free(network, users, expected_residual)
+    residual = _residual(kind, available, network)
+    solution = solve_conflict_free(network, users, residual=residual)
+    assert _outcome(solution) == _outcome(expected)
+    assert _account(residual) == _account(expected_residual)
 
-    def __init__(self):
-        self.sources: List[Hashable] = []
 
-    def __call__(self, network, source, targets, residual=None):
-        self.sources.append(source)
-        return best_channels_from(network, source, targets, residual)
+def _assert_solvers_match_references(network, users, starts):
+    """Prim from each of *starts*, N-FUSION over every center and
+    Algorithm 3 against the frozen loops, on idle ledgers."""
+    for start in starts:
+        assert _outcome(solve_prim(network, users, start=start)) == _outcome(
+            _reference_prim(network, users, start, None)
+        )
+    solution = solve_nfusion(network, users)
+    with mock.patch.object(nfusion, "_route_star", _reference_route_star):
+        expected = solve_nfusion(network, users)
+    assert _outcome(solution) == _outcome(expected)
+    assert _outcome(solve_conflict_free(network, users)) == _outcome(
+        _reference_conflict_free(network, users)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n_users=st.integers(3, 8),
+    qubits=st.integers(2, 4),
+)
+def test_solvers_match_frozen_references_on_waxman(seed, n_users, qubits):
+    network = waxman_network(
+        TopologyConfig(n_switches=20, n_users=n_users, qubits_per_switch=qubits),
+        rng=seed,
+    )
+    users = network.user_ids
+    _assert_solvers_match_references(network, users, users[:3])
+
+
+def lattice_network(seed: int, qubits: int) -> QuantumNetwork:
+    """7×7 switches joined by equal 1,000 km fibers, and 10 users each
+    attached by one such fiber to a random switch: exact rate ties
+    everywhere."""
+    rng = np.random.default_rng(seed)
+    network = QuantumNetwork()
+    side = 7
+    for row in range(side):
+        for col in range(side):
+            network.add_switch((row, col), qubits=qubits)
+    for row in range(side):
+        for col in range(side):
+            if col + 1 < side:
+                network.add_fiber((row, col), (row, col + 1), length=1000.0)
+            if row + 1 < side:
+                network.add_fiber((row, col), (row + 1, col), length=1000.0)
+    for user in range(10):
+        name = f"u{user}"
+        network.add_user(name)
+        cell = int(rng.integers(0, side * side))
+        network.add_fiber(name, divmod(cell, side), length=1000.0)
+    return network
+
+
+class TestExactTies:
+    """A kept search is exact only if it met no tie; lattices tie
+    everywhere, so a solver that skipped that check would pick another
+    equal-rate channel than a fresh search does."""
+
+    @pytest.mark.parametrize("qubits", [2, 4])
+    def test_lattice_solves_match_frozen_references(self, qubits):
+        for seed in range(60):
+            network = lattice_network(seed, qubits)
+            users = network.user_ids
+            _assert_solvers_match_references(network, users, users[:3])
+
+    def test_kernel_flags_ties_on_a_lattice(self):
+        network = lattice_network(0, 4)
+        _, prev = dijkstra(network, network.user_ids[0])
+        assert prev.tied
+
+    def test_kernel_flags_nodes_settling_at_one_weight(self):
+        # Next to the 1e6 km first hop the 1e-12 km fibers add nothing
+        # in floating point, so every switch settles at one weight and
+        # no relaxation meets an equal candidate.  Which switch reaches
+        # t first then follows the heap's order of equal weights, which
+        # blocking s5, off the chain, changes.
+        network = QuantumNetwork(NetworkParams(alpha=1.0, swap_prob=1.0))
+        network.add_user("a")
+        network.add_user("t")
+        for switch in ("s0", "s1", "s2", "s3", "s4", "s5"):
+            network.add_switch(switch, qubits=2)
+        network.add_fiber("a", "s0", length=1e6)
+        for u, v in (
+            ("s2", "s3"), ("s0", "s5"), ("s3", "s5"), ("s0", "s2"),
+            ("s0", "s1"), ("s4", "s5"), ("s2", "t"), ("s1", "t"),
+        ):
+            network.add_fiber(u, v, length=1e-12)
+        idle = CapacityLedger.from_network(network)
+        _, prev = dijkstra(network, "a", idle, targets=["t"])
+        blocked = idle.fork()
+        blocked.reserve({"s5": 2})
+        _, fresh = dijkstra(network, "a", blocked, targets=["t"])
+        assert trace_path(prev, "a", "t") == ("a", "s0", "s1", "t")
+        assert trace_path(fresh, "a", "t") == ("a", "s0", "s2", "t")
+        assert prev.tied
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_kernel_flags_no_tie_on_euclidean_lengths(self, seed):
+        network = waxman_network(TopologyConfig(n_switches=30, n_users=6), rng=seed)
+        for user in network.user_ids:
+            _, prev = dijkstra(network, user)
+            assert not prev.tied
 
 
 @pytest.fixture
 def counting(monkeypatch):
-    def install(module):
-        search = _CountingSearch()
-        monkeypatch.setattr(module, "best_channels_from", search)
-        return search
+    """Records the source of every search a ChannelSearches runs."""
+    sources: List[Hashable] = []
+    search = ChannelSearches._search
 
-    return install
+    def counted(self, source, targets):
+        sources.append(source)
+        return search(self, source, targets)
+
+    monkeypatch.setattr(ChannelSearches, "_search", counted)
+    return sources
 
 
 class TestSearchCounts:
@@ -249,11 +403,10 @@ class TestSearchCounts:
             ),
             rng=3,
         )
-        search = counting(prim_based)
         solution = solve_prim(network, rng=0)
         assert solution.feasible
-        assert len(search.sources) == n_users - 1
-        assert len(set(search.sources)) == n_users - 1
+        assert len(counting) == n_users - 1
+        assert len(set(counting)) == n_users - 1
 
     @pytest.mark.parametrize("n_users", [3, 6, 9])
     def test_star_searches_once_when_nothing_exhausts(
@@ -267,7 +420,6 @@ class TestSearchCounts:
             ),
             rng=3,
         )
-        search = counting(nfusion)
         center = network.user_ids[0]
         star = nfusion._route_star(
             network,
@@ -276,12 +428,13 @@ class TestSearchCounts:
             CapacityLedger.from_network(network),
         )
         assert star is not None and len(star) == n_users - 1
-        assert search.sources == [center]
+        assert counting == [center]
 
     @staticmethod
-    def _hub_network(hub_qubits: int) -> QuantumNetwork:
+    def _hub_network(hub_qubits: int, spur: bool = False) -> QuantumNetwork:
         # a-h-b costs 2, every direct fiber 10: the first channel always
-        # relays through hub h.
+        # relays through hub h.  With the spur h-c (length 2) a's best
+        # channel to c also crosses h until h is exhausted.
         network = QuantumNetwork(NetworkParams(alpha=1.0, swap_prob=1.0))
         for user in ("a", "b", "c"):
             network.add_user(user)
@@ -290,33 +443,62 @@ class TestSearchCounts:
         network.add_fiber("h", "b", length=1.0)
         network.add_fiber("a", "c", length=10.0)
         network.add_fiber("b", "c", length=10.0)
+        if spur:
+            network.add_fiber("h", "c", length=2.0)
         return network
 
-    def test_prim_researches_every_source_after_exhaustion(self, counting):
-        network = self._hub_network(hub_qubits=2)
-        search = counting(prim_based)
+    def test_prim_researches_across_the_blocked_hub(self, counting):
+        network = self._hub_network(hub_qubits=2, spur=True)
         solution = solve_prim(network, start="a")
         assert [c.path for c in solution.channels] == [
             ("a", "h", "b"),
             ("a", "c"),
         ]
-        # The hub drops to 0: both connected users search again.
-        assert search.sources == ["a", "a", "b"]
+        # The hub drops to 0 and lies on a's channel to c.
+        assert counting == ["a", "a", "b"]
+
+    def test_prim_keeps_searches_off_the_blocked_hub(self, counting):
+        network = self._hub_network(hub_qubits=2)
+        solution = solve_prim(network, start="a")
+        assert [c.path for c in solution.channels] == [
+            ("a", "h", "b"),
+            ("a", "c"),
+        ]
+        # The hub drops to 0, but a's channel to c is the direct fiber.
+        assert counting == ["a", "b"]
 
     def test_prim_reuses_while_the_hub_still_relays(self, counting):
         network = self._hub_network(hub_qubits=4)
-        search = counting(prim_based)
         solve_prim(network, start="a")
-        assert search.sources == ["a", "b"]
+        assert counting == ["a", "b"]
 
     @pytest.mark.parametrize("hub_qubits,sources", [(2, ["a", "a"]), (4, ["a"])])
     def test_star_researches_only_after_exhaustion(
         self, counting, hub_qubits, sources
     ):
-        network = self._hub_network(hub_qubits)
-        search = counting(nfusion)
+        network = self._hub_network(hub_qubits, spur=True)
         star = nfusion._route_star(
             network, "a", ["a", "b", "c"], CapacityLedger.from_network(network)
         )
-        assert [c.path for c in star] == [("a", "h", "b"), ("a", "c")]
-        assert search.sources == sources
+        # An exhausted hub forces c onto the direct fiber.
+        second = ("a", "c") if hub_qubits == 2 else ("a", "h", "c")
+        assert [c.path for c in star] == [("a", "h", "b"), second]
+        assert counting == sources
+
+    def test_reconnect_researches_across_the_blocked_hub(self, counting):
+        for spur, sources in ((True, ["a", "b", "a", "b"]), (False, ["a", "b"])):
+            counting.clear()
+            network = self._hub_network(hub_qubits=2, spur=spur)
+            ledger = CapacityLedger.from_network(network)
+            unions = UnionFind(["a", "b", "c"])
+            added = conflict_free.reconnect(network, ["a", "b", "c"], unions, ledger)
+            assert [c.path for c in added] == [("a", "h", "b"), ("a", "c")]
+            assert counting == sources
+
+    def test_a_new_target_searches_again(self, counting):
+        network = self._hub_network(hub_qubits=4)
+        searches = ChannelSearches(network, CapacityLedger.from_network(network))
+        searches.best("a", ["b"])
+        searches.best("a", ["b"])
+        searches.best("a", ["b", "c"])
+        assert counting == ["a", "a"]

@@ -76,19 +76,21 @@ class TestKeying:
 
 
 class TestLookupStore:
-    def test_get_put_roundtrip_returns_copies(self):
+    def test_get_put_roundtrip_returns_read_only_views(self):
         cache = ChannelCache()
         net = _network()
         u = net.user_ids[0]
         key = ChannelCache.key_for(net, net.residual_qubits(), u)
         assert cache.get(key) is None
         dist, prev = dijkstra(net, u)
+        expected = (dict(dist), dict(prev))
         cache.put(key, (dist, prev))
         hit = cache.get(key)
-        assert hit == (dist, prev)
-        # Mutating the returned copies must not corrupt the cache.
-        hit[0]["bogus"] = -1.0
-        assert "bogus" not in cache.get(key)[0]
+        assert hit == expected
+        # Nobody can write to the stored pair, so no caller corrupts it.
+        with pytest.raises(TypeError):
+            hit[0]["bogus"] = -1.0
+        assert cache.get(key) == expected
 
     def test_lru_eviction_order(self):
         cache = ChannelCache(max_entries=2)

@@ -119,17 +119,18 @@ class TestIndexMechanics:
         with pytest.raises(ValueError, match="max_families"):
             WarmStartIndex(max_families=0)
 
-    def test_lookup_returns_copies(self):
+    def test_lookup_returns_read_only_views(self):
         net = chain_with_spur()
         index = WarmStartIndex()
         key = ChannelCache.key_for(net, residual(net, s1=0), "alice")
         dist, prev = dijkstra(net, "alice", residual=residual(net, s1=0))
+        expected = (dict(dist), dict(prev))
         index.record(key, (dist, prev))
         warm = index.lookup(key, net)
-        assert warm is not None
-        warm[0]["poisoned"] = -1.0
-        again = index.lookup(key, net)
-        assert "poisoned" not in again[0]
+        assert warm == expected
+        with pytest.raises(TypeError):
+            warm[0]["poisoned"] = -1.0
+        assert index.lookup(key, net) == expected
 
     def test_stats_shape(self):
         index = WarmStartIndex()

@@ -81,7 +81,7 @@ _CASES = {
             "--verify-determinism",
         ],
         EXIT_OK,
-        "e517a89eed4ca47c298049a9c3f92ee0993fe312029e82c33549e0c37c1a0a35",
+        "ab364bd662cd78928d35f621c1fb3d1652a7c4d3183f3eb7766f46b8842d0e4e",
     ),
     "resilience": (
         [
