@@ -34,6 +34,7 @@ from repro.core.problem import (
 from repro.core.rates import swap_log_rate
 from repro.network.graph import QuantumNetwork
 from repro.utils.rng import RngLike
+import repro.obs.metrics as obs_metrics
 
 #: GHZ-measurement difficulty factor μ: per-extra-qubit multiplicative
 #: penalty of an n-fusion beyond the chained-BSM cost.
@@ -62,13 +63,55 @@ def solve_nfusion(
     fusion_penalty: float = DEFAULT_FUSION_PENALTY,
     rng: RngLike = None,
 ) -> MUERPSolution:
-    """N-FUSION baseline.
+    """N-FUSION baseline: the best star over the candidate centers.
 
-    Every candidate center user is tried (unless *center* is given) and
-    the best feasible star is returned.  The star's rate is the product
-    of the member channels' rates (Eq. 1 each) times the final fusion's
-    success probability — encoded by attaching the fusion's log rate to
-    the solution via a rate-adjusted channel set.
+    The candidates are every user, or only *center* when it is given.
+    The star's rate is the product of the member channels' rates
+    (Eq. 1 each) times the final fusion's success probability, which
+    the solution carries as its ``extra_log_rate``.  The first
+    candidate in input order with the highest total wins.  *rng* is
+    unused: the baseline draws nothing.
+
+    The solve runs in two phases, and only stars that can still win are
+    grown:
+
+    1. Each center opens its :class:`~repro.core.channel.ChannelSearches`
+       on its own fork of the idle ledger and runs its first search, the
+       star's first round.  A center whose first search misses a user
+       is infeasible, since blocking only removes paths.  Otherwise the
+       search bounds the star: ``B(c) = Σ_u log_rate(c→u) + fusion``
+       over its channels.
+    2. Stars grow in descending ``B(c)``, ties in input order, each
+       continuing its center's kept search (:func:`_route_star`).  A
+       center with ``B(c) + margin < best_total`` is skipped.  A total
+       replaces the incumbent when it is higher, or equal with a smaller
+       input index.
+
+    Why ``total(c) ≤ B(c) + margin``.  Let ``u = 2⁻⁵³`` and, for a
+    channel ``P`` of ``l`` links, ``W(P) = α·ΣL + (l−1)·(−ln q)`` in
+    exact arithmetic, with ``ln q`` the float both sides use.  The
+    search sums ``W`` hop by hop in floats from terms ``≥ 0``, so its
+    weight ``Ŵ(P)`` is within ``(2l+1)·u·W(P)`` of ``W(P)``; Eq. (1)'s
+    ``log_rate(P)`` takes four roundings of one-signed terms
+    (``fsum``, ``α·``, ``(l−1)·ln q``, their sum), so it is within
+    ``4u·W(P)`` of ``−W(P)``.  A later round's channel ``C`` to ``u``
+    searches a ledger that has only lost relays, so ``Ŵ(C) ≥ Ŵ(P)``
+    for the first search's ``P`` (float path sums are monotone), hence
+    ``log_rate(C) ≤ log_rate(P) + (4|V| + 10)·u·|log_rate(P)|``.  The
+    two ``|U|``-term float sums add ``|U|·u`` of their terms'
+    magnitudes each.  The total rounding error is thus below
+    ``(4|V| + 2|U| + 12)·u·S``, with ``S`` the sum of ``B(c)``'s terms'
+    magnitudes (``|B(c)|`` itself when ``μ ≤ 1``, as every term is then
+    ``≤ 0``).  ``margin = 1e-9·(|U| + S)`` exceeds it, and the one
+    rounding of ``B(c) + margin``, for any network under a million
+    nodes; the ``|U|`` floor keeps it positive when every term is 0.
+    A center whose total ties the incumbent therefore never falls
+    below the cut.  Nothing is pruned while ``B(c)`` or the incumbent
+    is not finite (``q = 0`` makes every total ``−inf``).
+
+    Once per solve the counters ``baselines.nfusion.centers`` and
+    ``baselines.nfusion.centers_pruned`` go to the active
+    :class:`~repro.obs.metrics.MetricsRegistry`.
 
     Returns an infeasible solution (rate 0) when no center can reach all
     other users within residual switch capacity.
@@ -78,23 +121,50 @@ def solve_nfusion(
     if center is not None and center not in user_list:
         raise ValueError(f"center {center!r} is not among the users")
 
+    fusion = fusion_log_success(
+        len(user_list), network.params.swap_prob, fusion_penalty
+    )
     idle = CapacityLedger.from_network(network)
-    best: Optional[Tuple[float, List[Channel]]] = None
-    for candidate in centers:
-        star = _route_star(network, candidate, user_list, idle.fork())
+    bounded = []
+    for index, candidate in enumerate(centers):
+        pending = [u for u in user_list if u != candidate]
+        searches = ChannelSearches(network, idle.fork())
+        searches.best(candidate, pending)
+        found = searches.kept(candidate)
+        if len(found) < len(pending):
+            continue
+        links = sum(channel.log_rate for _, channel in found.values())
+        margin = 1e-9 * (len(user_list) + abs(links) + abs(fusion))
+        bounded.append((links + fusion, margin, index, candidate, searches))
+    # sort is stable, so equal bounds keep input order.
+    bounded.sort(key=lambda entry: entry[0], reverse=True)
+
+    best: Optional[Tuple[float, int, List[Channel]]] = None
+    pruned = 0
+    for bound, margin, index, candidate, searches in bounded:
+        if best is not None and not _may_reach(bound, margin, best[0]):
+            pruned += 1
+            continue
+        star = _route_star(network, candidate, user_list, None, searches)
         if star is None:
             continue
-        fusion = fusion_log_success(
-            len(user_list), network.params.swap_prob, fusion_penalty
-        )
         total = sum(c.log_rate for c in star) + fusion
-        if best is None or total > best[0]:
-            best = (total, star)
+        if (
+            best is None
+            or total > best[0]
+            or (total == best[0] and index < best[1])
+        ):
+            best = (total, index, star)
+
+    metrics = obs_metrics.active()
+    if metrics is not None:
+        metrics.inc("baselines.nfusion.centers", len(centers))
+        metrics.inc("baselines.nfusion.centers_pruned", pruned)
 
     if best is None:
         return infeasible_solution(user_list, "nfusion")
 
-    total_log_rate, channels = best
+    total_log_rate, _, channels = best
     # Channels keep their true Eq. (1) rates; the final GHZ fusion's
     # success probability is recorded as the solution's extra factor.
     fusion = total_log_rate - sum(c.log_rate for c in channels)
@@ -107,13 +177,24 @@ def solve_nfusion(
     )
 
 
+def _may_reach(bound: float, margin: float, best_total: float) -> bool:
+    """Whether a star whose total is at most ``bound + margin`` may
+    still reach *best_total*: always while either is not finite."""
+    if not (math.isfinite(bound) and math.isfinite(best_total)):
+        return True
+    return bound + margin >= best_total
+
+
 def _route_star(
     network: QuantumNetwork,
     center: Hashable,
     user_list: List[Hashable],
-    ledger: CapacityLedger,
+    ledger: Optional[CapacityLedger],
+    searches: Optional[ChannelSearches] = None,
 ) -> Optional[List[Channel]]:
-    """Route channels center→every other user, spending from *ledger*.
+    """Route channels center→every other user, spending from *ledger*,
+    or from the ledger of *searches* when given (N-FUSION's second
+    phase hands over each center's, its first search kept).
 
     Targets are admitted in descending single-shot rate order (the
     baseline's greedy).  The center's search is kept across admissions
@@ -124,7 +205,8 @@ def _route_star(
     """
     pending = [u for u in user_list if u != center]
     star: List[Channel] = []
-    searches = ChannelSearches(network, ledger)
+    if searches is None:
+        searches = ChannelSearches(network, ledger)
     while pending:
         best = searches.best(center, pending)
         if best is None:

@@ -72,6 +72,7 @@ plain dict / :class:`~repro.utils.heap.IndexedMinHeap` search that
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 from typing import (
     Collection,
     Dict,
@@ -617,6 +618,12 @@ class ChannelSearches:
             if entry is not None and (best is None or entry[0] < best[0]):
                 best = entry
         return best
+
+    def kept(self, source: Hashable) -> Mapping[Hashable, Tuple[Tuple, Channel]]:
+        """The entries :meth:`best` chooses among for *source*'s kept
+        search: target → ``(channel_sort_key(c), c)`` for each target it
+        reached.  *source* must have been searched."""
+        return MappingProxyType(self._kept[source].ranked)
 
     def reserve(self, channel: Channel) -> None:
         """Reserve *channel* on the ledger and note the switches it

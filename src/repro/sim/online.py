@@ -178,6 +178,9 @@ class OnlineResult:
     """Aggregate outcome of an online run."""
 
     outcomes: Tuple[RequestOutcome, ...]
+    #: Index of the last slot the loop ran, so one less than the slots
+    #: it ran (the ``sim.online.slots`` counter); 0 when an empty stream
+    #: ran none.
     slots_simulated: int
     peak_qubit_usage: Dict[Hashable, int]
     resilience: Optional["ResilienceReport"] = None

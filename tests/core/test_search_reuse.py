@@ -9,10 +9,13 @@ a still-wanted user, or the search met an exact tie.
 
 The loops below are the solvers as they stood before any reuse, frozen
 as references: the reusing solvers must return the same channels in the
-same order and leave the same residual account behind.  Networks use
+same order and leave the same residual account behind.  N-FUSION's
+reference also tries every center in input order, so it pins the
+solver's bound on which stars to grow as well.  Networks use
 small integer fiber lengths, or lattices of equal fibers, so that
 equal-rate channels (ties) are common, and budgets of 2–4 qubits so
-that reservations block relays mid-solve.
+that reservations block relays mid-solve; N-FUSION also draws budgets
+up to 16 qubits, on which its bound prunes centers.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.baselines import nfusion
 from repro.baselines.nfusion import solve_nfusion
 from repro.core import conflict_free
@@ -44,6 +48,7 @@ from repro.core.problem import (
     infeasible_solution,
     resolve_users,
 )
+from repro.core.rates import channel_log_rate_from_lengths
 from repro.network.graph import NetworkParams, QuantumNetwork
 from repro.topology import TopologyConfig, waxman_network
 from repro.utils.unionfind import UnionFind
@@ -126,6 +131,39 @@ def _reference_route_star(
     return star
 
 
+def _reference_nfusion(
+    network: QuantumNetwork,
+    users: Sequence[Hashable],
+    center: Optional[Hashable] = None,
+    fusion_penalty: float = nfusion.DEFAULT_FUSION_PENALTY,
+) -> MUERPSolution:
+    """``solve_nfusion`` before its bound: every center in input order,
+    each star grown by :func:`_reference_route_star`."""
+    user_list = resolve_users(network, users)
+    centers = [center] if center is not None else user_list
+    best = None
+    for candidate in centers:
+        star = _reference_route_star(network, candidate, user_list)
+        if star is None:
+            continue
+        fusion = nfusion.fusion_log_success(
+            len(user_list), network.params.swap_prob, fusion_penalty
+        )
+        total = sum(c.log_rate for c in star) + fusion
+        if best is None or total > best[0]:
+            best = (total, star)
+    if best is None:
+        return infeasible_solution(user_list, "nfusion")
+    total_log_rate, channels = best
+    return MUERPSolution(
+        channels=tuple(channels),
+        users=frozenset(user_list),
+        method="nfusion",
+        feasible=True,
+        extra_log_rate=total_log_rate - sum(c.log_rate for c in channels),
+    )
+
+
 def _reference_reconnect(
     network: QuantumNetwork,
     users: Sequence[Hashable],
@@ -161,10 +199,13 @@ def _reference_conflict_free(network, users, residual=None) -> MUERPSolution:
 
 
 @st.composite
-def tied_networks(draw):
-    """3–8 users, up to 8 switches of 2–4 qubits, integer fiber lengths."""
+def tied_networks(draw, max_qubits: int = 4, spanning: bool = False):
+    """3–8 users, up to 8 switches of 2–*max_qubits* qubits, integer
+    fiber lengths.  With *spanning*, the switches (at least one) are
+    first joined in a random tree and each user to one of them, so
+    every user reaches every other on idle budgets when q > 0."""
     n_users = draw(st.integers(3, 8))
-    n_switches = draw(st.integers(0, 8))
+    n_switches = draw(st.integers(1 if spanning else 0, 8))
     names = [f"u{i}" for i in range(n_users)] + [
         f"s{i}" for i in range(n_switches)
     ]
@@ -179,7 +220,21 @@ def tied_networks(draw):
         if name.startswith("u"):
             network.add_user(name)
         else:
-            network.add_switch(name, qubits=draw(st.integers(2, 4)))
+            network.add_switch(name, qubits=draw(st.integers(2, max_qubits)))
+    if spanning:
+        switches = [name for name in order if name.startswith("s")]
+        for index, switch in enumerate(switches[1:], 1):
+            network.add_fiber(
+                switch,
+                draw(st.sampled_from(switches[:index])),
+                length=float(draw(st.integers(1, 3))),
+            )
+        for user in network.user_ids:
+            network.add_fiber(
+                user,
+                draw(st.sampled_from(switches)),
+                length=float(draw(st.integers(1, 3))),
+            )
     pairs = [(a, b) for i, a in enumerate(order) for b in order[i + 1 :]]
     chosen = draw(
         st.lists(
@@ -190,8 +245,41 @@ def tied_networks(draw):
         )
     )
     for u, v in chosen:
-        network.add_fiber(u, v, length=float(draw(st.integers(1, 3))))
+        if not network.has_fiber(u, v):
+            network.add_fiber(u, v, length=float(draw(st.integers(1, 3))))
     return network
+
+
+def _hub_star(hub, hub_qubits: int, backup=None, swap_prob: float = 1.0):
+    """Users fibered to switch ``h`` at the lengths in *hub* (α = 1), in
+    insertion order; with *backup*, also to a switch ``g`` that never
+    runs out, at the lengths in *backup*."""
+    network = QuantumNetwork(NetworkParams(alpha=1.0, swap_prob=swap_prob))
+    network.add_switch("h", qubits=hub_qubits)
+    if backup is not None:
+        network.add_switch("g", qubits=2 * len(hub))
+    for user, length in hub.items():
+        network.add_user(user)
+        network.add_fiber(user, "h", length=length)
+        if backup is not None:
+            network.add_fiber(user, "g", length=backup[user])
+    return network
+
+
+@st.composite
+def hub_networks(draw):
+    """3–7 users on a hub of 2 to 2(|U|−1) qubits and a backup switch,
+    integer fiber lengths.  A center's spokes through the hub detour
+    through the backup once the hub is spent, so its total can fall
+    to another center's from above."""
+    n_users = draw(st.integers(3, 7))
+    names = [f"u{i}" for i in range(n_users)]
+    return _hub_star(
+        {user: float(draw(st.integers(1, 3))) for user in names},
+        hub_qubits=2 * draw(st.integers(1, n_users - 1)),
+        backup={user: float(draw(st.integers(1, 6))) for user in names},
+        swap_prob=draw(st.sampled_from([0.5, 1.0])),
+    )
 
 
 @st.composite
@@ -237,9 +325,23 @@ def test_prim_matches_frozen_reference(case):
 
 
 @settings(max_examples=300, deadline=None)
-@given(network=tied_networks(), data=st.data())
+@given(
+    # Budgets up to 16 qubits on connected switches leave stars room to
+    # reach their bounds, so that centers are pruned.
+    network=st.one_of(
+        tied_networks(), tied_networks(max_qubits=16, spanning=True)
+    ),
+    data=st.data(),
+)
 def test_nfusion_matches_frozen_reference(network, data):
-    users = data.draw(st.permutations(network.user_ids))
+    users = list(data.draw(st.permutations(network.user_ids)))
+    if data.draw(st.booleans()):
+        # Users never relay, so a user whose only fiber ends at another
+        # user is reachable from that center alone.
+        anchor = data.draw(st.sampled_from(users))
+        network.add_user("pendant")
+        network.add_fiber("pendant", anchor, length=1.0)
+        users.insert(data.draw(st.integers(0, len(users))), "pendant")
     center = data.draw(st.sampled_from(users))
     star = nfusion._route_star(
         network, center, users, CapacityLedger.from_network(network)
@@ -250,9 +352,23 @@ def test_nfusion_matches_frozen_reference(network, data):
         assert [c.path for c in star] == [c.path for c in expected_star]
 
     pinned = data.draw(st.sampled_from([center, None]))
-    solution = solve_nfusion(network, users, center=pinned)
-    with mock.patch.object(nfusion, "_route_star", _reference_route_star):
-        expected = solve_nfusion(network, users, center=pinned)
+    penalty = data.draw(st.sampled_from([0.5, 0.9, 1.0]))
+    solution = solve_nfusion(
+        network, users, center=pinned, fusion_penalty=penalty
+    )
+    expected = _reference_nfusion(network, users, pinned, penalty)
+    assert _outcome(solution) == _outcome(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(network=hub_networks(), data=st.data())
+def test_nfusion_matches_frozen_reference_on_hubs(network, data):
+    # A spent hub lets a center tie the winner from a higher bound, so
+    # the tie must go to input order, not to the order stars grow in.
+    users = data.draw(st.permutations(network.user_ids))
+    penalty = data.draw(st.sampled_from([0.5, 0.9, 1.0]))
+    solution = solve_nfusion(network, users, fusion_penalty=penalty)
+    expected = _reference_nfusion(network, users, fusion_penalty=penalty)
     assert _outcome(solution) == _outcome(expected)
 
 
@@ -275,10 +391,9 @@ def _assert_solvers_match_references(network, users, starts):
         assert _outcome(solve_prim(network, users, start=start)) == _outcome(
             _reference_prim(network, users, start, None)
         )
-    solution = solve_nfusion(network, users)
-    with mock.patch.object(nfusion, "_route_star", _reference_route_star):
-        expected = solve_nfusion(network, users)
-    assert _outcome(solution) == _outcome(expected)
+    assert _outcome(solve_nfusion(network, users)) == _outcome(
+        _reference_nfusion(network, users)
+    )
     assert _outcome(solve_conflict_free(network, users)) == _outcome(
         _reference_conflict_free(network, users)
     )
@@ -502,3 +617,68 @@ class TestSearchCounts:
         searches.best("a", ["b"])
         searches.best("a", ["b", "c"])
         assert counting == ["a", "a"]
+
+
+class TestNfusionPruning:
+    """N-FUSION grows only the stars its first searches say can still
+    win; the others search once and reserve nothing."""
+
+    def test_dominated_centers_search_once(self, counting):
+        # a sits next to the hub: B(a) = -18 and, once the two-channel
+        # hub is spent, a's star to d detours through g (total -20).
+        # Every other center's bound is -22 (6 to a, 8 through g to the
+        # other two).
+        network = _hub_star(
+            {"a": 1.0, "b": 5.0, "c": 5.0, "d": 5.0},
+            hub_qubits=4,
+            backup=dict.fromkeys("abcd", 4.0),
+        )
+        users = network.user_ids
+        with obs.collecting() as registry:
+            solution = solve_nfusion(network, users)
+        assert _outcome(solution) == _outcome(_reference_nfusion(network, users))
+        assert [c.path for c in solution.channels] == [
+            ("a", "h", "b"),
+            ("a", "h", "c"),
+            ("a", "g", "d"),
+        ]
+        # The winner's first search, kept, and its one search again
+        # once the hub is spent; the pruned centers' first ones only.
+        assert counting == ["a", "b", "c", "d", "a"]
+        counters = registry.counters()
+        assert counters["baselines.nfusion.centers"] == 4
+        assert counters["baselines.nfusion.centers_pruned"] == 3
+
+    def test_a_tie_below_its_rounded_bound_still_wins(self, counting):
+        # a and b (equal fibers) have stars of equal total T, summed in
+        # descending rate order.  Each bound sums the same rates in
+        # input order: b's order is the star's, a's (c, d, b) rounds to
+        # one ulp below T.  b is grown first, and a must still be grown
+        # and win its tie by input index; a cut without the rounding
+        # margin would skip it.
+        network = _hub_star(
+            {"a": 0.1, "c": 0.2, "d": 0.3, "b": 0.1}, hub_qubits=6
+        )
+        users = network.user_ids
+        assert users == ["a", "c", "d", "b"]
+        ab, ac, ad = (
+            channel_log_rate_from_lengths([0.1, length], 1.0, 1.0)
+            for length in (0.1, 0.2, 0.3)
+        )
+        assert (ac + ad) + ab < (ab + ac) + ad
+        solution = solve_nfusion(network, users, fusion_penalty=1.0)
+        assert _outcome(solution) == _outcome(
+            _reference_nfusion(network, users, fusion_penalty=1.0)
+        )
+        assert [c.endpoints[0] for c in solution.channels] == ["a"] * 3
+        assert counting == users
+
+    def test_the_cut_keeps_exact_ties_and_unbounded_totals(self):
+        # -2.0 + 0.5 is exactly -1.5: a bound that can just reach the
+        # incumbent is grown.
+        assert nfusion._may_reach(-2.0, 0.5, -1.5)
+        assert not nfusion._may_reach(-2.0, 0.5, -1.25)
+        inf = float("inf")
+        assert nfusion._may_reach(-inf, inf, -1.0)
+        assert nfusion._may_reach(-5.0, 1e-9, -inf)
+        assert nfusion._may_reach(-inf, inf, -inf)

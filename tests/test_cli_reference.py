@@ -81,7 +81,7 @@ _CASES = {
             "--verify-determinism",
         ],
         EXIT_OK,
-        "ab364bd662cd78928d35f621c1fb3d1652a7c4d3183f3eb7766f46b8842d0e4e",
+        "b48e51dcd18df5fb6e489473442fc602df71ae9f552e06eb7b21521c4b3ffb43",
     ),
     "resilience": (
         [
