@@ -32,19 +32,29 @@ Implementation notes (equivalent reformulation):
 
 The search itself (:func:`relay_search`) runs on plain lists over the
 network's :meth:`~repro.network.graph.QuantumNetwork.routing_snapshot`
-(int node indices, per-node ``(neighbor, fiber_key, length)`` rows)
-with an inlined binary heap.  :func:`dijkstra` and the LP pricing
-search in :mod:`repro.bounds.lp` share it; they differ only in the
-per-node transit costs and blocked-switch mask they pass (LP pricing
-builds its mask once per relaxation).  It returns
-``dist`` / ``prev`` as read-only mappings over its own index arrays,
-so no search builds a per-node dict.
+(int node indices, per-node ``(neighbor, fiber_key, length)`` rows).
+:func:`dijkstra` and the LP pricing search in :mod:`repro.bounds.lp`
+share it; they differ only in the per-node transit costs and
+blocked-switch mask they pass (LP pricing builds its mask once per
+relaxation).  It returns ``dist`` / ``prev`` as read-only mappings over
+its own index arrays, so no search builds a per-node dict.
+
+Two heaps run it.  :func:`_heapq_search` pushes ``(weight, node)``
+entries on C :mod:`heapq` and skips stale entries lazily;
+:func:`_exact_search` inlines the sift rules of
+:class:`~repro.utils.heap.IndexedMinHeap` with decrease-key.  The
+``heapq`` search leaves, publishing nothing, at its first exact tie,
+and the search runs again on the pinned kernel.  A tie is a relaxation
+meeting a candidate equal to the neighbor's weight, two nodes settling
+at one weight, or a queued node at the last target's weight when the
+search stops early.  No option picks the kernel: the input does.
 
 Tie-order contract.  Equal-weight channels are resolved by scan and
 pop order, and every solver, cache entry and determinism digest
-inherits that resolution, so the kernel must reproduce exactly the
+inherits that resolution, so the search must reproduce exactly the
 plain dict / :class:`~repro.utils.heap.IndexedMinHeap` search that
-``tests/core/test_channel_reference.py`` keeps as its reference:
+``tests/core/test_channel_reference.py`` keeps as its reference.  The
+pinned kernel does so by construction:
 
 * fibers are scanned in adjacency insertion order (the snapshot's row
   order; :meth:`~repro.network.graph.QuantumNetwork.align_fiber_order`
@@ -67,10 +77,29 @@ plain dict / :class:`~repro.utils.heap.IndexedMinHeap` search that
   their targets and always pass them.  While a
   :class:`~repro.exec.cache.ChannelCache` is active the search stays
   full, because one entry serves later callers with other targets.
+
+The ``heapq`` search returns the pinned kernel's result whenever it
+returns one.  Every transit cost and fiber weight is nonnegative, and
+float addition is monotone, so no pop is lighter than the one before.
+Until two live nodes share the least weight, the least weight names
+one node, and every correct heap pops the same nodes in the same
+order.  When two do share it, one of them settles and the other is
+still queued at that weight, so the next settled pop has the same
+weight, or the search stops with it as the lightest live entry; either
+way the ``heapq`` search sees the tie before it returns.  A relaxation
+that meets an equal candidate moves no pop, but it sets the pinned
+kernel's ``prev.tied``, so it hands over too.  So on the ``heapq`` path
+the pops, and with them ``dist`` / ``prev``, the view order, the
+incoming fiber lengths and every ``core.dijkstra.*`` count, are the
+pinned kernel's, and ``prev.tied`` is false.  Any tie hands the whole
+search to the pinned kernel, so tie order is the pinned kernel's by
+construction.  The scan order and float order above hold on both
+paths.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from types import MappingProxyType
 from typing import (
@@ -235,19 +264,146 @@ def relay_search(
     *forbidden* are skipped.  *blocked* is read, not written.
 
     With *targets* (node indices) the search returns as soon as the
-    last of them has been popped; the targets' entries and their
+    last of them has been settled; the targets' entries and their
     ``prev`` chains are then exactly the full search's, while other
     nodes may be missing or hold unsettled weights.
 
     Returns ``(dist, prev, heap_pops, edges_scanned, relaxations)``,
     where ``dist`` / ``prev`` are read-only mappings keyed by node id,
-    in the tie order the module docstring pins down.  Every popped node
-    is settled, so ``heap_pops`` is also the settled-node count.
+    in the tie order the module docstring pins down.  ``heap_pops``
+    counts settled pops only, so it is also the settled-node count.
     ``prev.tied`` reports an exact tie: some relaxation met a candidate
     equal to the neighbor's weight, or two nodes settled at one weight.
     Without one, the node that set a settled node's weight is the only
     node reaching it, which lets :class:`ChannelSearches` keep a search
     across reservations.
+
+    The search runs on :mod:`heapq` and hands over to the pinned sift
+    kernel at its first exact tie (see the module docstring), so the
+    input alone picks the kernel.
+    """
+    args = (graph, source, alpha, transit, blocked, forbidden, targets)
+    return _heapq_search(*args) or _exact_search(*args)
+
+
+def _heapq_search(
+    graph: RoutingSnapshot,
+    source: int,
+    alpha: float,
+    transit: Sequence[float],
+    blocked: bytearray,
+    forbidden: Optional[Set[Tuple[Hashable, Hashable]]],
+    targets: Optional[Set[int]],
+) -> Optional[
+    Tuple[Mapping[Hashable, float], Mapping[Hashable, Hashable], int, int, int]
+]:
+    """:func:`relay_search` on a lazy-deletion :mod:`heapq`, or ``None``.
+
+    Entries are ``(weight, node)``; an entry whose weight is above its
+    node's ``dist`` is stale and skipped without being counted.  The
+    search gives up, returning ``None`` and publishing nothing, at the
+    first exact tie: a relaxation meets a candidate equal to the
+    neighbor's weight, two nodes settle at one weight, or a queued
+    node's weight equals the last target's when the search stops.
+    Until then its pops are the pinned kernel's, so a result it returns
+    is :func:`_exact_search`'s, with ``prev.tied`` false.
+    """
+    ids = graph.ids
+    rows = graph.rows
+    is_switch = graph.is_switch
+    n = len(ids)
+    inf = math.inf
+    dist = [inf] * n
+    dist[source] = 0.0
+    prev = [-1] * n
+    lengths = [0.0] * n  # incoming fiber length on each prev link
+    # Settled nodes and blocked switches: one byte test per fiber.
+    closed = bytearray(blocked)
+    order = [source]  # the source, then first-relaxation order
+    heap = [(0.0, source)]
+    pop = heapq.heappop
+    push = heapq.heappush
+    heap_pops = edges_scanned = relaxations = 0
+    pending = len(targets) if targets else 0
+    last_weight = -1.0  # the last settled weight; every weight is >= 0
+
+    while heap:
+        node_dist, node = pop(heap)
+        if node_dist > dist[node]:
+            continue  # stale: the node was queued again at a lower weight
+        if node_dist == last_weight:
+            return None
+        last_weight = node_dist
+        heap_pops += 1
+        closed[node] = 1
+        if pending and node in targets:
+            pending -= 1
+            if not pending:
+                while heap:
+                    top, top_node = heap[0]
+                    if top > dist[top_node]:
+                        pop(heap)
+                    elif top == node_dist:
+                        return None  # the pinned kernel may pop it first
+                    else:
+                        break
+                break
+        if node == source:
+            cost = 0.0
+        elif not is_switch[node]:
+            continue  # users are terminals
+        else:
+            cost = transit[node]
+            if cost == inf:
+                continue  # q = 0: cannot extend beyond the source's links
+        row = rows[node]
+        edges_scanned += len(row)
+        base = node_dist + cost
+        for neighbor, key, length in row:
+            if closed[neighbor]:
+                continue
+            if forbidden is not None and key in forbidden:
+                continue
+            candidate = base + alpha * length
+            known = dist[neighbor]
+            if candidate < known:
+                if prev[neighbor] < 0:
+                    order.append(neighbor)
+                dist[neighbor] = candidate
+                prev[neighbor] = node
+                lengths[neighbor] = length
+                relaxations += 1
+                push(heap, (candidate, neighbor))
+            elif candidate == known:
+                return None
+
+    index = graph.index
+    return (
+        _DistView(ids, index, prev, order, source, dist),
+        _PrevView(ids, index, prev, order[1:], -1, lengths, False),
+        heap_pops,
+        edges_scanned,
+        relaxations,
+    )
+
+
+def _exact_search(
+    graph: RoutingSnapshot,
+    source: int,
+    alpha: float,
+    transit: Sequence[float],
+    blocked: bytearray,
+    forbidden: Optional[Set[Tuple[Hashable, Hashable]]],
+    targets: Optional[Set[int]],
+) -> Tuple[
+    Mapping[Hashable, float], Mapping[Hashable, Hashable], int, int, int
+]:
+    """:func:`relay_search` on the pinned sift kernel.
+
+    The heap sifts exactly as :class:`~repro.utils.heap.IndexedMinHeap`
+    does, so equal weights pop in the reference order.  It runs only
+    after :func:`_heapq_search` met an exact tie; every pop is a settled
+    pop, and ``prev.tied`` reports the tie.
     """
     ids = graph.ids
     rows = graph.rows
@@ -406,7 +562,9 @@ def dijkstra(
     Profiling: each call publishes ``core.dijkstra.calls`` /
     ``.heap_pops`` / ``.edges_scanned`` / ``.relaxations`` /
     ``.nodes_settled`` counters to the active
-    :class:`~repro.obs.metrics.MetricsRegistry` (one batch at return).
+    :class:`~repro.obs.metrics.MetricsRegistry` (one batch at return),
+    and ``.exact_reruns`` when the search met a tie and ran again on the
+    pinned kernel.
 
     Caching: when a :class:`~repro.exec.cache.ChannelCache` is active
     (:func:`repro.exec.cache.caching`), results are memoized under an
@@ -442,7 +600,7 @@ def dijkstra(
     stop_at = None
     if targets is not None and cache is None:
         stop_at = {graph.index[target] for target in targets}
-    dist, prev, heap_pops, edges_scanned, relaxations = relay_search(
+    args = (
         graph,
         start,
         network.params.alpha,
@@ -451,6 +609,11 @@ def dijkstra(
         forbidden_fibers or None,
         stop_at,
     )
+    found = _heapq_search(*args)  # relay_search, counting the reruns
+    rerun = found is None
+    if rerun:
+        found = _exact_search(*args)
+    dist, prev, heap_pops, edges_scanned, relaxations = found
     metrics = obs_metrics.active()
     if metrics is not None:
         metrics.inc("core.dijkstra.calls")
@@ -458,6 +621,8 @@ def dijkstra(
         metrics.inc("core.dijkstra.edges_scanned", edges_scanned)
         metrics.inc("core.dijkstra.relaxations", relaxations)
         metrics.inc("core.dijkstra.nodes_settled", heap_pops)
+        if rerun:
+            metrics.inc("core.dijkstra.exact_reruns")
     if cache is not None:
         cache.put(cache_key, (dist, prev))
     return dist, prev

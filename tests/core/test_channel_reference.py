@@ -13,19 +13,26 @@ A search that stops at its caller's last target must return, for each
 target, the path the full reference traces, and never do more work.
 
 Networks use small *integer* fiber lengths (and ``α`` / ``q`` values
-that keep weight sums exact) so that ties are common rather than rare.
+that keep weight sums exact) so that ties are common rather than rare:
+the ``heapq`` search hands those to the pinned sift kernel.  Networks
+with seeded *continuous* lengths never tie, so the ``heapq`` search
+answers them itself, and ``core.dijkstra.exact_reruns`` stays 0.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from typing import Dict, Hashable, Optional, Set, Tuple
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.obs.metrics as obs_metrics
 from repro.bounds import lp
+from repro.core import channel as channel_module
 from repro.core.channel import (
     best_channels_from,
     dijkstra,
@@ -35,6 +42,7 @@ from repro.core.channel import (
 from repro.core.ledger import CapacityLedger
 from repro.core.rates import swap_log_rate
 from repro.network.graph import NetworkParams, QuantumNetwork
+from repro.topology import TopologyConfig, generate, grid_network
 from repro.utils.heap import IndexedMinHeap
 
 COUNTERS = (
@@ -44,6 +52,14 @@ COUNTERS = (
     "core.dijkstra.relaxations",
     "core.dijkstra.nodes_settled",
 )
+
+RERUNS = "core.dijkstra.exact_reruns"
+
+
+def _require(condition, message):
+    """Fail with *message* unless *condition* (kept under ``python -O``)."""
+    if not condition:
+        raise AssertionError(message)
 
 
 def _reference_dijkstra(
@@ -155,12 +171,14 @@ def _reference_pricing(
 
 
 @st.composite
-def tied_networks(draw, dense=False):
+def tied_networks(draw, dense=False, continuous=False):
     """A random network with integer fiber lengths, in a random build order.
 
     ``dense`` draws each node pair's fiber with even odds, so that most
     networks have multi-hop channels whose targets are relaxed more than
-    once before they settle.
+    once before they settle.  ``continuous`` draws each length uniformly
+    from ``[0.5, 3)`` with a seeded generator instead, so no two path
+    weights are equal.
     """
     n_users = draw(st.integers(1, 5))
     n_switches = draw(st.integers(0, 10))
@@ -189,14 +207,26 @@ def tied_networks(draw, dense=False):
             if pairs
             else st.just([])
         )
+    if continuous:
+        lengths = random.Random(draw(st.integers(0, 2**32 - 1)))
     for u, v in chosen:
-        network.add_fiber(u, v, length=float(draw(st.integers(1, 3))))
+        if continuous:
+            length = lengths.uniform(0.5, 3.0)
+        else:
+            length = float(draw(st.integers(1, 3)))
+        network.add_fiber(u, v, length=length)
     return network
 
 
 @st.composite
 def search_cases(draw, dense=False):
-    network = draw(tied_networks(dense))
+    """A search input: integer lengths (ties) or continuous ones (none).
+
+    The last field says which; continuous cases must never reach the
+    pinned kernel.
+    """
+    continuous = draw(st.booleans())
+    network = draw(tied_networks(dense, continuous))
     switches = network.switch_ids
     if draw(st.booleans()):
         residual = None
@@ -217,18 +247,65 @@ def search_cases(draw, dense=False):
     allow_switch_source = bool(switches) and draw(st.booleans())
     candidates = network.node_ids if allow_switch_source else network.user_ids
     source = draw(st.sampled_from(candidates))
-    return network, source, residual, qubits, forbidden, allow_switch_source
+    return (
+        network,
+        source,
+        residual,
+        qubits,
+        forbidden,
+        allow_switch_source,
+        continuous,
+    )
 
 
 def _ordered(mapping):
     return list(mapping.items())
 
 
+def _pinned_search(network, source, residual, forbidden, targets=None):
+    """The pinned kernel run directly, as :func:`dijkstra` would call it."""
+    graph = network.routing_snapshot()
+    if residual is None:
+        residual = CapacityLedger.from_network(network)
+    minus_ln_q = -swap_log_rate(network.params.swap_prob)
+    return channel_module._exact_search(
+        graph,
+        graph.index[source],
+        network.params.alpha,
+        [minus_ln_q] * len(graph.ids),
+        residual.blocked(graph),
+        forbidden or None,
+        None if targets is None else {graph.index[t] for t in targets},
+    )
+
+
 def _assert_matches_reference(
-    network, source, residual, qubits, forbidden, allow_switch_source
+    network,
+    source,
+    residual,
+    qubits,
+    forbidden,
+    allow_switch_source,
+    continuous=False,
 ):
+    """One full search, and the pinned kernel run on its own, match the
+    reference, tie flag included; returns the search's reruns."""
     expected_dist, expected_prev, expected_counters = _reference_dijkstra(
         network, source, qubits, forbidden
+    )
+    dist, pinned_prev, heap_pops, edges_scanned, relaxations = (
+        _pinned_search(network, source, residual, forbidden)
+    )
+    _require(
+        _ordered(dist) == _ordered(expected_dist)
+        and _ordered(pinned_prev) == _ordered(expected_prev)
+        and [heap_pops, edges_scanned, relaxations]
+        == [
+            expected_counters["core.dijkstra.heap_pops"],
+            expected_counters["core.dijkstra.edges_scanned"],
+            expected_counters["core.dijkstra.relaxations"],
+        ],
+        "the pinned kernel left the reference",
     )
     with obs_metrics.collecting() as registry:
         dist, prev = dijkstra(
@@ -244,6 +321,16 @@ def _assert_matches_reference(
     assert {name: counters.get(name, 0) for name in COUNTERS} == (
         expected_counters
     )
+    _require(
+        prev.tied == pinned_prev.tied,
+        f"tie flag {prev.tied}, the pinned kernel's {pinned_prev.tied}",
+    )
+    reruns = counters.get(RERUNS, 0)
+    _require(
+        not continuous or reruns == 0,
+        f"continuous lengths tied: {reruns} rerun(s)",
+    )
+    return reruns
 
 
 @settings(max_examples=300, deadline=None)
@@ -274,10 +361,34 @@ def test_equal_keys_pop_in_reference_order():
     _assert_matches_reference(network, "u", None, qubits, None, False)
 
 
+def test_stop_at_an_equal_weight_defers_to_the_pinned_kernel():
+    """Two users at one weight, the target built first and scanned last.
+
+    A ``(weight, node)`` heap pops the target first and could stop
+    there; the reference pops ``b`` first, then the target.  The queued
+    equal weight at the stop sends the search to the pinned kernel.
+    """
+    network = QuantumNetwork(NetworkParams(alpha=1.0, swap_prob=1.0))
+    for name in ("u", "t", "b"):
+        network.add_user(name)
+    network.add_fiber("u", "b", length=1.0)
+    network.add_fiber("u", "t", length=1.0)
+    (dist, prev), counters = _searched(
+        lambda: dijkstra(network, "u", targets=["t"])
+    )
+    _require(
+        list(dist) == ["u", "b", "t"]
+        and counters["core.dijkstra.heap_pops"] == 3
+        and counters[RERUNS] == 1
+        and prev.tied,
+        f"stopped at {counters}",
+    )
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=search_cases(), data=st.data())
 def test_pricing_matches_frozen_reference(case, data):
-    network, source, residual, qubits, _forbidden, _allow = case
+    network, source, residual, qubits, _forbidden, _allow, continuous = case
     if not network.is_user(source):
         return
     penalties = {
@@ -294,9 +405,16 @@ def test_pricing_matches_frozen_reference(case, data):
         blocked = bytearray(len(graph.ids))
     else:
         blocked = CapacityLedger(budgets).blocked(graph)
-    dist, prev = lp._pricing_search(network, source, penalties, blocked)
+    with mock.patch.object(
+        channel_module, "_exact_search", wraps=channel_module._exact_search
+    ) as exact:
+        dist, prev = lp._pricing_search(network, source, penalties, blocked)
     assert _ordered(dist) == _ordered(expected_dist)
     assert _ordered(prev) == _ordered(expected_prev)
+    _require(
+        not continuous or not exact.called,
+        "continuous lengths reached the pinned kernel",
+    )
 
 
 @st.composite
@@ -308,7 +426,7 @@ def target_cases(draw):
     as drawn (``None`` or a ledger) or replaced by a fresh
     ``CapacityLedger`` over the same free qubits.
     """
-    network, source, residual, qubits, forbidden, _ = draw(
+    network, source, residual, qubits, forbidden, _, continuous = draw(
         search_cases(dense=True)
     )
     users = network.user_ids
@@ -317,7 +435,7 @@ def target_cases(draw):
     targets = draw(st.lists(st.sampled_from(users), max_size=6))
     if draw(st.booleans()):
         residual = CapacityLedger(qubits)
-    return network, source, residual, qubits, forbidden, targets
+    return network, source, residual, qubits, forbidden, targets, continuous
 
 
 def _searched(call):
@@ -325,13 +443,18 @@ def _searched(call):
     with obs_metrics.collecting() as registry:
         value = call()
     counters = registry.counters()
-    return value, {name: counters.get(name, 0) for name in COUNTERS}
+    names = COUNTERS + (RERUNS,)
+    return value, {name: counters.get(name, 0) for name in names}
 
 
-def _within_reference(counters, reference):
+def _within_reference(counters, reference, continuous):
     assert counters["core.dijkstra.calls"] == 1
     for name in COUNTERS[1:]:
         assert counters[name] <= reference[name], name
+    _require(
+        not continuous or counters[RERUNS] == 0,
+        "continuous lengths reached the pinned kernel",
+    )
 
 
 @settings(max_examples=300, deadline=None)
@@ -342,8 +465,10 @@ def test_target_searches_match_full_reference(case):
     The channels that ``best_channels_from`` and ``find_best_channel``
     return trace the frozen full search's ``prev`` exactly, tie for
     tie, and the stopped search never does more work than the full one.
+    A stopped :func:`dijkstra` returns the pinned kernel's stopped
+    search: the same views, tie flag and counters.
     """
-    network, source, residual, qubits, forbidden, targets = case
+    network, source, residual, qubits, forbidden, targets, continuous = case
     ref_dist, ref_prev, ref_counters = _reference_dijkstra(
         network, source, qubits, forbidden
     )
@@ -358,7 +483,23 @@ def test_target_searches_match_full_reference(case):
         assert [(t, c.path) for t, c in channels.items()] == list(
             expected.items()
         )
-        _within_reference(counters, ref_counters)
+        _within_reference(counters, ref_counters, continuous)
+    if wanted:
+        (dist, prev), counters = _searched(
+            lambda: dijkstra(
+                network, source, residual, forbidden, targets=wanted
+            )
+        )
+        pinned_dist, pinned_prev, *pinned_counters = _pinned_search(
+            network, source, residual, forbidden, wanted
+        )
+        _require(
+            _ordered(dist) == _ordered(pinned_dist)
+            and _ordered(prev) == _ordered(pinned_prev)
+            and prev.tied == pinned_prev.tied
+            and [counters[name] for name in COUNTERS[1:4]] == pinned_counters,
+            "a stopped search left the pinned kernel's stopped search",
+        )
     for target in wanted:
         channel, counters = _searched(
             lambda: find_best_channel(
@@ -366,4 +507,94 @@ def test_target_searches_match_full_reference(case):
             )
         )
         assert (channel and channel.path) == expected.get(target)
-        _within_reference(counters, ref_counters)
+        _within_reference(counters, ref_counters, continuous)
+
+
+@pytest.mark.parametrize(
+    "kind, seed",
+    [
+        ("waxman", 1),
+        ("waxman", 2),
+        ("watts_strogatz", 1),
+        ("watts_strogatz", 2),
+        ("grid", None),
+    ],
+)
+def test_exact_reruns_follow_ties(kind, seed):
+    """Default-config networks never reach the pinned kernel; a lattice
+    of equal fibers reaches it on every search.
+
+    Each network runs every search form: full searches with forbidden
+    fibers, target searches that stop early, a blocked switch source
+    (the k-best spur searches) and LP pricing under transit penalties.
+    All of them match the frozen reference either way.
+    """
+    if kind == "grid":
+        network = grid_network(8, 8)
+    else:
+        network = generate(kind, TopologyConfig(), rng=seed)
+    tied = kind == "grid"
+    users = network.user_ids
+    switches = network.switch_ids
+    qubits = network.residual_qubits()
+    blocked_source = switches[len(switches) // 2]
+    qubits[blocked_source] = 1
+    ledger = CapacityLedger(qubits)
+    relays = [
+        fiber.key
+        for fiber in network.fibers
+        if network.is_switch(fiber.u) and network.is_switch(fiber.v)
+    ]
+    forbidden = set(relays[:3])
+
+    searches = reruns = 0
+    for source in users:
+        reruns += _assert_matches_reference(
+            network, source, ledger, qubits, forbidden, False
+        )
+        _, ref_prev, _ = _reference_dijkstra(network, source, qubits, None)
+        others = [user for user in users if user != source]
+        channels, counters = _searched(
+            lambda: best_channels_from(network, source, others, ledger)
+        )
+        _require(
+            [(t, c.path) for t, c in channels.items()]
+            == [
+                (t, trace_path(ref_prev, source, t))
+                for t in others
+                if t in ref_prev
+            ],
+            f"target search from {source!r} left the reference's paths",
+        )
+        reruns += counters[RERUNS]
+        searches += 2
+    reruns += _assert_matches_reference(
+        network, blocked_source, ledger, qubits, None, True
+    )
+    searches += 1
+    _require(
+        reruns == (searches if tied else 0),
+        f"{reruns} rerun(s) in {searches} searches on {kind}",
+    )
+
+    penalties = {s: 0.25 * (i % 3) for i, s in enumerate(switches)}
+    blocked = ledger.blocked(network.routing_snapshot())
+    with mock.patch.object(
+        channel_module, "_exact_search", wraps=channel_module._exact_search
+    ) as exact:
+        for source in users:
+            expected_dist, expected_prev = _reference_pricing(
+                network, source, penalties, qubits
+            )
+            dist, prev = lp._pricing_search(
+                network, source, penalties, blocked
+            )
+            _require(
+                _ordered(dist) == _ordered(expected_dist)
+                and _ordered(prev) == _ordered(expected_prev),
+                f"pricing search from {source!r} left the reference",
+            )
+    _require(
+        exact.call_count == (len(users) if tied else 0),
+        f"{exact.call_count} pricing rerun(s) on {kind}",
+    )

@@ -80,7 +80,7 @@ def _assert_reads_as(view, expected):
 def test_stopped_search_reads_as_the_dicts_did(case):
     """Every relaxed node reads its weight at the stop, settled or not,
     and nodes the search never relaxed are absent."""
-    network, source, residual, qubits, forbidden, targets = case
+    network, source, residual, qubits, forbidden, targets, _ = case
     if not targets:
         return
     dist, prev = dijkstra(

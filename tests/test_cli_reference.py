@@ -7,8 +7,11 @@ and safety gates, the dispatch table) cannot change what a passing run
 prints.  Before hashing, lines that carry wall-clock time are dropped
 (``exec``'s ``wall time:`` and the per-attempt ``ms`` column of the
 robust solve audit), as is ``resilience``'s ``unattributed requests:``
-line.  ``obs`` prints timing histograms, so only its metric names are
-pinned.  ``bounds`` runs on the pure-python simplex backend so the
+line.  ``exec``'s engine line carries the channel cache's hit counts,
+which move with the number of searches a solver runs although no
+result does, so it is dropped from the digest and pinned literally by
+its own test.  ``obs`` prints timing histograms, so only its metric
+names are pinned.  ``bounds`` runs on the pure-python simplex backend so the
 digest does not depend on whether scipy is installed.
 
 The option-set test pins each subcommand's option strings, so a shared
@@ -31,7 +34,16 @@ from repro.cli import EXIT_OK, build_parser, main
 _TIMED = re.compile(r"^wall time: |\d\.\d\d ms\b")
 
 #: Extra lines dropped per subcommand before hashing.
-_DROPPED = {"resilience": re.compile(r"^unattributed requests: ")}
+_DROPPED = {
+    "resilience": re.compile(r"^unattributed requests: "),
+    "exec": re.compile(r"^engine: .*; cache: "),
+}
+
+#: ``exec``'s engine line, dropped from its digest above.
+_EXEC_ENGINE_LINE = (
+    "engine: 10 item(s) in 5 shard(s), 0 resumed; "
+    "cache: 306/486 hits (63.0%), 0 invalidation(s), 0 eviction(s)"
+)
 
 #: name -> (argv, exit code, sha256 of the filtered stdout).
 _CASES = {
@@ -81,7 +93,7 @@ _CASES = {
             "--verify-determinism",
         ],
         EXIT_OK,
-        "b48e51dcd18df5fb6e489473442fc602df71ae9f552e06eb7b21521c4b3ffb43",
+        "3082992a2c0a78ef30035066b81781f12256c8ae2bdf7ed5860ccbee5075f975",
     ),
     "resilience": (
         [
@@ -218,6 +230,14 @@ def test_stdout_and_exit_code(case, capsys):
     code = main(list(argv))
     assert code == want_code
     assert _digest(argv[0], capsys.readouterr().out) == want_digest
+
+
+def test_exec_engine_line(capsys):
+    argv = _CASES["exec"][0]
+    assert main(list(argv)) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    engine = [line for line in lines if _DROPPED["exec"].search(line)]
+    assert engine == [_EXEC_ENGINE_LINE]
 
 
 def test_obs_metric_names(capsys):
