@@ -79,8 +79,9 @@ def solve_nfusion(
        on its own fork of the idle ledger and runs its first search, the
        star's first round.  A center whose first search misses a user
        is infeasible, since blocking only removes paths.  Otherwise the
-       search bounds the star: ``B(c) = Σ_u log_rate(c→u) + fusion``
-       over its channels.
+       search bounds the star from its weights alone, building no
+       channel: ``B(c) = fusion − Σ_u Ŵ(c→u)``, with ``Ŵ`` the search
+       weight of the first channel to ``u``.
     2. Stars grow in descending ``B(c)``, ties in input order, each
        continuing its center's kept search (:func:`_route_star`).  A
        center with ``B(c) + margin < best_total`` is skipped.  A total
@@ -97,14 +98,14 @@ def solve_nfusion(
     ``4u·W(P)`` of ``−W(P)``.  A later round's channel ``C`` to ``u``
     searches a ledger that has only lost relays, so ``Ŵ(C) ≥ Ŵ(P)``
     for the first search's ``P`` (float path sums are monotone), hence
-    ``log_rate(C) ≤ log_rate(P) + (4|V| + 10)·u·|log_rate(P)|``.  The
-    two ``|U|``-term float sums add ``|U|·u`` of their terms'
-    magnitudes each.  The total rounding error is thus below
-    ``(4|V| + 2|U| + 12)·u·S``, with ``S`` the sum of ``B(c)``'s terms'
-    magnitudes (``|B(c)|`` itself when ``μ ≤ 1``, as every term is then
-    ``≤ 0``).  ``margin = 1e-9·(|U| + S)`` exceeds it, and the one
-    rounding of ``B(c) + margin``, for any network under a million
-    nodes; the ``|U|`` floor keeps it positive when every term is 0.
+    ``log_rate(C) ≤ −Ŵ(P) + (2|V| + 6)·u·Ŵ(P)``.  The two ``|U|``-term
+    float sums add ``|U|·u`` of their terms' magnitudes each.  The
+    total rounding error is thus below ``(2|V| + 2|U| + 8)·u·S``, with
+    ``S`` the sum of ``B(c)``'s terms' magnitudes (``|B(c)|`` itself
+    when ``μ ≤ 1``, as every term is then ``≤ 0``).
+    ``margin = 1e-9·(|U| + S)`` exceeds it, and the one rounding of
+    ``B(c) + margin``, for any network under a million nodes; the
+    ``|U|`` floor keeps it positive when every term is 0.
     A center whose total ties the incumbent therefore never falls
     below the cut.  Nothing is pruned while ``B(c)`` or the incumbent
     is not finite (``q = 0`` makes every total ``−inf``).
@@ -128,12 +129,11 @@ def solve_nfusion(
     bounded = []
     for index, candidate in enumerate(centers):
         pending = [u for u in user_list if u != candidate]
-        searches = ChannelSearches(network, idle.fork())
-        searches.best(candidate, pending)
-        found = searches.kept(candidate)
-        if len(found) < len(pending):
+        searches = ChannelSearches(network, idle.fork(), user_list)
+        weights = searches.reach(candidate, pending)
+        if len(weights) < len(pending):
             continue
-        links = sum(channel.log_rate for _, channel in found.values())
+        links = -sum(weights.values())
         margin = 1e-9 * (len(user_list) + abs(links) + abs(fusion))
         bounded.append((links + fusion, margin, index, candidate, searches))
     # sort is stable, so equal bounds keep input order.

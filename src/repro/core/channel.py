@@ -23,12 +23,42 @@ Implementation notes (equivalent reformulation):
 * ``best_channels_from`` runs the search once per *source* and recovers
   all destinations through the ``Prev`` array — the complexity
   optimization described after Theorem 3, giving
-  ``O(|U|(|E| + |V| log |V|))`` for the all-pairs step.  Each channel
-  is built from the search's own arrays: the predecessor chain and each
-  node's incoming fiber length.
+  ``O(|U|(|E| + |V| log |V|))`` for the all-pairs step.  A channel is
+  built from the search's own arrays (the predecessor chain and each
+  node's incoming fiber length) only when it can win: a greedy step
+  takes one channel in :func:`~repro.core.problem.channel_sort_key`
+  order, and its candidates are first ranked by search weight (see
+  *Rank margin* below).
 * :class:`ChannelSearches` keeps each source's search across the
   rounds of one greedy solve (Prim, Algorithm 3's reconnect, N-FUSION)
   for as long as a fresh search would return the same channels.
+
+Rank margin.  ``channel_sort_key`` orders channels by Eq. (1)'s log rate
+first, and a search weight ``Ŵ`` is that rate negated up to rounding.
+So :class:`ChannelSearches` (one greedy step) and
+:func:`ranked_pair_channels` (Algorithm 2's Kruskal scan) build a
+channel only when its target's weight is at most ``Ŵ_min + m(Ŵ_min)``,
+with ``m(w) = 1e-9·(1 + w)`` (:func:`_within`), where ``Ŵ_min`` is the
+least weight among the step's candidates.  Why no candidate above that
+limit can win: let ``u = 2⁻⁵³`` and, for a channel ``P`` of ``l``
+links, ``W(P) = α·ΣL + (l−1)·(−ln q)`` in exact arithmetic, with
+``ln q`` the float both sides use.  The search sums ``W`` hop by hop in
+floats from terms ``≥ 0``, so ``Ŵ(P)`` is within ``(2l+1)·u·W(P)`` of
+``W(P)``; ``log_rate(P)`` takes four roundings of one-signed terms
+(``fsum``, ``α·``, ``(l−1)·ln q``, their sum), so it is within
+``4u·W(P)`` of ``−W(P)``.  Hence ``|Ŵ(P) + log_rate(P)| ≤ k·Ŵ(P)``
+with ``k = (2|V| + 6)·u < 2.3e-10`` for any network under a million
+nodes.  If ``Ŵ(B)`` exceeds the limit, which ``_within`` computes with
+three roundings, then ``−log_rate(B) ≥ (1 − k)·Ŵ(B) > (1 + k)·Ŵ(A) ≥
+−log_rate(A)``, because ``1e-9`` exceeds ``2k`` and those roundings:
+``B``'s rate is strictly below the least-weight candidate ``A``'s, so
+its hop count and ``repr`` tie-breaks never come into play.  The
+``1 +`` term keeps the margin positive at weight 0 and above the
+absolute error of subnormal sums; an infinite ``Ŵ_min`` admits every
+candidate.  ``_within`` is monotone, so a candidate more than one
+margin above any weight is more than one margin above every smaller
+one, which is what lets the Kruskal scan cut its pairs into groups at
+such gaps.
 
 The search itself (:func:`relay_search`) runs on plain lists over the
 network's :meth:`~repro.network.graph.QuantumNetwork.routing_snapshot`
@@ -43,11 +73,13 @@ Two heaps run it.  :func:`_heapq_search` pushes ``(weight, node)``
 entries on C :mod:`heapq` and skips stale entries lazily;
 :func:`_exact_search` inlines the sift rules of
 :class:`~repro.utils.heap.IndexedMinHeap` with decrease-key.  The
-``heapq`` search leaves, publishing nothing, at its first exact tie,
-and the search runs again on the pinned kernel.  A tie is a relaxation
-meeting a candidate equal to the neighbor's weight, two nodes settling
-at one weight, or a queued node at the last target's weight when the
-search stops early.  No option picks the kernel: the input does.
+``heapq`` search leaves, publishing nothing, at its first tie that can
+move a pop — two nodes settling at one weight, or a queued node at the
+last target's weight when the search stops early — and the search runs
+again on the pinned kernel.  A relaxation meeting a candidate equal to
+the neighbor's weight updates neither heap, so it only sets
+``prev.tied`` and the ``heapq`` search goes on.  No option picks the
+kernel: the input does.
 
 Tie-order contract.  Equal-weight channels are resolved by scan and
 pop order, and every solver, cache entry and determinism digest
@@ -87,22 +119,23 @@ order.  When two do share it, one of them settles and the other is
 still queued at that weight, so the next settled pop has the same
 weight, or the search stops with it as the lightest live entry; either
 way the ``heapq`` search sees the tie before it returns.  A relaxation
-that meets an equal candidate moves no pop, but it sets the pinned
-kernel's ``prev.tied``, so it hands over too.  So on the ``heapq`` path
-the pops, and with them ``dist`` / ``prev``, the view order, the
-incoming fiber lengths and every ``core.dijkstra.*`` count, are the
-pinned kernel's, and ``prev.tied`` is false.  Any tie hands the whole
-search to the pinned kernel, so tie order is the pinned kernel's by
-construction.  The scan order and float order above hold on both
-paths.
+that meets an equal candidate leaves both kernels' weights, links and
+heaps as they were, so it moves no pop; both kernels set ``prev.tied``
+for it.  So on the ``heapq`` path the pops, and with them ``dist`` /
+``prev``, the view order, the incoming fiber lengths, ``prev.tied`` and
+every ``core.dijkstra.*`` count, are the pinned kernel's.  Any tie that
+can move a pop hands the whole search to the pinned kernel, so tie
+order is the pinned kernel's by construction.  The scan order and float
+order above hold on both paths.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from types import MappingProxyType
+from operator import itemgetter
 from typing import (
+    Callable,
     Collection,
     Dict,
     Hashable,
@@ -130,6 +163,7 @@ __all__ = [
     "find_best_channel",
     "best_channels_from",
     "all_pairs_best_channels",
+    "ranked_pair_channels",
     "ChannelSearches",
 ]
 
@@ -186,6 +220,19 @@ class _DistView(_SearchView):
             raise KeyError(key)
         return self._dist[i]
 
+    def reached(self, targets: Iterable[Hashable]) -> Dict[Hashable, float]:
+        """Search weight of each of *targets* the search reached, in
+        *targets* order; the source is never among them."""
+        index = self._index
+        chain = self._prev
+        dist = self._dist
+        reached = {}
+        for target in targets:
+            i = index[target]
+            if chain[i] >= 0:
+                reached[target] = dist[i]
+        return reached
+
 
 class _PrevView(_SearchView):
     """``prev``: node id → predecessor id on its best partial channel.
@@ -241,6 +288,21 @@ class _PrevView(_SearchView):
             ),
         )
 
+    def relays_any(
+        self, source: Hashable, target: Hashable, nodes: Set[Hashable]
+    ) -> bool:
+        """Whether the channel from *source* to the reached *target*
+        relays through one of *nodes*; walks the chain, builds nothing."""
+        ids = self._ids
+        chain = self._prev
+        start = self._index[source]
+        node = chain[self._index[target]]
+        while node != start:
+            if ids[node] in nodes:
+                return True
+            node = chain[node]
+        return False
+
 
 def relay_search(
     graph: RoutingSnapshot,
@@ -279,8 +341,8 @@ def relay_search(
     across reservations.
 
     The search runs on :mod:`heapq` and hands over to the pinned sift
-    kernel at its first exact tie (see the module docstring), so the
-    input alone picks the kernel.
+    kernel at its first tie that can move a pop (see the module
+    docstring), so the input alone picks the kernel.
     """
     args = (graph, source, alpha, transit, blocked, forbidden, targets)
     return _heapq_search(*args) or _exact_search(*args)
@@ -302,11 +364,12 @@ def _heapq_search(
     Entries are ``(weight, node)``; an entry whose weight is above its
     node's ``dist`` is stale and skipped without being counted.  The
     search gives up, returning ``None`` and publishing nothing, at the
-    first exact tie: a relaxation meets a candidate equal to the
-    neighbor's weight, two nodes settle at one weight, or a queued
-    node's weight equals the last target's when the search stops.
-    Until then its pops are the pinned kernel's, so a result it returns
-    is :func:`_exact_search`'s, with ``prev.tied`` false.
+    first tie that can move a pop: two nodes settle at one weight, or a
+    queued node's weight equals the last target's when the search
+    stops.  Until then its pops are the pinned kernel's, so a result it
+    returns is :func:`_exact_search`'s.  A relaxation that meets a
+    candidate equal to the neighbor's weight moves no pop; it sets
+    ``prev.tied``, as the pinned kernel does.
     """
     ids = graph.ids
     rows = graph.rows
@@ -325,6 +388,7 @@ def _heapq_search(
     push = heapq.heappush
     heap_pops = edges_scanned = relaxations = 0
     pending = len(targets) if targets else 0
+    tied = False
     last_weight = -1.0  # the last settled weight; every weight is >= 0
 
     while heap:
@@ -375,12 +439,12 @@ def _heapq_search(
                 relaxations += 1
                 push(heap, (candidate, neighbor))
             elif candidate == known:
-                return None
+                tied = True
 
     index = graph.index
     return (
         _DistView(ids, index, prev, order, source, dist),
-        _PrevView(ids, index, prev, order[1:], -1, lengths, False),
+        _PrevView(ids, index, prev, order[1:], -1, lengths, tied),
         heap_pops,
         edges_scanned,
         relaxations,
@@ -402,8 +466,8 @@ def _exact_search(
 
     The heap sifts exactly as :class:`~repro.utils.heap.IndexedMinHeap`
     does, so equal weights pop in the reference order.  It runs only
-    after :func:`_heapq_search` met an exact tie; every pop is a settled
-    pop, and ``prev.tied`` reports the tie.
+    after :func:`_heapq_search` met a tie that can move a pop; every pop
+    is a settled pop, and ``prev.tied`` reports the tie.
     """
     ids = graph.ids
     rows = graph.rows
@@ -668,8 +732,7 @@ def find_best_channel(
     """
     if source == target:
         raise ValueError("source and target must differ")
-    if not network.is_user(target):
-        raise ValueError(f"target {target!r} must be a quantum user")
+    _require_users(network, (target,))
     metrics = obs_metrics.active()
     if metrics is not None:
         metrics.inc("core.channel_search.pair_calls")
@@ -679,29 +742,35 @@ def find_best_channel(
     return prev.channel(source, target, network.params)
 
 
+def _within(weight: float) -> float:
+    """The heaviest search weight that may still rank with *weight*:
+    ``weight + 1e-9·(1 + weight)`` (the module docstring's rank
+    margin)."""
+    return weight + 1e-9 * (1.0 + weight)
+
+
+def _require_users(network: QuantumNetwork, targets: Iterable[Hashable]) -> None:
+    for target in targets:
+        if not network.is_user(target):
+            raise ValueError(f"target {target!r} must be a quantum user")
+
+
 def _search_from(
     network: QuantumNetwork,
     source: Hashable,
-    targets: Iterable[Hashable],
+    targets: Sequence[Hashable],
     residual: Optional[CapacityLedger],
-) -> Tuple[Dict[Hashable, Channel], bool]:
-    """:func:`best_channels_from`'s channels and the search's tie flag."""
-    target_list = list(targets)
-    for target in target_list:
-        if not network.is_user(target):
-            raise ValueError(f"target {target!r} must be a quantum user")
-    _, prev = dijkstra(network, source, residual, targets=target_list)
-    params = network.params
-    channels: Dict[Hashable, Channel] = {}
-    for target in target_list:
-        channel = prev.channel(source, target, params)
-        if channel is not None:  # never the source's own entry
-            channels[target] = channel
+) -> Tuple[_PrevView, Dict[Hashable, float]]:
+    """One search from *source* for *targets*, users the caller has
+    checked: its ``prev`` and the search weight of each target it
+    reached, in *targets* order."""
+    dist, prev = dijkstra(network, source, residual, targets=targets)
+    reached = dist.reached(targets)
     metrics = obs_metrics.active()
     if metrics is not None:
         metrics.inc("core.channel_search.single_source_calls")
-        metrics.inc("core.channel_search.channels_found", len(channels))
-    return channels, prev.tied
+        metrics.inc("core.channel_search.channels_found", len(reached))
+    return prev, reached
 
 
 def best_channels_from(
@@ -715,20 +784,28 @@ def best_channels_from(
     One Dijkstra run serves all destinations (the paper's complexity
     optimization).  Unreachable targets are absent from the result.
     """
-    return _search_from(network, source, targets, residual)[0]
+    target_list = list(targets)
+    _require_users(network, target_list)
+    prev, reached = _search_from(network, source, target_list, residual)
+    params = network.params
+    return {
+        target: prev.channel(source, target, params) for target in reached
+    }
 
 
 class _Kept:
     """One source's search as :class:`ChannelSearches` keeps it."""
 
-    __slots__ = ("targets", "ranked", "tied", "seen")
+    __slots__ = ("targets", "weights", "prev", "ranked", "seen")
 
-    def __init__(self, targets, ranked, tied, seen) -> None:
-        #: The targets the ranked channels are still exact for.
+    def __init__(self, targets, weights, prev, seen) -> None:
+        #: The targets the search is still exact for.
         self.targets = targets
-        #: target → (``channel_sort_key``, channel), reachable ones only.
-        self.ranked = ranked
-        self.tied = tied
+        #: target → search weight, reached targets only.
+        self.weights = weights
+        self.prev = prev
+        #: target → (``channel_sort_key``, channel), built when it can win.
+        self.ranked: Dict[Hashable, Tuple[Tuple, Channel]] = {}
         #: How many of the solve's newly blocked switches it was checked
         #: against.
         self.seen = seen
@@ -741,11 +818,12 @@ class ChannelSearches:
     reconnect and N-FUSION's star) repeat the search from the same
     sources round after round, with fewer wanted targets and, after
     each reservation, a relay mask that can only have lost switches.
-    :meth:`best` keeps each source's search and runs it again only
-    when a fresh one could differ, that is when switches became blocked
-    since it ran and either the search met an exact tie (``prev.tied``
-    of :func:`relay_search`) or its channel to a wanted target crosses
-    one of them.  The kept answer is then exactly the fresh one:
+    :meth:`best_among` keeps each source's search and runs it again
+    only when a fresh one could differ, that is when switches became
+    blocked since it ran and either the search met an exact tie
+    (``prev.tied`` of :func:`relay_search`) or its channel to a wanted
+    target crosses one of them.  The kept answer is then exactly the
+    fresh one:
 
     * blocking only removes paths, so a kept channel that avoids every
       newly blocked switch is still feasible and still of least weight;
@@ -753,42 +831,83 @@ class ChannelSearches:
     * without a tie each such node had exactly one predecessor reaching
       its weight, and the fresh search can only pick that one.
 
-    Each channel is ranked by
-    :func:`~repro.core.problem.channel_sort_key` once, when found.
+    A step ranks its candidates by search weight and builds, once per
+    kept search, only the channels within the rank margin of the
+    least weight (the module docstring); only those can win
+    :func:`~repro.core.problem.channel_sort_key`'s order.
 
     The solve must spend *ledger* only through :meth:`reserve`.  A
     source asked for a target its kept search was not run for searches
-    again; the greedy builders only ever drop targets.
+    again; the greedy builders only ever drop targets.  Each target is
+    checked to be a quantum user once per solve, unless it is among
+    *users*, ids the caller has checked already
+    (:func:`~repro.core.problem.resolve_users` does).
     """
 
-    def __init__(self, network: QuantumNetwork, ledger: CapacityLedger) -> None:
+    def __init__(
+        self,
+        network: QuantumNetwork,
+        ledger: CapacityLedger,
+        users: Iterable[Hashable] = (),
+    ) -> None:
         self._network = network
         self._ledger = ledger
         self._kept: Dict[Hashable, _Kept] = {}
         #: Switches the solve's reservations took below 2 free qubits.
         self._blocked: List[Hashable] = []
+        #: Targets known to be quantum users.
+        self._users: Set[Hashable] = set(users)
 
     def best(
         self, source: Hashable, targets: Collection[Hashable]
     ) -> Optional[Tuple[Tuple, Channel]]:
         """``(channel_sort_key(c), c)`` for the best channel ``c`` from
         *source* to one of *targets* under the ledger, or ``None``."""
-        kept = self._kept.get(source)
-        if kept is None or not self._exact(kept, targets):
-            kept = self._kept[source] = self._search(source, targets)
-        ranked = kept.ranked
+        return self.best_among(((source, targets),))
+
+    def best_among(
+        self, requests: Iterable[Tuple[Hashable, Collection[Hashable]]]
+    ) -> Optional[Tuple[Tuple, Channel]]:
+        """:meth:`best` over several ``(source, targets)`` *requests*:
+        the least entry, the first in request and target order among
+        equal ones.  The sources are searched in request order."""
+        steps = []
+        least = None
+        for source, targets in requests:
+            kept = self._keep(source, targets)
+            weights = kept.weights
+            for target in targets:
+                weight = weights.get(target)
+                if weight is not None and (least is None or weight < least):
+                    least = weight
+            steps.append((source, targets, kept))
+        if least is None:
+            return None
+        limit = _within(least)
+        params = self._network.params
         best = None
-        for target in targets:
-            entry = ranked.get(target)
-            if entry is not None and (best is None or entry[0] < best[0]):
-                best = entry
+        for source, targets, kept in steps:
+            weights = kept.weights
+            ranked = kept.ranked
+            for target in targets:
+                weight = weights.get(target)
+                if weight is None or weight > limit:
+                    continue
+                entry = ranked.get(target)
+                if entry is None:
+                    channel = kept.prev.channel(source, target, params)
+                    entry = ranked[target] = (channel_sort_key(channel), channel)
+                if best is None or entry[0] < best[0]:
+                    best = entry
         return best
 
-    def kept(self, source: Hashable) -> Mapping[Hashable, Tuple[Tuple, Channel]]:
-        """The entries :meth:`best` chooses among for *source*'s kept
-        search: target → ``(channel_sort_key(c), c)`` for each target it
-        reached.  *source* must have been searched."""
-        return MappingProxyType(self._kept[source].ranked)
+    def reach(
+        self, source: Hashable, targets: Collection[Hashable]
+    ) -> Dict[Hashable, float]:
+        """Search weight of each of *targets* that *source* reaches under
+        the ledger, as :meth:`best` ranks them; builds no channel."""
+        weights = self._keep(source, targets).weights
+        return {target: weights[target] for target in targets if target in weights}
 
     def reserve(self, channel: Channel) -> None:
         """Reserve *channel* on the ledger and note the switches it
@@ -801,34 +920,59 @@ class ChannelSearches:
             if ledger.available(s) < QUBITS_PER_CHANNEL
         )
 
-    def _search(self, source: Hashable, targets: Collection[Hashable]) -> _Kept:
-        found, tied = _search_from(
-            self._network, source, targets, self._ledger
-        )
-        ranked = {
-            target: (channel_sort_key(channel), channel)
-            for target, channel in found.items()
-        }
-        return _Kept(set(targets), ranked, tied, len(self._blocked))
+    def _keep(self, source: Hashable, targets: Collection[Hashable]) -> _Kept:
+        kept = self._kept.get(source)
+        if kept is None or not self._exact(source, kept, targets):
+            kept = self._kept[source] = self._search(source, targets)
+        return kept
 
-    def _exact(self, kept: _Kept, targets: Collection[Hashable]) -> bool:
+    def _search(self, source: Hashable, targets: Collection[Hashable]) -> _Kept:
+        users = self._users
+        if not users.issuperset(targets):
+            unchecked = [target for target in targets if target not in users]
+            _require_users(self._network, unchecked)
+            users.update(unchecked)
+        target_list = list(targets)
+        prev, weights = _search_from(
+            self._network, source, target_list, self._ledger
+        )
+        return _Kept(set(target_list), weights, prev, len(self._blocked))
+
+    def _exact(
+        self, source: Hashable, kept: _Kept, targets: Collection[Hashable]
+    ) -> bool:
         """Whether *kept* still answers a fresh search for *targets*."""
         if not kept.targets.issuperset(targets):
             return False
         blocked = self._blocked
         if kept.seen == len(blocked):
             return True
-        if kept.tied:
+        prev = kept.prev
+        if prev.tied:
             return False
         fresh = set(blocked[kept.seen :])
-        ranked = kept.ranked
+        weights = kept.weights
         for target in targets:
-            entry = ranked.get(target)
-            if entry is not None and not fresh.isdisjoint(entry[1].switches):
+            if target in weights and prev.relays_any(source, target, fresh):
                 return False
         kept.targets = set(targets)
         kept.seen = len(blocked)
         return True
+
+
+def _pair_searches(
+    network: QuantumNetwork,
+    users: Sequence[Hashable],
+    residual: Optional[CapacityLedger],
+) -> Iterator[Tuple[Hashable, _PrevView, Dict[Hashable, float]]]:
+    """Step 1 of Algorithm 2: one search per user for the later users,
+    ``|U| - 1`` in all.  Yields ``(source, prev, reached weights)``."""
+    _require_users(network, users)
+    for index, source in enumerate(users[:-1]):
+        prev, reached = _search_from(
+            network, source, users[index + 1 :], residual
+        )
+        yield source, prev, reached
 
 
 def all_pairs_best_channels(
@@ -841,11 +985,53 @@ def all_pairs_best_channels(
     Pairs with no feasible channel are absent.  Runs ``|U| - 1``
     single-source searches instead of ``O(|U|²)`` pairwise ones.
     """
+    params = network.params
     channels: Dict[frozenset, Channel] = {}
-    for index, source in enumerate(users[:-1]):
-        found = best_channels_from(
-            network, source, users[index + 1 :], residual
-        )
-        for target, channel in found.items():
-            channels[frozenset((source, target))] = channel
+    for source, prev, reached in _pair_searches(network, users, residual):
+        for target in reached:
+            channels[frozenset((source, target))] = prev.channel(
+                source, target, params
+            )
     return channels
+
+
+def ranked_pair_channels(
+    network: QuantumNetwork,
+    users: List[Hashable],
+    residual: Optional[CapacityLedger] = None,
+    skip: Optional[Callable[[Hashable, Hashable], bool]] = None,
+) -> Iterator[Channel]:
+    """:func:`all_pairs_best_channels`' channels in
+    :func:`~repro.core.problem.channel_sort_key` order (stable in pair
+    order), built as the caller reaches them: Algorithm 2's scan.
+
+    All ``|U| - 1`` searches run first.  The pairs are then sorted by
+    search weight and cut into groups wherever a weight lies more than
+    the rank margin above the one before it (the module docstring), so
+    every channel of a group ranks before every channel of the next.
+    Each group's channels are built and sorted when the scan reaches
+    the group.  A pair for which ``skip(source, target)`` holds when its
+    group comes up is left out unbuilt; a Kruskal scan passes
+    "already joined", a test that stays true once true.
+    """
+    pairs = []
+    for source, prev, reached in _pair_searches(network, users, residual):
+        for target, weight in reached.items():
+            pairs.append((weight, len(pairs), source, target, prev))
+    pairs.sort(key=itemgetter(0))  # stable: equal weights in pair order
+    params = network.params
+    end = 0
+    while end < len(pairs):
+        start = end
+        end += 1
+        while end < len(pairs) and pairs[end][0] <= _within(pairs[end - 1][0]):
+            end += 1
+        group = []
+        for _, position, source, target, prev in pairs[start:end]:
+            if skip is not None and skip(source, target):
+                continue
+            channel = prev.channel(source, target, params)
+            group.append((channel_sort_key(channel), position, channel))
+        group.sort(key=itemgetter(0, 1))
+        for entry in group:
+            yield entry[2]

@@ -162,16 +162,14 @@ def reconnect(
     added: List[Channel] = []
     searches = ChannelSearches(network, ledger)
     while unions.n_components > 1:
-        best = None
+        requests = []
         for index, source in enumerate(users):
             targets = [
                 t for t in users[index + 1 :] if not unions.connected(source, t)
             ]
-            if not targets:
-                continue
-            found = searches.best(source, targets)
-            if found is not None and (best is None or found[0] < best[0]):
-                best = found
+            if targets:
+                requests.append((source, targets))
+        best = searches.best_among(requests)
         if best is None:
             break
         channel = best[1]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, List, Optional
 
-from repro.core.channel import all_pairs_best_channels
+from repro.core.channel import ranked_pair_channels
 from repro.core.ledger import CapacityLedger
 from repro.core.problem import (
     Channel,
@@ -48,6 +48,11 @@ def solve_optimal(
     switch relays when its full budget holds 2 qubits, and the tree
     spends nothing from it.
 
+    The scan builds a pair's channel only when the pair's rank group
+    comes up and its users are not yet joined
+    (:func:`~repro.core.channel.ranked_pair_channels`); the order, and
+    so the tree, is the full sort's by ``channel_sort_key``.
+
     Args:
         network: The quantum network.
         users: Users to entangle (default: all users in the network).
@@ -58,10 +63,10 @@ def solve_optimal(
     """
     user_list = resolve_users(network, users)
     idle = CapacityLedger.from_network(network)
-    pairwise = all_pairs_best_channels(network, user_list, idle)
-    candidates = sorted(pairwise.values(), key=channel_sort_key)
-
     unions = UnionFind(user_list)
+    candidates = ranked_pair_channels(
+        network, user_list, idle, skip=unions.connected
+    )
     selected: List[Channel] = []
     for channel in candidates:
         a, b = channel.endpoints

@@ -95,16 +95,14 @@ def solve_prim(
     if ledger is None:
         ledger = CapacityLedger.from_network(network)
     selected: List[Channel] = []
-    searches = ChannelSearches(network, ledger)
+    searches = ChannelSearches(network, ledger, user_list)
 
     try:
         with ledger.transaction():
             while remaining:
-                best = None
-                for source in connected:
-                    found = searches.best(source, remaining)
-                    if found is not None and (best is None or found[0] < best[0]):
-                        best = found
+                best = searches.best_among(
+                    (source, remaining) for source in connected
+                )
                 if best is None:
                     raise _Infeasible()
                 channel = best[1]

@@ -651,9 +651,10 @@ class TestNfusionPruning:
 
     def test_a_tie_below_its_rounded_bound_still_wins(self, counting):
         # a and b (equal fibers) have stars of equal total T, summed in
-        # descending rate order.  Each bound sums the same rates in
-        # input order: b's order is the star's, a's (c, d, b) rounds to
-        # one ulp below T.  b is grown first, and a must still be grown
+        # descending rate order.  Each bound sums the same values in
+        # input order, as search weights (two-hop sums, so exactly the
+        # rates negated): b's order is the star's, a's (c, d, b) rounds
+        # to one ulp below T.  b is grown first, and a must still be grown
         # and win its tie by input index; a cut without the rounding
         # margin would skip it.
         network = _hub_star(
