@@ -11,7 +11,8 @@ service tiers:
 * ``full`` — every admitted request gets full-group service;
 * ``degraded`` — requests whose full group cannot be routed are served
   as the largest routable user subset (the PR-1 degradation path,
-  applied at admission time instead of after a fault);
+  applied at admission time instead of after a fault), unless the
+  network itself splits the group;
 * ``shed`` — new arrivals are refused outright; only in-flight and
   already-queued work proceeds.
 

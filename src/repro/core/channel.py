@@ -164,6 +164,7 @@ __all__ = [
     "best_channels_from",
     "all_pairs_best_channels",
     "ranked_pair_channels",
+    "relay_joined",
     "ChannelSearches",
 ]
 
@@ -346,6 +347,62 @@ def relay_search(
     """
     args = (graph, source, alpha, transit, blocked, forbidden, targets)
     return _heapq_search(*args) or _exact_search(*args)
+
+
+def relay_joined(
+    network: QuantumNetwork, users: Sequence[Hashable], ledger: CapacityLedger
+) -> bool:
+    """Whether *users* lie in one component of *ledger*'s relay graph.
+
+    The relay graph is *network*'s fiber graph with every switch
+    *ledger* blocks (:meth:`~repro.core.ledger.CapacityLedger.blocked`)
+    and every user outside *users* taken out.  The sweep walks it from
+    the first user and returns once every user has been seen.  A
+    requested user is walked through, because a tree chains channels at
+    its own users; a switch is entered only while the mask leaves it
+    open, and another user only if it is requested.  O(|V| + |E|), with
+    no state kept between calls.
+
+    ``False`` is an exact refusal for a greedy solve that spends
+    *ledger* (:func:`~repro.core.prim_based.solve_prim`,
+    :func:`~repro.core.conflict_free.solve_conflict_free`): within the
+    solve the ledger only loses qubits, so every relay of every channel
+    the solve can pick was open at entry; a channel's interior nodes
+    are switches and its endpoints are requested users; so a feasible
+    tree joins *users* inside the relay graph at entry.  Forbidden
+    fibers and ``q = 0`` are ignored, which only enlarges the swept
+    graph, so ``True`` promises nothing.  A ``False`` publishes
+    ``core.channel_search.split_groups``.
+    """
+    graph = network.routing_snapshot()
+    index = graph.index
+    requested = {index[user] for user in users}
+    if len(requested) < 2:
+        return True
+    is_switch = graph.is_switch
+    rows = graph.rows
+    start = index[users[0]]
+    # Blocked switches start closed, so one byte answers every visit.
+    closed = bytearray(ledger.blocked(graph))
+    closed[start] = 1
+    stack = [start]
+    left = len(requested) - 1
+    while stack:
+        for neighbor, _, _ in rows[stack.pop()]:
+            if closed[neighbor]:
+                continue
+            closed[neighbor] = 1
+            if not is_switch[neighbor]:
+                if neighbor not in requested:
+                    continue
+                left -= 1
+                if not left:
+                    return True
+            stack.append(neighbor)
+    metrics = obs_metrics.active()
+    if metrics is not None:
+        metrics.inc("core.channel_search.split_groups")
+    return False
 
 
 def _heapq_search(

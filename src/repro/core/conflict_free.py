@@ -16,6 +16,9 @@ set can overload switches.  Algorithm 3 repairs this in two phases:
   merge, until one union remains or no channel exists (→ infeasible,
   rate 0).
 
+A group the ledger's relay graph already splits is declared infeasible
+before either phase, after one sweep of that graph.
+
 :func:`retain` and :func:`reconnect` are the two phases on their own,
 the greedy steps every other tree builder reuses: LP rounding
 (:func:`repro.bounds.rounding.solve_lp_rounding`) retains LP columns
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, List, Optional, Sequence
 
-from repro.core.channel import ChannelSearches
+from repro.core.channel import ChannelSearches, relay_joined
 from repro.core.ledger import CapacityLedger
 from repro.core.optimal import solve_optimal
 from repro.core.problem import (
@@ -63,8 +66,9 @@ def solve_conflict_free(
     Args:
         network: The quantum network.
         users: Users to entangle (default: all network users).
-        base_channels: The candidate channel set ``A`` (defaults to
-            Algorithm 2's output, as in the paper).
+        base_channels: The candidate channel set ``A``: channels of
+            *network* between *users* (defaults to Algorithm 2's output,
+            as in the paper).
         retention: ``"greedy"`` (paper) admits Phase-1 channels in
             descending rate order; ``"random"`` shuffles them — the
             ablation documented in DESIGN.md §4.
@@ -82,23 +86,40 @@ def solve_conflict_free(
     Returns:
         A capacity-feasible :class:`MUERPSolution`, infeasible (rate 0)
         when no spanning tree fits the switch budgets.
+
+    A group the ledger's relay graph splits
+    (:func:`~repro.core.channel.relay_joined`) is refused before
+    Algorithm 2's base and any search.  The refusal is exact: Phase 1
+    keeps a channel only where the ledger can host it, Phase 2 searches
+    under the ledger's mask, and both only reserve, so every relay of a
+    kept channel was open at entry; every channel joins requested users
+    through switches (the default base does, and *base_channels* must
+    be channels of *network* between *users*), so a spanning tree would
+    join the users in the relay graph at entry.  Under
+    ``retention="random"`` the refusal waits for the shuffle, so *rng*
+    moves as it does for a full solve.
     """
     user_list = resolve_users(network, users)
+    if retention not in ("greedy", "random"):
+        raise ValueError(f"unknown retention policy {retention!r}")
+    ledger = residual
+    if ledger is None:
+        ledger = CapacityLedger.from_network(network)
+    joined = relay_joined(network, user_list, ledger)
+    if not joined and retention == "greedy":
+        return infeasible_solution(user_list, "conflict_free")
     if base_channels is None:
         base = solve_optimal(network, user_list)
         base_channels = base.channels if base.feasible else ()
 
     if retention == "greedy":
         ordered = sorted(base_channels, key=channel_sort_key)
-    elif retention == "random":
+    else:
         ordered = list(base_channels)
         ensure_rng(rng).shuffle(ordered)
-    else:
-        raise ValueError(f"unknown retention policy {retention!r}")
+        if not joined:  # after the shuffle, so *rng* draws as it would
+            return infeasible_solution(user_list, "conflict_free")
 
-    ledger = residual
-    if ledger is None:
-        ledger = CapacityLedger.from_network(network)
     unions = UnionFind(user_list)
     try:
         with ledger.transaction():

@@ -5,7 +5,9 @@ over all (connected user, unconnected user) pairs, the maximum-rate
 channel that respects residual switch capacity, adds it, deducts the
 qubits, and moves the newly connected user into the tree.  After
 ``|U| − 1`` successful rounds all users are entangled; if some round
-finds no channel the instance is declared infeasible (rate 0).
+finds no channel the instance is declared infeasible (rate 0).  A group
+the ledger's relay graph already splits is declared infeasible before
+the first round, after one sweep of that graph.
 
 Algorithm 1's search reads the residual budget only through its relay
 mask (switches with ≥ 2 free qubits), so each connected user's search
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, List, Optional, Sequence, Set
 
-from repro.core.channel import ChannelSearches
+from repro.core.channel import ChannelSearches, relay_joined
 from repro.core.ledger import CapacityLedger
 from repro.core.problem import (
     Channel,
@@ -86,14 +88,24 @@ def solve_prim(
     Returns:
         A capacity-feasible :class:`MUERPSolution`, infeasible (rate 0)
         when growth gets stuck before spanning all users.
+
+    Once the seed user is drawn, a group the ledger's relay graph
+    splits (:func:`~repro.core.channel.relay_joined`) is refused
+    without a search.  The refusal is exact: the growth only reserves,
+    so every relay of every channel it could pick was open at entry,
+    and its channels join requested users through switches, so a
+    spanning tree would join the users in the relay graph at entry.
+    The draw comes first, so *rng* moves as it does for a full solve.
     """
     user_list = resolve_users(network, users)
     start = choose_start(user_list, start, rng)
-    connected: List[Hashable] = [start]
-    remaining: Set[Hashable] = set(user_list) - {start}
     ledger = residual
     if ledger is None:
         ledger = CapacityLedger.from_network(network)
+    if not relay_joined(network, user_list, ledger):
+        return infeasible_solution(user_list, "prim")
+    connected: List[Hashable] = [start]
+    remaining: Set[Hashable] = set(user_list) - {start}
     selected: List[Channel] = []
     searches = ChannelSearches(network, ledger, user_list)
 

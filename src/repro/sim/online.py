@@ -53,6 +53,7 @@ from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Set,
 import repro.obs.metrics as obs_metrics
 import repro.obs.trace as obs_trace
 from repro.admission.backpressure import TIER_DEGRADED, TIER_FULL, TIER_SHED
+from repro.core.channel import relay_joined
 from repro.core.conflict_free import solve_conflict_free
 from repro.core.ledger import CapacityLedger
 from repro.core.prim_based import solve_prim
@@ -413,6 +414,9 @@ class _Run:
         # release on completion; the repair path swaps reservations
         # inside a transaction so an exception can never leak qubits.
         self.ledger = CapacityLedger.from_network(scheduler.network)
+        #: Idle budgets, never spent: the brownout tier's view of which
+        #: groups only the network itself splits.
+        self.idle = CapacityLedger.from_network(scheduler.network)
         self.verifier = SolutionVerifier() if scheduler.verify else None
         # repro.tenancy is imported per run, here and in failover() and
         # result(), not per module: its package imports
@@ -948,7 +952,15 @@ class _Run:
     def brownout_subset(
         self, request: EntanglementRequest
     ) -> Optional[MUERPSolution]:
-        """Route the largest routable subset of *request*'s users."""
+        """Route the largest routable subset of *request*'s users.
+
+        Only a group that load splits is degraded.  A group the damaged
+        view splits on idle budgets can never be served whole, so the
+        open door rejects it; serving part of it here would serve
+        behind admission a request that the open door does not.
+        """
+        if not relay_joined(self.damaged, request.users, self.idle):
+            return None
         ordered_users = sorted(request.users, key=repr)
         for size in range(len(ordered_users) - 1, 1, -1):
             sub = self.route(request, users=tuple(ordered_users[:size]))

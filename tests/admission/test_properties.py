@@ -12,7 +12,7 @@ Two whole-stack invariants, for *any* shed policy and seed:
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.admission import SHED_POLICIES, AdmissionController
@@ -55,6 +55,16 @@ def _run(network, seed, admission):
     policy=st.sampled_from(SHED_POLICIES),
     queue_size=st.integers(1, 4),
     rate=st.floats(0.3, 1.5),
+)
+# Draws where the brownout tier once served part of a group that the
+# network itself splits, which the open door rejects.
+@example(seed=69, policy="drop-newest", queue_size=3, rate=0.75)
+@example(seed=831, policy="drop-newest", queue_size=4, rate=1.0)
+@example(
+    seed=5870, policy="deadline-aware", queue_size=4, rate=1.4534968064866316
+)
+@example(
+    seed=272, policy="drop-oldest", queue_size=4, rate=0.45038781490097546
 )
 def test_admission_is_conservative_and_capacity_safe(
     seed, policy, queue_size, rate

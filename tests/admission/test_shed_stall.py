@@ -3,21 +3,27 @@
 Under the SHED brownout tier the online loop does not drain the
 admission queue, yet the queue's fill keeps the load level at SHED.
 With ``seed=69``, ``drop-newest`` shedding, a 3-entry queue and a
-0.75 req/slot token rate, the tier stays SHED from slot 6 to slot 204
-with no request in service.  ``req-9`` is then admitted degraded
-although the open-door run never serves it, which breaks the
-conservativeness property of ``test_properties.py`` whenever
-Hypothesis draws this example.  Strict ``xfail`` until the loop drains
-(or stops counting) the queue under SHED; see ROADMAP.md.
+0.75 req/slot token rate, the tier stays SHED from slot 6 to slot 204,
+195 of those slots with no request in service.  Once nothing is in
+service, only the queue's fill can hold the tier, so a tier that does
+not stall leaves SHED within ``min_dwell`` slots.  Strict ``xfail``
+until the loop drains (or stops counting) the queue under SHED; see
+ROADMAP.md.
+
+The stall used to break the conservativeness property of
+``test_properties.py`` too: ``req-9`` waited out the stall in the queue
+and was then served degraded, although the network splits its group
+and the open door rejects it.  The brownout tier now degrades only
+groups that load splits, and that property pins the example.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.admission import AdmissionController
+from repro.admission import TIER_SHED, AdmissionController
 from repro.topology.waxman import waxman_network
-from tests.admission.test_properties import SMALL, _run, _served
+from tests.admission.test_properties import SMALL, _run
 
 
 @pytest.mark.xfail(
@@ -36,5 +42,18 @@ def test_shed_tier_does_not_stall_on_its_own_queue():
         shed_policy="drop-newest",
     )
     gated = _run(network, seed, admission)
-    open_door = _run(network, seed, None)
-    assert _served(gated) <= _served(open_door)
+
+    in_service = set()
+    for outcome in gated.outcomes:
+        if outcome.start_slot is not None:
+            in_service.update(
+                range(outcome.start_slot, outcome.release_slot)
+            )
+    moves = dict(admission.brownout.transitions)
+    tier = None
+    idle_shed_slots = 0
+    for slot in range(gated.slots_simulated + 1):
+        tier = moves.get(slot, tier)
+        if tier == TIER_SHED and slot not in in_service:
+            idle_shed_slots += 1
+    assert idle_shed_slots <= admission.brownout.min_dwell
