@@ -13,8 +13,8 @@ service tiers:
   as the largest routable user subset (the PR-1 degradation path,
   applied at admission time instead of after a fault), unless the
   network itself splits the group;
-* ``shed`` — new arrivals are refused outright; only in-flight and
-  already-queued work proceeds.
+* ``shed`` — new arrivals are refused outright and the queue is not
+  drained; only in-flight work proceeds.
 
 Transitions are *hysteretic*: a tier is entered at its ``enter``
 threshold but only left at a strictly lower ``exit`` threshold, and

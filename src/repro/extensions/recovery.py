@@ -12,7 +12,8 @@ survivors to a fork of the caller's :class:`~repro.core.ledger.
 CapacityLedger`, and reconnects the split user components with
 Algorithm 3's Phase-2 loop (:func:`repro.core.conflict_free.reconnect`).
 The result is either a valid repaired tree or an infeasible marker when
-the damage is fatal.
+the damage is fatal.  A splice (:func:`repro.incremental.tree.
+splice_solution`) is this repair on a ledger masked to :func:`region_of`.
 
 :func:`recover` is the one ladder every serving path shares: repair,
 then an optional replan, then degradation to the largest still-spanned
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Callable,
+    FrozenSet,
     Hashable,
     Iterable,
     List,
@@ -186,26 +188,22 @@ def repair_solution(
         len(dead_fibers),
         len(dead_switches),
     )
-    users = sorted(solution.users, key=repr)
+    method = solution.method + "+repair"
     ledger = (
         residual.fork()
         if residual is not None
         else CapacityLedger.from_network(damaged)
     )
-    hold_channels(ledger, kept)
-
-    unions = UnionFind(users)
-    for channel in kept:
-        unions.union(*channel.endpoints)
-
-    new_channels = reconnect(damaged, users, unions, ledger)
-    if unions.n_components > 1:
+    new_channels, n_components = _reconnect_kept(
+        damaged, solution.users, kept, ledger
+    )
+    if n_components > 1:
         logger.info(
             "repair failed: %d user components cannot be reconnected",
-            unions.n_components,
+            n_components,
         )
         return RepairReport(
-            solution=infeasible_solution(users, solution.method + "+repair"),
+            solution=infeasible_solution(solution.users, method),
             kept_channels=tuple(kept),
             broken_channels=tuple(broken),
             new_channels=tuple(new_channels),
@@ -214,7 +212,7 @@ def repair_solution(
     repaired = MUERPSolution(
         channels=tuple(kept + new_channels),
         users=solution.users,
-        method=solution.method + "+repair",
+        method=method,
         feasible=True,
         extra_log_rate=solution.extra_log_rate,
     )
@@ -240,17 +238,53 @@ def channel_broken(
     )
 
 
-def hold_channels(ledger: CapacityLedger, channels: Iterable[Channel]) -> None:
-    """Charge *channels*' qubits to *ledger*, flooring each switch at 0.
+def _reconnect_kept(
+    damaged: QuantumNetwork,
+    users: Iterable[Hashable],
+    kept: Sequence[Channel],
+    ledger: CapacityLedger,
+) -> Tuple[List[Channel], int]:
+    """Charge *kept* to *ledger*, then reconnect the user components.
 
-    The kept channels of a capacity-blind tree (``optimal``, ``alg2``)
-    can overbook a switch.  Such a switch can fund no relay either way,
-    so the floor keeps it blocked instead of raising.
+    The steps of both repair and splice.  The charge is capped, since a
+    capacity-blind tree (``optimal``, ``alg2``) may overbook a switch.
+    Returns the added channels and the user components left (1: joined).
     """
-    usage = channel_usage(channels)
-    ledger.reserve(
-        {s: min(q, ledger.available(s)) for s, q in usage.items()}
-    )
+    ledger.reserve_capped(channel_usage(kept))
+    users = sorted(users, key=repr)
+    unions = UnionFind(users)
+    for channel in kept:
+        unions.union(*channel.endpoints)
+    added = reconnect(damaged, users, unions, ledger)
+    return added, unions.n_components
+
+
+def region_of(
+    network, seeds: Iterable[Hashable], radius: int = 1
+) -> FrozenSet[Hashable]:
+    """Nodes within *radius* fiber hops of *seeds* (seeds included).
+
+    The splice masks its ledger to the region of the broken channel's
+    path, and the delta bus scopes cache invalidation to the region of
+    a changed element.  Seeds that are no longer in *network* (e.g.
+    both endpoints of a removed fiber remain, but defensive callers may
+    pass stale ids) are kept in the region and simply not expanded.
+    """
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
+    frontier = [s for s in seeds]
+    region = set(frontier)
+    for _ in range(radius):
+        next_frontier: List[Hashable] = []
+        for node in frontier:
+            if node not in network:
+                continue
+            for neighbor in network.neighbors(node):
+                if neighbor not in region:
+                    region.add(neighbor)
+                    next_frontier.append(neighbor)
+        frontier = next_frontier
+    return frozenset(region)
 
 
 def _largest_served_component(

@@ -20,7 +20,7 @@ also performs the cache hygiene itself, scoped by policy:
 
 * ``scope="region"`` (the new default while a bus is active) — drop only
   entries whose source or blocked-set intersects the changed element's
-  switch neighborhood (:func:`region_of`);
+  switch neighborhood (:func:`~repro.extensions.recovery.region_of`);
 * ``scope="fingerprint"`` — reproduce the legacy whole-fingerprint bump
   (kept selectable so the region-scoping win stays measurable; the churn
   benchmark runs both and compares invalidation counts).
@@ -52,8 +52,6 @@ from typing import (
     Callable,
     Deque,
     Dict,
-    FrozenSet,
-    Hashable,
     Iterable,
     Iterator,
     List,
@@ -63,6 +61,7 @@ from typing import (
 
 import repro.obs.metrics as obs_metrics
 from repro.exec import cache as exec_cache
+from repro.extensions.recovery import region_of
 from repro.incremental.events import DeltaEvent, DeltaKind
 
 __all__ = [
@@ -74,35 +73,6 @@ __all__ = [
     "disable",
     "tracking",
 ]
-
-
-def region_of(
-    network, seeds: Iterable[Hashable], radius: int = 1
-) -> FrozenSet[Hashable]:
-    """Nodes within *radius* fiber hops of *seeds* (seeds included).
-
-    The region of a changed element bounds which cached searches the
-    change can plausibly have helped or hindered; sources and
-    blocked-set members outside it kept their search structure.  Seeds
-    that are no longer in *network* (e.g. both endpoints of a removed
-    fiber remain, but defensive callers may pass stale ids) are kept in
-    the region and simply not expanded.
-    """
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
-    frontier = [s for s in seeds]
-    region = set(frontier)
-    for _ in range(radius):
-        next_frontier: List[Hashable] = []
-        for node in frontier:
-            if node not in network:
-                continue
-            for neighbor in network.neighbors(node):
-                if neighbor not in region:
-                    region.add(neighbor)
-                    next_frontier.append(neighbor)
-        frontier = next_frontier
-    return frozenset(region)
 
 
 class GraphDelta:

@@ -16,32 +16,34 @@ break count           classification / action
 >= 2 channels broken  **structural** — full re-solve
 ====================  ===========================================
 
-The splice search is *masked*: switches farther than ``radius`` fiber
-hops from the broken channel's path get zero free qubits in the ledger
-the search spends from, so it can only relay through the local
-neighborhood (global repairs belong to escalation).  Both the
-incremental router and the from-scratch reference run exactly this
-policy code — byte-equality between the two modes then exercises the
-caching/delta machinery, not policy luck.
+A splice is a region-masked repair: it runs the steps of
+:func:`repro.extensions.recovery.repair_solution` (shared in
+``recovery._reconnect_kept``) on a ledger where switches farther than
+``radius`` fiber hops from the broken channel's path
+(:func:`~repro.extensions.recovery.region_of`) get zero free qubits, so
+it can only relay through the local neighborhood (global repairs belong
+to escalation).  Both the incremental router and the from-scratch
+reference run exactly this policy code — byte-equality between the two
+modes then exercises the caching/delta machinery, not policy luck.
 """
 
 from __future__ import annotations
 
 from typing import (
-    FrozenSet,
     Hashable,
     Iterable,
     Optional,
     Tuple,
 )
 
-from repro.core.conflict_free import reconnect
 from repro.core.ledger import CapacityLedger
 from repro.core.problem import Channel, MUERPSolution
-from repro.extensions.recovery import channel_broken, hold_channels
-from repro.incremental.delta import region_of
+from repro.extensions.recovery import (
+    _reconnect_kept,
+    channel_broken,
+    region_of,
+)
 from repro.network.link import fiber_key
-from repro.utils.unionfind import UnionFind
 
 __all__ = [
     "DISJOINT",
@@ -49,7 +51,6 @@ __all__ = [
     "STRUCTURAL",
     "broken_channels",
     "classify_break",
-    "splice_region",
     "splice_solution",
 ]
 
@@ -92,13 +93,6 @@ def classify_break(
     return STRUCTURAL, broken
 
 
-def splice_region(
-    network, channel: Channel, radius: int = 2
-) -> FrozenSet[Hashable]:
-    """Nodes within *radius* fiber hops of the broken channel's path."""
-    return region_of(network, channel.path, radius)
-
-
 def splice_solution(
     damaged,
     solution: MUERPSolution,
@@ -122,33 +116,30 @@ def splice_solution(
 
     Returns:
         The spliced tree (kept channels + one replacement, in
-        deterministic order), or ``None`` when no replacement exists
-        inside the region — the caller escalates to a full re-solve.
+        deterministic order), or ``None`` when *broken* is not exactly
+        one channel of the tree, the kept channels do not leave exactly
+        two user components, or no replacement exists inside the region
+        — the caller escalates to a full re-solve.
     """
     kept = [c for c in solution.channels if c != broken]
     if len(kept) != len(solution.channels) - 1:
         return None  # broken channel not in (or duplicated in) the tree
     if residual is None:
         residual = CapacityLedger.from_network(damaged)
-    region = splice_region(damaged, broken, radius)
+    region = region_of(damaged, broken.path, radius)
     masked = CapacityLedger(
         {
             switch: (residual.available(switch) if switch in region else 0)
             for switch in damaged.switch_ids
         }
     )
-    hold_channels(masked, kept)
-
-    users = sorted(solution.users, key=repr)
-    unions = UnionFind(users)
-    for channel in kept:
-        unions.union(*channel.endpoints)
-    if unions.n_components != 2:
-        return None  # not a single-edge break of a spanning tree
-
-    added = reconnect(damaged, users, unions, masked)
-    if unions.n_components > 1:
-        return None  # no replacement inside the region
+    added, n_components = _reconnect_kept(
+        damaged, solution.users, kept, masked
+    )
+    # A reconnect from k components adds k - 1 channels: one added means
+    # a single-edge break of a spanning tree, mended inside the region.
+    if n_components > 1 or len(added) != 1:
+        return None
     return MUERPSolution(
         channels=tuple(kept) + tuple(added),
         users=solution.users,

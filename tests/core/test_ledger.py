@@ -19,8 +19,7 @@ from repro.core.conflict_free import solve_conflict_free
 from repro.core.ledger import CapacityError, CapacityLedger
 from repro.core.ledger import _blocked_mask as blocked_mask
 from repro.core.prim_based import solve_prim
-from repro.core.problem import Channel
-from repro.extensions.recovery import hold_channels
+from repro.core.problem import Channel, channel_usage
 from repro.network.graph import NetworkParams, QuantumNetwork
 from repro.utils.rng import ensure_rng
 
@@ -526,8 +525,8 @@ def _run_mask_op(ledger, op):
     if op[0] == "fork":
         return ledger.fork()
     if op[0] == "hold":
-        hold_channels(
-            ledger, [Channel(("u0", *path, "u1"), 0.0) for path in op[1]]
+        ledger.reserve_capped(
+            channel_usage(Channel(("u0", *path, "u1"), 0.0) for path in op[1])
         )
     elif op[0] == "txn":
         _, inner, fail = op

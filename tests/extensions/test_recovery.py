@@ -13,9 +13,11 @@ from repro.core.prim_based import solve_prim
 from repro.core.tree import validate_solution
 from repro.extensions.recovery import (
     apply_failures,
+    region_of,
     repair_solution,
 )
 from repro.network import NetworkBuilder
+from repro.topology.extras import grid_network
 
 
 class TestApplyFailures:
@@ -173,3 +175,26 @@ class TestRepair:
         fresh = solve_optimal(damaged)
         if report.repaired and fresh.feasible:
             assert report.solution.log_rate <= fresh.log_rate + 1e-9
+
+
+class TestRegionOf:
+    def test_radius_zero_is_the_seeds(self):
+        net = grid_network(3, 3)
+        assert region_of(net, ["n1_1"], 0) == frozenset({"n1_1"})
+
+    def test_radius_one_is_fiber_neighbors(self):
+        net = grid_network(3, 3)
+        region = region_of(net, ["n1_1"], 1)
+        assert region == frozenset(
+            {"n1_1", "n0_1", "n2_1", "n1_0", "n1_2"}
+        )
+
+    def test_missing_seed_kept_but_not_expanded(self):
+        net = grid_network(3, 3)
+        region = region_of(net, ["ghost"], 2)
+        assert region == frozenset({"ghost"})
+
+    def test_negative_radius_rejected(self):
+        net = grid_network(3, 3)
+        with pytest.raises(ValueError, match="radius"):
+            region_of(net, ["n1_1"], -1)

@@ -1,4 +1,4 @@
-"""DeltaBus / GraphDelta / region_of unit tests."""
+"""DeltaBus / GraphDelta unit tests."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pytest
 from repro.exec import cache as exec_cache
 from repro.exec.cache import ChannelCache
 from repro.incremental import delta as incremental_delta
-from repro.incremental.delta import DeltaBus, GraphDelta, region_of
+from repro.incremental.delta import DeltaBus, GraphDelta
 from repro.incremental.events import DeltaEvent
 from repro.topology.extras import grid_network
 
@@ -19,29 +19,6 @@ def _clean_globals():
     yield
     incremental_delta.disable()
     exec_cache.disable()
-
-
-class TestRegionOf:
-    def test_radius_zero_is_the_seeds(self):
-        net = grid_network(3, 3)
-        assert region_of(net, ["n1_1"], 0) == frozenset({"n1_1"})
-
-    def test_radius_one_is_fiber_neighbors(self):
-        net = grid_network(3, 3)
-        region = region_of(net, ["n1_1"], 1)
-        assert region == frozenset(
-            {"n1_1", "n0_1", "n2_1", "n1_0", "n1_2"}
-        )
-
-    def test_missing_seed_kept_but_not_expanded(self):
-        net = grid_network(3, 3)
-        region = region_of(net, ["ghost"], 2)
-        assert region == frozenset({"ghost"})
-
-    def test_negative_radius_rejected(self):
-        net = grid_network(3, 3)
-        with pytest.raises(ValueError, match="radius"):
-            region_of(net, ["n1_1"], -1)
 
 
 class TestGraphDelta:

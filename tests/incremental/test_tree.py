@@ -2,19 +2,26 @@
 
 from __future__ import annotations
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from repro.core.ledger import CapacityLedger
 from repro.core.prim_based import solve_prim
-from repro.extensions.recovery import apply_failures
+from repro.extensions.recovery import (
+    apply_failures,
+    region_of,
+    repair_solution,
+)
 from repro.incremental.tree import (
     DISJOINT,
     REPLACEABLE,
     STRUCTURAL,
     broken_channels,
     classify_break,
-    splice_region,
     splice_solution,
 )
 from repro.network import NetworkBuilder, NetworkParams
+from repro.topology import TopologyConfig, waxman_network
 from repro.verify.verifier import SolutionVerifier
 
 
@@ -34,6 +41,25 @@ def diamond():
         .fiber("s0", "bob", 1000.0)
         .fiber("alice", "s1", 1400.0)
         .fiber("s1", "bob", 1400.0)
+        .build()
+    )
+
+
+def three_relays():
+    """The diamond plus a third, longest relay s2: two detours in turn."""
+    return (
+        NetworkBuilder(NetworkParams(alpha=1e-4, swap_prob=0.9))
+        .user("alice", (0, 0))
+        .user("bob", (2000, 0))
+        .switch("s0", (1000, 0), qubits=4)
+        .switch("s1", (1000, 900), qubits=4)
+        .switch("s2", (1000, -1400), qubits=4)
+        .fiber("alice", "s0", 1000.0)
+        .fiber("s0", "bob", 1000.0)
+        .fiber("alice", "s1", 1400.0)
+        .fiber("s1", "bob", 1400.0)
+        .fiber("alice", "s2", 1800.0)
+        .fiber("s2", "bob", 1800.0)
         .build()
     )
 
@@ -112,7 +138,9 @@ class TestSplice:
         )
 
     def test_splice_method_tag_is_idempotent(self):
-        net = diamond()
+        # Splice twice: s0's channel breaks, then the s1 detour that
+        # replaced it; the second splice starts from a "+splice" tree.
+        net = three_relays()
         solution = solve_prim(net)
         damaged = apply_failures(net, [("alice", "s0")])
         once = splice_solution(
@@ -121,8 +149,18 @@ class TestSplice:
             solution.channels[0],
             CapacityLedger.from_network(damaged),
         )
+        assert once.channels[-1].switches == ("s1",)
         damaged2 = apply_failures(net, [("alice", "s0"), ("alice", "s1")])
+        twice = splice_solution(
+            damaged2,
+            once,
+            once.channels[-1],
+            CapacityLedger.from_network(damaged2),
+        )
+        assert twice is not None
+        assert twice.channels[-1].switches == ("s2",)
         assert once.method.count("+splice") == 1
+        assert twice.method.count("+splice") == 1
 
     def test_splice_fails_outside_the_region_mask(self):
         # Radius 0 keeps only the broken channel's own path in the
@@ -142,7 +180,7 @@ class TestSplice:
     def test_splice_region_bounds_the_search(self):
         net = diamond()
         solution = solve_prim(net)
-        region = splice_region(net, solution.channels[0], radius=1)
+        region = region_of(net, solution.channels[0].path, radius=1)
         assert {"alice", "s0", "bob"} <= set(region)
 
     def test_splice_refuses_unknown_channel(self):
@@ -192,3 +230,46 @@ class TestSplice:
         assert not SolutionVerifier().audit(
             damaged, spliced, users=sorted(solution.users, key=repr)
         )
+
+
+@st.composite
+def _single_breaks(draw):
+    """A Waxman network, its Prim tree, one cut fiber on a tree channel
+    and a residual with some qubits already spent elsewhere."""
+    config = TopologyConfig(n_switches=15, n_users=4, qubits_per_switch=4)
+    net = waxman_network(config, rng=draw(st.integers(0, 10_000)))
+    solution = solve_prim(net, rng=draw(st.integers(0, 10_000)))
+    assume(solution.feasible)
+    channel = draw(st.sampled_from(solution.channels))
+    hops = list(zip(channel.path, channel.path[1:]))
+    cut = draw(st.sampled_from(hops))
+    label, broken = classify_break(solution, dead_fibers=[cut])
+    assume(label == REPLACEABLE)
+    damaged = apply_failures(net, [cut])
+    residual = CapacityLedger.from_network(damaged)
+    switches = sorted(damaged.switch_ids, key=repr)
+    spent = draw(
+        st.lists(
+            st.integers(0, 4), min_size=len(switches), max_size=len(switches)
+        )
+    )
+    residual.reserve_capped(dict(zip(switches, spent)))
+    return net, damaged, solution, cut, broken[0], residual
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_single_breaks())
+def test_unbounded_splice_is_the_repair(case):
+    """A splice whose region covers the graph is the repair, bar the tag."""
+    net, damaged, solution, cut, broken, residual = case
+    spliced = splice_solution(
+        damaged, solution, broken, residual, radius=len(damaged)
+    )
+    repaired = repair_solution(
+        net, solution, [cut], residual=residual, damaged=damaged
+    ).solution
+    assert (spliced is None) == (not repaired.feasible)
+    if spliced is not None:
+        assert spliced.channels == repaired.channels
+        assert spliced.method.endswith("+splice")
+        assert repaired.method.endswith("+repair")
