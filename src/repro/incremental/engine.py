@@ -174,12 +174,12 @@ class IncrementalRouter:
 
         self.usage: Dict[Hashable, int] = {}
         with exec_cache.bypassed():
+            # The fresh ledger holds what a feasible solve reserved.
             self.solution = self._solve_full(
-                self._damaged_view(), self.ledger.fork(), event_index=-1
+                self._damaged_view(), self.ledger, event_index=-1
             )
             if self.solution.feasible:
                 self.usage = self.solution.switch_usage()
-                self.ledger.reserve(self.usage)
 
     # ------------------------------------------------------------------
     # Damaged-view maintenance

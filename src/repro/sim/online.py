@@ -463,11 +463,13 @@ class _Run:
         method: Optional[str] = None,
         users: Optional[Tuple[Hashable, ...]] = None,
     ) -> Optional[MUERPSolution]:
-        """Route *request* on the damaged view without spending capacity.
+        """Route *request* on the damaged view and hold its tree.
 
-        *network* overrides the view (replica planning), *method* the
-        scheduler's solver (hedged attempts) and *users* the request's
-        group (brownout degradation).
+        The solve runs on the live ledger: a feasible tree's qubits stay
+        reserved there, and a refused or failed solve leaves the ledger
+        untouched.  *network* overrides the view (replica planning),
+        *method* the scheduler's solver (hedged attempts) and *users*
+        the request's group (brownout degradation).
         """
         scheduler = self.scheduler
         how = scheduler.method if method is None else method
@@ -476,7 +478,7 @@ class _Run:
             self.damaged if network is None else network,
             request.users if users is None else users,
             rng=scheduler.rng,
-            residual=self.ledger.fork(),
+            residual=self.ledger,
         )
         return solution if solution.feasible else None
 
@@ -851,7 +853,7 @@ class _Run:
         return False
 
     def try_start(self, waiter: _Waiter) -> bool:
-        """Route and reserve *waiter*'s request at this slot.
+        """Route *waiter*'s request and hold its tree from this slot.
 
         Returns False when it is blocked.  A request already past its
         last start slot is closed without a routing attempt.
@@ -866,61 +868,63 @@ class _Run:
                 retries=waiter.retries,
             )
             return True
-        solution = self.route(request)
-        degraded = False
-        if solution is None and self.admission is not None:
-            solution = self.hedge(request)
-            if (
-                solution is None
-                and self.tier == TIER_DEGRADED
-                and self.scheduler.allow_degradation
-                and len(request.users) > 2
-            ):
-                solution = self.brownout_subset(request)
-                degraded = solution is not None
-        if solution is None:
-            return False
-        rset = None
-        if self.plan_replicas is not None and not degraded:
-            rset = self.plan_replicas(
-                self.damaged,
-                solution,
-                self.ledger,
-                self.scheduler.replication,
-                lambda view: self.route(request, network=view),
+        # Routing holds the tree on the live ledger; the transaction
+        # returns it if anything below raises.
+        with self.ledger.transaction():
+            solution = self.route(request)
+            degraded = False
+            if solution is None and self.admission is not None:
+                solution = self.hedge(request)
+                if (
+                    solution is None
+                    and self.tier == TIER_DEGRADED
+                    and self.scheduler.allow_degradation
+                    and len(request.users) > 2
+                ):
+                    solution = self.brownout_subset(request)
+                    degraded = solution is not None
+            if solution is None:
+                return False
+            rset = None
+            if self.plan_replicas is not None and not degraded:
+                rset = self.plan_replicas(
+                    self.damaged,
+                    solution,
+                    self.ledger,
+                    self.scheduler.replication,
+                    lambda view: self.route(request, network=view),
+                )
+                usage = rset.total_usage()
+                self.count("sim.online.replicas_planned", rset.k)
+                if rset.shortfall:
+                    self.count("sim.online.replica_shortfall", rset.shortfall)
+            else:
+                usage = solution.switch_usage()
+            release_slot = slot + request.hold
+            if self.metrics is not None:
+                self.metrics.inc("sim.online.admitted")
+                self.metrics.observe(
+                    "sim.online.queue_wait_slots", slot - request.arrival
+                )
+            if degraded:
+                self.count("sim.online.admission.brownout_degradations")
+                self.report.record_degradation(
+                    request.name,
+                    f"slot {slot}: admitted under brownout serving "
+                    f"{len(solution.users)}/{len(request.users)} users",
+                )
+            self.reservations.append(
+                _Reservation(
+                    request=request,
+                    solution=solution,
+                    usage=usage,
+                    start_slot=slot,
+                    release_slot=release_slot,
+                    retries=waiter.retries,
+                    degraded=degraded,
+                    replicas=rset,
+                )
             )
-            usage = rset.total_usage()
-            self.count("sim.online.replicas_planned", rset.k)
-            if rset.shortfall:
-                self.count("sim.online.replica_shortfall", rset.shortfall)
-        else:
-            usage = solution.switch_usage()
-            self.ledger.reserve(usage)
-        release_slot = slot + request.hold
-        if self.metrics is not None:
-            self.metrics.inc("sim.online.admitted")
-            self.metrics.observe(
-                "sim.online.queue_wait_slots", slot - request.arrival
-            )
-        if degraded:
-            self.count("sim.online.admission.brownout_degradations")
-            self.report.record_degradation(
-                request.name,
-                f"slot {slot}: admitted under brownout "
-                f"serving {len(solution.users)}/{len(request.users)} users",
-            )
-        self.reservations.append(
-            _Reservation(
-                request=request,
-                solution=solution,
-                usage=usage,
-                start_slot=slot,
-                release_slot=release_slot,
-                retries=waiter.retries,
-                degraded=degraded,
-                replicas=rset,
-            )
-        )
         logger.debug(
             "request %s admitted at slot %d (release %d)",
             request.name,

@@ -1,12 +1,13 @@
 """k-redundant tree planning and mid-service failover.
 
 One admitted group is served by up to *k* trees at once — a serving
-primary plus hot standbys — all reserved through the shared
-:class:`~repro.core.ledger.CapacityLedger` in a single transaction (no
-partial replica sets can leak qubits).  Standbys prefer fiber-disjoint
-routes (planned on a view with the prior replicas' fibers removed, the
-multi-tree construction of Yang et al., arXiv:2408.06207) and fall
-back to overlapping routes when disjointness is infeasible.
+primary plus hot standbys — all held on the shared
+:class:`~repro.core.ledger.CapacityLedger`, the standbys planned in a
+single transaction (no partial replica sets can leak qubits).  Standbys
+prefer fiber-disjoint routes (planned on a view with the prior
+replicas' fibers removed, the multi-tree construction of Yang et al.,
+arXiv:2408.06207) and fall back to overlapping routes when
+disjointness is infeasible.
 
 Failover is the cheap rung below the incremental repair ladder
 (:func:`repro.extensions.recovery.repair_solution`): a fault that
@@ -175,20 +176,19 @@ def plan_replica_set(
     policy: ReplicationPolicy,
     route: Callable[[QuantumNetwork], Optional[MUERPSolution]],
 ) -> ReplicaSet:
-    """Reserve *primary* plus up to ``k−1`` standbys, atomically.
+    """Plan up to ``k−1`` standbys beside *primary*, atomically.
 
-    *route* is called with the view each standby must be planned on
+    The caller already holds *primary*'s qubits on *ledger*.  *route*
+    is called with the view each standby must be planned on
     (fiber-disjoint from the replicas so far when the policy asks for
-    it) and must respect the shared *ledger* — the scheduler's own
-    ``_route`` closure does.  Planning is best effort: an unplannable
-    standby is counted in :attr:`ReplicaSet.shortfall` rather than
-    failing the admission.  Any exception inside rolls every
-    reservation back (the ledger transaction).
+    it); it must route on *ledger* itself and hold the tree it returns,
+    as the scheduler's ``_Run.route`` does.  Planning is best effort:
+    an unplannable standby is counted in :attr:`ReplicaSet.shortfall`
+    rather than failing the admission.  Any exception inside rolls
+    every standby back (the ledger transaction).
     """
-    usage0 = primary.switch_usage()
-    rset = ReplicaSet(replicas=[primary], usages=[usage0])
+    rset = ReplicaSet(replicas=[primary], usages=[primary.switch_usage()])
     with ledger.transaction():
-        ledger.reserve(usage0)
         for _ in range(policy.k - 1):
             view = network
             if policy.prefer_disjoint:
@@ -204,11 +204,6 @@ def plan_replica_set(
             if extra is None:
                 rset.shortfall += 1
                 break
-            usage = extra.switch_usage()
-            if not ledger.can_reserve(usage):
-                rset.shortfall += 1
-                break
-            ledger.reserve(usage)
             rset.replicas.append(extra)
-            rset.usages.append(usage)
+            rset.usages.append(extra.switch_usage())
     return rset

@@ -62,8 +62,10 @@ def single_path():
 
 
 def _route_via(network, ledger):
+    """Route on *ledger* itself, holding the tree a solve returns."""
+
     def route(view):
-        solution = solve_prim(view, rng=0, residual=ledger.fork())
+        solution = solve_prim(view, rng=0, residual=ledger)
         return solution if solution.feasible else None
 
     return route
@@ -71,8 +73,9 @@ def _route_via(network, ledger):
 
 def _plan(network, k=2, **policy_kwargs):
     ledger = CapacityLedger.from_network(network)
-    primary = solve_prim(network, rng=0)
-    assert primary.feasible
+    # Routing the primary on the ledger holds it, as the scheduler does.
+    primary = _route_via(network, ledger)(network)
+    assert primary is not None
     policy = ReplicationPolicy(k=k, **policy_kwargs)
     rset = plan_replica_set(
         network, primary, ledger, policy, _route_via(network, ledger)
@@ -117,25 +120,66 @@ class TestPlanReplicaSet:
         assert ledger.used("s0") == rset.total_usage().get("s0", 0)
 
     def test_capacity_shortfall_counted_not_fatal(self, single_path):
-        # Budget fits one tree but not two: standby hits can_reserve.
-        primary = solve_prim(single_path, rng=0)
-        need = primary.switch_usage().get("s0", 0)
+        # Budget fits one tree but not two: the standby's route fails.
+        need = solve_prim(single_path, rng=0).switch_usage().get("s0", 0)
         ledger = CapacityLedger({"s0": need + need // 2})
+        route = _route_via(single_path, ledger)
+        primary = route(single_path)
+        routed = []
+
+        def recording_route(view):
+            routed.append((view, route(view)))
+            return routed[-1][1]
+
         rset = plan_replica_set(
             single_path,
             primary,
             ledger,
             ReplicationPolicy(k=2),
-            _route_via(single_path, ledger),
+            recording_route,
         )
         assert rset.k == 1
         assert rset.shortfall == 1
+        # The overlap fallback routed on the network itself and found
+        # no capacity left beside the primary.
+        assert routed[-1] == (single_path, None)
+        assert ledger.used("s0") == need
 
     def test_route_exception_rolls_everything_back(self, diamond):
         ledger = CapacityLedger.from_network(diamond)
-        primary = solve_prim(diamond, rng=0)
+        route = _route_via(diamond, ledger)
+        calls = []
 
         def exploding_route(view):
+            # The first standby is held, then the second route crashes.
+            calls.append(view)
+            if len(calls) > 1:
+                raise RuntimeError("mid-plan crash")
+            return route(view)
+
+        with pytest.raises(RuntimeError):
+            # The caller's transaction spans routing the primary and
+            # planning its standbys, as the scheduler's does.
+            with ledger.transaction():
+                primary = route(diamond)
+                plan_replica_set(
+                    diamond,
+                    primary,
+                    ledger,
+                    ReplicationPolicy(k=3),
+                    exploding_route,
+                )
+        assert len(calls) == 2
+        assert all(ledger.used(s) == 0 for s in ledger)
+
+    def test_route_exception_returns_only_the_standbys(self, diamond):
+        ledger = CapacityLedger.from_network(diamond)
+        route = _route_via(diamond, ledger)
+        primary = route(diamond)
+        held = ledger.as_dict()
+
+        def exploding_route(view):
+            route(view)
             raise RuntimeError("mid-plan crash")
 
         with pytest.raises(RuntimeError):
@@ -146,7 +190,8 @@ class TestPlanReplicaSet:
                 ReplicationPolicy(k=2),
                 exploding_route,
             )
-        assert all(ledger.used(s) == 0 for s in ledger)
+        # The caller's primary stays held; the standby is rolled back.
+        assert ledger.as_dict() == held
 
     def test_k1_reserves_only_the_primary(self, diamond):
         rset, ledger = _plan(diamond, k=1)
@@ -286,6 +331,37 @@ class TestSchedulerFailover:
         # but it must still get exactly one attributed disposition.
         assert "r0" in result.resilience.dispositions
         assert not result.outcomes[0].accepted
+
+    def test_planning_exception_leaks_no_qubit(self, diamond, monkeypatch):
+        """The admission's transaction returns the routed primary too."""
+        import repro.tenancy.replicas as replicas
+
+        ledgers = []
+        from_network = CapacityLedger.from_network.__func__
+
+        def spying_from_network(cls, network):
+            ledgers.append(from_network(cls, network))
+            return ledgers[-1]
+
+        def exploding_failures(*args, **kwargs):
+            raise RuntimeError("mid-plan crash")
+
+        monkeypatch.setattr(
+            CapacityLedger, "from_network", classmethod(spying_from_network)
+        )
+        monkeypatch.setattr(replicas, "apply_failures", exploding_failures)
+        request = EntanglementRequest(
+            name="r0", users=("alice", "bob"), arrival=0, hold=8
+        )
+        scheduler = OnlineScheduler(
+            diamond, rng=3, replication=ReplicationPolicy(k=2)
+        )
+        with pytest.raises(RuntimeError):
+            scheduler.run([request])
+        assert ledgers
+        assert all(
+            ledger.used(s) == 0 for ledger in ledgers for s in ledger
+        )
 
     def test_replication_never_overbooks(self, diamond):
         requests = [
