@@ -69,11 +69,12 @@ blocked-switch mask they pass (LP pricing builds its mask once per
 relaxation).  It returns ``dist`` / ``prev`` as read-only mappings over
 its own index arrays, so no search builds a per-node dict.
 
-Two heaps run it.  :func:`_heapq_search` pushes ``(weight, node)``
-entries on C :mod:`heapq` and skips stale entries lazily;
-:func:`_exact_search` inlines the sift rules of
-:class:`~repro.utils.heap.IndexedMinHeap` with decrease-key.  The
-``heapq`` search leaves, publishing nothing, at its first tie that can
+Two heaps run it.  The lazy search pool (:class:`_SearchPool`, see
+*Lazy settling* below) pushes ``(weight, node)`` entries on C
+:mod:`heapq` and skips stale entries lazily; :func:`_exact_search`
+inlines the sift rules of :class:`~repro.utils.heap.IndexedMinHeap`
+with decrease-key.  :func:`relay_search` is a pool of one search run to
+its end.  The ``heapq`` search hands over at its first tie that can
 move a pop — two nodes settling at one weight, or a queued node at the
 last target's weight when the search stops early — and the search runs
 again on the pinned kernel.  A relaxation meeting a candidate equal to
@@ -127,12 +128,51 @@ every ``core.dijkstra.*`` count, are the pinned kernel's.  Any tie that
 can move a pop hands the whole search to the pinned kernel, so tie
 order is the pinned kernel's by construction.  The scan order and float
 order above hold on both paths.
+
+Lazy settling.  A greedy step takes one channel, and Algorithm 2's
+Kruskal scan and Algorithm 4's Prim growth stop at the spanning tree's
+heaviest channel, so a search settled beyond the weight a step can use
+is wasted.  :class:`_SearchPool` keeps the searches of one greedy solve
+(:func:`ranked_pair_channels`, :class:`ChannelSearches`) and settles
+each only as far as the steps ask:
+
+* *Pause and resume.*  :meth:`_SearchPool.settle` runs every search
+  that may still settle, least next weight first, until its next entry
+  lies above the step's weight limit, and pauses it there; a later step
+  with a higher limit resumes it.  The limit moves as targets settle
+  (an ``arrive`` callback).  A search's pops are a prefix of the pops
+  its full search would make, in the same order, so each settled
+  node's ``dist`` / ``prev`` is final.  A search is complete once its
+  last target settles (the ``heapq`` search's stop above, tail check
+  included) or its heap runs dry.
+* *Block rules.*  After a reservation a paused search stays exact: a
+  tied search runs again on any new block; a newly blocked switch it
+  has only queued, or not reached, is closed in place, since it was
+  never expanded and no other node's weight came through it; a newly
+  blocked switch it has settled is harmless unless a queued node or a
+  wanted target hangs on it, and then the search first settles to its
+  targets under the mask it ran under and is judged as a complete
+  search, by whether a wanted channel crosses the switch
+  (:class:`ChannelSearches`).
+* *Tie hand-over.*  At a settle tie only that search runs again on
+  :func:`_exact_search`, under its mask and to its targets, and is
+  complete; the pool's other searches go on.
+* *Cache rule.*  While a :class:`~repro.exec.cache.ChannelCache` is
+  active a pool search starts complete through :func:`dijkstra`, as a
+  full cached search, so cache keys and hit counts do not move.
+
+Every pool search starts through the module-global :func:`dijkstra`
+(``pool=``), which counts it in ``core.dijkstra.calls`` and settles
+nothing; the pool publishes the pops it settles, resumed ones
+included, with :meth:`_SearchPool.publish`, outside any span that
+wraps :func:`dijkstra`.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from itertools import islice
 from operator import itemgetter
 from typing import (
     Callable,
@@ -172,10 +212,12 @@ __all__ = [
 class _SearchView(Mapping):
     """Read-only node-id mapping over one search's index arrays.
 
-    Iterates *order* (node indices); a node is present once it has been
-    relaxed (``prev[i] >= 0``), and so is *root* (the source in
-    ``dist``, ``-1`` in ``prev``).  Compares equal to the dict a
-    reference search would have built.
+    Iterates *order* (node indices, the source first); a node is
+    present once it has been relaxed (``prev[i] >= 0``), and so is
+    *root*: the source in ``dist`` and ``-1`` in ``prev``, which then
+    skips ``order``'s first entry.  *order* may still grow while a
+    paused pool search resumes.  Compares equal to the dict a reference
+    search would have built.
     """
 
     __slots__ = ("_ids", "_index", "_prev", "_order", "_root")
@@ -197,10 +239,13 @@ class _SearchView(Mapping):
         return self._at(key) >= 0
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._order) - (self._root < 0)
 
     def __iter__(self) -> Iterator[Hashable]:
-        return map(self._ids.__getitem__, self._order)
+        order = self._order
+        if self._root < 0:
+            order = islice(order, 1, None)
+        return map(self._ids.__getitem__, order)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self)!r})"
@@ -212,7 +257,11 @@ class _DistView(_SearchView):
     __slots__ = ("_dist",)
 
     def __init__(self, ids, index, prev, order, root, dist) -> None:
-        super().__init__(ids, index, prev, order, root)
+        self._ids = ids
+        self._index = index
+        self._prev = prev
+        self._order = order
+        self._root = root
         self._dist = dist
 
     def __getitem__(self, key: Hashable) -> float:
@@ -246,7 +295,11 @@ class _PrevView(_SearchView):
     __slots__ = ("_lengths", "tied")
 
     def __init__(self, ids, index, prev, order, root, lengths, tied) -> None:
-        super().__init__(ids, index, prev, order, root)
+        self._ids = ids
+        self._index = index
+        self._prev = prev
+        self._order = order
+        self._root = root
         self._lengths = lengths
         #: Whether the search met an exact tie (see :func:`relay_search`).
         self.tied = tied
@@ -341,12 +394,13 @@ def relay_search(
     node reaching it, which lets :class:`ChannelSearches` keep a search
     across reservations.
 
-    The search runs on :mod:`heapq` and hands over to the pinned sift
-    kernel at its first tie that can move a pop (see the module
-    docstring), so the input alone picks the kernel.
+    The search is a :class:`_SearchPool` of one search, which hands
+    over to the pinned sift kernel at its first tie that can move a pop
+    (see the module docstring), so the input alone picks the kernel.
     """
-    args = (graph, source, alpha, transit, blocked, forbidden, targets)
-    return _heapq_search(*args) or _exact_search(*args)
+    return _search_alone(
+        graph, source, alpha, transit, blocked, forbidden, targets
+    )[:5]
 
 
 def relay_joined(
@@ -405,7 +459,406 @@ def relay_joined(
     return False
 
 
-def _heapq_search(
+class _Search:
+    """One search of a :class:`_SearchPool`.
+
+    ``dist`` / ``prev`` are its views; they grow while the search
+    settles and are replaced once, if it hands over to the pinned
+    kernel.  ``state`` holds its heap and arrays while it may still
+    settle and is ``None`` once it is complete: every target settled
+    or proved unreachable, a hand-over run, or retired by its consumer.
+    """
+
+    __slots__ = (
+        "key", "source", "goal", "mask", "dist", "prev", "state", "last",
+        "weights", "targets", "seen", "ranked",
+    )
+
+    def __init__(self, key, source, goal, mask, dist, prev, state) -> None:
+        self.key = key
+        self.source = source
+        #: Target indices the search answers for; empty for a full one.
+        self.goal = goal
+        #: The relay mask it runs under (a hand-over reads it again).
+        self.mask = mask
+        self.dist = dist
+        self.prev = prev
+        #: ``(heap, dist, prev, lengths, closed, order, source, wanted,
+        #: prev view)`` while it may settle; ``heap`` holds ``(weight,
+        #: node)`` entries and ``wanted`` is the unsettled part of
+        #: ``goal``.
+        self.state = state
+        self.last = -1.0  # the last settled weight; every weight is >= 0
+        #: target id → search weight, settled targets of ``goal`` only.
+        self.weights: Dict[Hashable, float] = {}
+        # ChannelSearches sets ``targets`` (the target ids the search
+        # is exact for), ``seen`` (how many of the solve's newly
+        # blocked switches it was checked against) and ``ranked`` (the
+        # channels built for it).
+
+
+#: ``arrive(weight, search, node)`` for each target a search settles;
+#: returns the new weight limit of the :meth:`_SearchPool.settle` call.
+Arrival = Callable[[float, "_Search", int], float]
+
+
+class _SearchPool:
+    """The searches of one greedy solve, each settled only as far as
+    the solve's steps ask.
+
+    Each search keeps its own lazy-deletion :mod:`heapq` of ``(weight,
+    node)`` entries, and the pool a heap of the searches by next
+    weight.  :meth:`settle` runs the searches, least next weight first,
+    until every next entry lies above the step's weight limit: a search
+    pauses there and resumes when a later step raises the limit.  Its pops are a prefix of the pops its
+    full search would make, in the same order, so every settled node's
+    ``dist`` / ``prev`` is final.
+
+    A search starts through :func:`dijkstra` (``pool=``), which counts
+    it in ``core.dijkstra.calls``; the pool counts the pops it settles
+    and publishes them with :meth:`publish`.  At a settle tie (two pops
+    of one search at one weight, or a queued entry at its last target's
+    weight) that search alone runs again on :func:`_exact_search` under
+    its mask, to its targets, and is complete.
+    """
+
+    __slots__ = (
+        "graph", "alpha", "transit", "forbidden", "rows", "searches",
+        "_tops", "heap_pops", "edges_scanned", "relaxations", "exact", "reruns",
+        "found",
+    )
+
+    def __init__(
+        self,
+        graph: RoutingSnapshot,
+        alpha: float,
+        transit: Sequence[float],
+        forbidden: Optional[Set[Tuple[Hashable, Hashable]]] = None,
+    ) -> None:
+        self.graph = graph
+        self.alpha = alpha
+        self.transit = transit
+        self.forbidden = forbidden
+        #: The snapshot's rows without the forbidden fibers.
+        self.rows = graph.rows
+        if forbidden:
+            self.rows = rows = list(graph.rows)
+            index = graph.index
+            for fiber in forbidden:
+                for end in fiber:
+                    i = index.get(end)
+                    if i is not None:
+                        rows[i] = [e for e in rows[i] if e[1] not in forbidden]
+        self.searches: List[_Search] = []
+        #: ``(next weight, key)`` of each search that may still settle,
+        #: or below it: a search settled outside :meth:`settle` keeps a
+        #: lower entry until the entry surfaces.
+        self._tops: List[Tuple[float, int]] = []
+        # Unpublished counts: lazy pops, then the hand-overs' own.
+        self.heap_pops = self.edges_scanned = self.relaxations = 0
+        self.exact = [0, 0, 0]
+        self.reruns = 0
+        self.found = 0
+
+    @classmethod
+    def for_network(cls, network: QuantumNetwork) -> "_SearchPool":
+        """A pool of Algorithm-1 searches over *network*."""
+        graph = network.routing_snapshot()
+        minus_ln_q = -swap_log_rate(network.params.swap_prob)  # in [0, +inf]
+        return cls(graph, network.params.alpha, [minus_ln_q] * len(graph.ids))
+
+    def open(
+        self,
+        network: QuantumNetwork,
+        source: Hashable,
+        residual: Optional[CapacityLedger],
+        targets: Sequence[Hashable],
+    ) -> _Search:
+        """Start a search from *source* for *targets* through
+        :func:`dijkstra`; it settles nothing until :meth:`settle`."""
+        dijkstra(network, source, residual, targets=targets, pool=self)
+        search = self.searches[-1]
+        if not search.goal:
+            search.state = None  # nothing to settle for
+        return search
+
+    def start(
+        self, source: int, blocked: bytearray, goal: Set[int]
+    ) -> _Search:
+        """Queue a search from *source* under mask *blocked*; an empty
+        *goal* makes it a full search."""
+        graph = self.graph
+        ids = graph.ids
+        index = graph.index
+        n = len(ids)
+        dist = [math.inf] * n
+        dist[source] = 0.0
+        prev = [-1] * n
+        lengths = [0.0] * n  # incoming fiber length on each prev link
+        # Settled nodes and blocked switches: one byte test per fiber.
+        closed = bytearray(blocked)
+        closed[source] = 0  # a spur search may start at a blocked switch
+        order = [source]  # the source, then first-relaxation order
+        view = _PrevView(ids, index, prev, order, -1, lengths, False)
+        state = (
+            [(0.0, source)], dist, prev, lengths, closed, order, source,
+            set(goal), view,
+        )
+        search = _Search(
+            len(self.searches),
+            source,
+            goal,
+            blocked,
+            _DistView(ids, index, prev, order, source, dist),
+            view,
+            state,
+        )
+        heapq.heappush(self._tops, (0.0, search.key))
+        self.searches.append(search)
+        return search
+
+    def adopt(
+        self,
+        source: int,
+        dist: "_DistView",
+        prev: "_PrevView",
+        goal: Set[int],
+    ) -> _Search:
+        """Join a complete search (a cached or full :func:`dijkstra`);
+        its reached targets are in its ``weights``."""
+        search = _Search(
+            len(self.searches), source, goal, None, dist, prev, None
+        )
+        self.searches.append(search)
+        self._reached(search, sorted(goal))
+        return search
+
+    def narrow(self, search: _Search, targets: Iterable[Hashable]) -> None:
+        """Narrow *search*'s goal to *targets* (ids, a subset); a paused
+        search left with no unsettled target is complete."""
+        index = self.graph.index
+        search.goal = {index[target] for target in targets}
+        state = search.state
+        if state is not None:
+            wanted = state[7]
+            wanted.intersection_update(search.goal)
+            if not wanted:
+                search.state = None
+
+    def block(self, search: _Search, switches: Iterable[Hashable]) -> bool:
+        """Apply newly blocked *switches* to the paused, untied *search*.
+
+        ``False``, leaving the search as it was, when one of them is
+        settled and its subtree of settled nodes reaches a node not yet
+        settled or a goal target.  Otherwise the unsettled ones are
+        closed in place (see :class:`ChannelSearches`).
+        """
+        graph = self.graph
+        index = graph.index
+        rows = graph.rows
+        is_switch = graph.is_switch
+        prev = search.state[2]
+        closed = search.state[4]
+        goal = search.goal
+        opened = []
+        for switch in switches:
+            i = index[switch]
+            if not closed[i]:
+                opened.append(i)
+                continue
+            stack = [i]
+            while stack:
+                node = stack.pop()
+                for neighbor, _, _ in rows[node]:
+                    if prev[neighbor] != node:
+                        continue
+                    if not closed[neighbor] or neighbor in goal:
+                        return False
+                    if is_switch[neighbor]:
+                        stack.append(neighbor)
+        for i in opened:
+            closed[i] = 1
+        return True
+
+    def finish(self, search: _Search) -> None:
+        """Settle *search* until it is complete."""
+        if search.state is not None:
+            self._run(search, math.inf, None)
+            self.publish()
+
+    def _reached(
+        self, search: _Search, nodes: Iterable[int]
+    ) -> List[Tuple[float, int]]:
+        """Record the reached targets among *nodes* of a complete
+        *search*; returns their ``(weight, node)`` pairs."""
+        ids = self.graph.ids
+        dist = search.dist
+        prev = search.prev
+        weights = search.weights
+        reached = []
+        for node in nodes:
+            target = ids[node]
+            if target in prev:
+                weight = weights[target] = dist[target]
+                reached.append((weight, node))
+        self.found += len(reached)
+        return reached
+
+    def _hand_over(self, search: _Search) -> List[Tuple[float, int]]:
+        """Run *search* again on the pinned kernel, to its goal;
+        returns the targets it reached that were not settled."""
+        wanted = search.state[7]
+        search.state = None
+        dist, prev, pops, edges, relaxations = _exact_search(
+            self.graph,
+            search.source,
+            self.alpha,
+            self.transit,
+            search.mask,
+            self.forbidden,
+            search.goal or None,
+        )
+        search.dist = dist
+        search.prev = prev
+        exact = self.exact
+        exact[0] += pops
+        exact[1] += edges
+        exact[2] += relaxations
+        self.reruns += 1
+        return self._reached(search, sorted(wanted))
+
+    def settle(self, limit: float, arrive: Optional[Arrival] = None) -> None:
+        """Settle the searches that may still settle, least next weight
+        first, until every next entry weighs more than *limit*.
+
+        Each target a search settles goes into its ``weights``; then
+        ``arrive(weight, search, node)``, when given, returns the new
+        *limit*.  A search paused below a limit that rises later in the
+        call runs again.  A hand-over reports every target it reached.
+        """
+        tops = self._tops
+        searches = self.searches
+        pop = heapq.heappop
+        while tops and tops[0][0] <= limit:
+            _, key = pop(tops)
+            search = searches[key]
+            if search.state is not None:
+                limit = self._run(search, limit, arrive)
+                if search.state is not None:
+                    heapq.heappush(tops, (search.state[0][0][0], key))
+
+    def _run(
+        self, search: _Search, limit: float, arrive: Optional[Arrival]
+    ) -> float:
+        """:meth:`settle` for one search, the lazy :mod:`heapq` kernel;
+        returns the limit *arrive* left."""
+        heap, dist, prev, lengths, closed, order, source, wanted, view = (
+            search.state
+        )
+        graph = self.graph
+        rows = self.rows
+        scanned = graph.rows  # edges_scanned counts forbidden fibers too
+        is_switch = graph.is_switch
+        ids = graph.ids
+        transit = self.transit
+        alpha = self.alpha
+        pop = heapq.heappop
+        push = heapq.heappush
+        inf = math.inf
+        heap_pops = edges_scanned = relaxations = 0
+        last = search.last
+        reached = None
+        while heap:
+            node_dist, node = pop(heap)
+            if node_dist > limit:
+                push(heap, (node_dist, node))
+                break
+            if closed[node]:
+                continue  # stale, or a switch blocked in place
+            if node_dist == last:
+                reached = self._hand_over(search)  # a settle tie
+                break
+            last = node_dist
+            closed[node] = 1
+            heap_pops += 1
+            if wanted and node in wanted:
+                wanted.discard(node)
+                search.weights[ids[node]] = node_dist
+                self.found += 1
+                if not wanted:
+                    # The pinned kernel may pop a queued entry at this
+                    # weight first.
+                    reached = [(node_dist, node)]
+                    while heap:
+                        top, top_node = heap[0]
+                        if closed[top_node]:
+                            pop(heap)
+                        elif top == node_dist:
+                            reached += self._hand_over(search)
+                            break
+                        else:
+                            break
+                    search.state = None
+                    break
+                if arrive is not None:
+                    limit = arrive(node_dist, search, node)
+            if node == source:
+                cost = 0.0
+            elif not is_switch[node]:
+                continue  # users are terminals
+            else:
+                cost = transit[node]
+                if cost == inf:
+                    continue  # q = 0: cannot extend beyond the source's links
+            edges_scanned += len(scanned[node])
+            base = node_dist + cost
+            for neighbor, _, length in rows[node]:
+                if closed[neighbor]:
+                    continue
+                candidate = base + alpha * length
+                known = dist[neighbor]
+                if candidate < known:
+                    if prev[neighbor] < 0:
+                        order.append(neighbor)
+                    dist[neighbor] = candidate
+                    prev[neighbor] = node
+                    lengths[neighbor] = length
+                    relaxations += 1
+                    push(heap, (candidate, neighbor))
+                elif candidate == known:
+                    view.tied = True
+        else:
+            search.state = None  # every reachable node is settled
+        search.last = last
+        self.heap_pops += heap_pops
+        self.edges_scanned += edges_scanned
+        self.relaxations += relaxations
+        if reached and arrive is not None:
+            for weight, node in reached:
+                limit = arrive(weight, search, node)
+        return limit
+
+    def publish(self) -> None:
+        """Publish the pops, scans and hand-overs since the last call."""
+        metrics = obs_metrics.active()
+        if metrics is not None:
+            exact = self.exact
+            pops = self.heap_pops + exact[0]
+            metrics.inc("core.dijkstra.heap_pops", pops)
+            metrics.inc("core.dijkstra.edges_scanned", self.edges_scanned + exact[1])
+            metrics.inc("core.dijkstra.relaxations", self.relaxations + exact[2])
+            metrics.inc("core.dijkstra.nodes_settled", pops)
+            if self.reruns:
+                metrics.inc("core.dijkstra.exact_reruns", self.reruns)
+            metrics.inc("core.channel_search.channels_found", self.found)
+        self.heap_pops = self.edges_scanned = self.relaxations = 0
+        self.found = 0
+        if self.reruns:
+            self.exact = [0, 0, 0]
+            self.reruns = 0
+
+
+def _search_alone(
     graph: RoutingSnapshot,
     source: int,
     alpha: float,
@@ -413,99 +866,20 @@ def _heapq_search(
     blocked: bytearray,
     forbidden: Optional[Set[Tuple[Hashable, Hashable]]],
     targets: Optional[Set[int]],
-) -> Optional[
-    Tuple[Mapping[Hashable, float], Mapping[Hashable, Hashable], int, int, int]
+) -> Tuple[
+    Mapping[Hashable, float], Mapping[Hashable, Hashable], int, int, int, bool
 ]:
-    """:func:`relay_search` on a lazy-deletion :mod:`heapq`, or ``None``.
-
-    Entries are ``(weight, node)``; an entry whose weight is above its
-    node's ``dist`` is stale and skipped without being counted.  The
-    search gives up, returning ``None`` and publishing nothing, at the
-    first tie that can move a pop: two nodes settle at one weight, or a
-    queued node's weight equals the last target's when the search
-    stops.  Until then its pops are the pinned kernel's, so a result it
-    returns is :func:`_exact_search`'s.  A relaxation that meets a
-    candidate equal to the neighbor's weight moves no pop; it sets
-    ``prev.tied``, as the pinned kernel does.
-    """
-    ids = graph.ids
-    rows = graph.rows
-    is_switch = graph.is_switch
-    n = len(ids)
-    inf = math.inf
-    dist = [inf] * n
-    dist[source] = 0.0
-    prev = [-1] * n
-    lengths = [0.0] * n  # incoming fiber length on each prev link
-    # Settled nodes and blocked switches: one byte test per fiber.
-    closed = bytearray(blocked)
-    order = [source]  # the source, then first-relaxation order
-    heap = [(0.0, source)]
-    pop = heapq.heappop
-    push = heapq.heappush
-    heap_pops = edges_scanned = relaxations = 0
-    pending = len(targets) if targets else 0
-    tied = False
-    last_weight = -1.0  # the last settled weight; every weight is >= 0
-
-    while heap:
-        node_dist, node = pop(heap)
-        if node_dist > dist[node]:
-            continue  # stale: the node was queued again at a lower weight
-        if node_dist == last_weight:
-            return None
-        last_weight = node_dist
-        heap_pops += 1
-        closed[node] = 1
-        if pending and node in targets:
-            pending -= 1
-            if not pending:
-                while heap:
-                    top, top_node = heap[0]
-                    if top > dist[top_node]:
-                        pop(heap)
-                    elif top == node_dist:
-                        return None  # the pinned kernel may pop it first
-                    else:
-                        break
-                break
-        if node == source:
-            cost = 0.0
-        elif not is_switch[node]:
-            continue  # users are terminals
-        else:
-            cost = transit[node]
-            if cost == inf:
-                continue  # q = 0: cannot extend beyond the source's links
-        row = rows[node]
-        edges_scanned += len(row)
-        base = node_dist + cost
-        for neighbor, key, length in row:
-            if closed[neighbor]:
-                continue
-            if forbidden is not None and key in forbidden:
-                continue
-            candidate = base + alpha * length
-            known = dist[neighbor]
-            if candidate < known:
-                if prev[neighbor] < 0:
-                    order.append(neighbor)
-                dist[neighbor] = candidate
-                prev[neighbor] = node
-                lengths[neighbor] = length
-                relaxations += 1
-                push(heap, (candidate, neighbor))
-            elif candidate == known:
-                tied = True
-
-    index = graph.index
-    return (
-        _DistView(ids, index, prev, order, source, dist),
-        _PrevView(ids, index, prev, order[1:], -1, lengths, tied),
-        heap_pops,
-        edges_scanned,
-        relaxations,
-    )
+    """:func:`relay_search` as a pool of one search, run to its end,
+    and whether it handed over.  The counts are the lazy search's, or
+    after a hand-over the pinned kernel's alone."""
+    pool = _SearchPool(graph, alpha, transit, forbidden)
+    search = pool.start(source, blocked, targets or set())
+    pool._run(search, math.inf, None)
+    if pool.reruns:
+        counts = pool.exact
+    else:
+        counts = (pool.heap_pops, pool.edges_scanned, pool.relaxations)
+    return (search.dist, search.prev, *counts, bool(pool.reruns))
 
 
 def _exact_search(
@@ -638,7 +1012,7 @@ def _exact_search(
     index = graph.index
     return (
         _DistView(ids, index, prev, order, source, dist),
-        _PrevView(ids, index, prev, order[1:], -1, lengths, tied),
+        _PrevView(ids, index, prev, order, -1, lengths, tied),
         heap_pops,
         edges_scanned,
         relaxations,
@@ -652,6 +1026,7 @@ def dijkstra(
     forbidden_fibers: Optional[Set[Tuple[Hashable, Hashable]]] = None,
     allow_switch_source: bool = False,
     targets: Optional[Iterable[Hashable]] = None,
+    pool: Optional[_SearchPool] = None,
 ) -> Tuple[Mapping[Hashable, float], Mapping[Hashable, Hashable]]:
     """Single-source max-rate search (Algorithm 1's main loop).
 
@@ -680,12 +1055,20 @@ def dijkstra(
     entries are the full search's, other entries are partial.  Without
     it, or while a cache is active, the search is full.
 
+    ``pool`` is the greedy solves' lazy search pool
+    (:class:`_SearchPool`, built by :class:`ChannelSearches` and
+    :func:`ranked_pair_channels`): the search joins it, under the pool's
+    transit costs and forbidden fibers, and settles nothing here; the
+    returned views fill in as the pool settles it.  While a cache is
+    active it joins complete instead, as the search below returns it.
+
     Profiling: each call publishes ``core.dijkstra.calls`` /
     ``.heap_pops`` / ``.edges_scanned`` / ``.relaxations`` /
     ``.nodes_settled`` counters to the active
     :class:`~repro.obs.metrics.MetricsRegistry` (one batch at return),
     and ``.exact_reruns`` when the search met a tie and ran again on the
-    pinned kernel.
+    pinned kernel.  A pool search counts its call here and its pops
+    when the pool publishes them.
 
     Caching: when a :class:`~repro.exec.cache.ChannelCache` is active
     (:func:`repro.exec.cache.caching`), results are memoized under an
@@ -707,21 +1090,28 @@ def dijkstra(
         cache_key = cache.key_for(
             network, residual, source, forbidden_fibers, allow_switch_source
         )
-        cached = cache.get(cache_key)
-        if cached is not None:
-            return cached
-        warmed = cache.warm_lookup(cache_key, network)
-        if warmed is not None:
-            return warmed
+        found = cache.get(cache_key)
+        if found is None:
+            found = cache.warm_lookup(cache_key, network)
+        if found is not None:
+            if pool is not None:
+                _join_complete(pool, source, found, targets)
+            return found
     graph = network.routing_snapshot()
     start = graph.index.get(source)
     if start is None:
         raise UnknownNodeError(source)
-    minus_ln_q = -swap_log_rate(network.params.swap_prob)  # in [0, +inf]
     stop_at = None
     if targets is not None and cache is None:
         stop_at = {graph.index[target] for target in targets}
-    args = (
+    metrics = obs_metrics.active()
+    if pool is not None and cache is None:
+        pool.start(start, residual.blocked(graph), stop_at or set())
+        if metrics is not None:
+            metrics.inc("core.dijkstra.calls")
+        return pool.searches[-1].dist, pool.searches[-1].prev
+    minus_ln_q = -swap_log_rate(network.params.swap_prob)  # in [0, +inf]
+    dist, prev, heap_pops, edges_scanned, relaxations, rerun = _search_alone(
         graph,
         start,
         network.params.alpha,
@@ -730,12 +1120,6 @@ def dijkstra(
         forbidden_fibers or None,
         stop_at,
     )
-    found = _heapq_search(*args)  # relay_search, counting the reruns
-    rerun = found is None
-    if rerun:
-        found = _exact_search(*args)
-    dist, prev, heap_pops, edges_scanned, relaxations = found
-    metrics = obs_metrics.active()
     if metrics is not None:
         metrics.inc("core.dijkstra.calls")
         metrics.inc("core.dijkstra.heap_pops", heap_pops)
@@ -746,7 +1130,22 @@ def dijkstra(
             metrics.inc("core.dijkstra.exact_reruns")
     if cache is not None:
         cache.put(cache_key, (dist, prev))
+        if pool is not None:
+            _join_complete(pool, source, (dist, prev), targets)
     return dist, prev
+
+
+def _join_complete(
+    pool: _SearchPool,
+    source: Hashable,
+    found: Tuple[Mapping[Hashable, float], Mapping[Hashable, Hashable]],
+    targets: Optional[Iterable[Hashable]],
+) -> None:
+    """Add a full search's ``(dist, prev)`` to *pool* as complete."""
+    index = pool.graph.index
+    dist, prev = found
+    goal = {index[target] for target in targets or ()}
+    pool.adopt(index[source], dist, prev, goal)
 
 
 def trace_path(
@@ -850,24 +1249,6 @@ def best_channels_from(
     }
 
 
-class _Kept:
-    """One source's search as :class:`ChannelSearches` keeps it."""
-
-    __slots__ = ("targets", "weights", "prev", "ranked", "seen")
-
-    def __init__(self, targets, weights, prev, seen) -> None:
-        #: The targets the search is still exact for.
-        self.targets = targets
-        #: target → search weight, reached targets only.
-        self.weights = weights
-        self.prev = prev
-        #: target → (``channel_sort_key``, channel), built when it can win.
-        self.ranked: Dict[Hashable, Tuple[Tuple, Channel]] = {}
-        #: How many of the solve's newly blocked switches it was checked
-        #: against.
-        self.seen = seen
-
-
 class ChannelSearches:
     """Algorithm 1's searches within one greedy solve, kept while exact.
 
@@ -875,18 +1256,34 @@ class ChannelSearches:
     reconnect and N-FUSION's star) repeat the search from the same
     sources round after round, with fewer wanted targets and, after
     each reservation, a relay mask that can only have lost switches.
-    :meth:`best_among` keeps each source's search and runs it again
-    only when a fresh one could differ, that is when switches became
-    blocked since it ran and either the search met an exact tie
-    (``prev.tied`` of :func:`relay_search`) or its channel to a wanted
-    target crosses one of them.  The kept answer is then exactly the
-    fresh one:
+    Each source's search lives in one :class:`_SearchPool` and settles
+    only as far as a step needs (the module docstring's *Lazy
+    settling*): :meth:`best_among` settles the requested searches until
+    the least wanted target weight ``w`` is known and each search's
+    next entry lies above ``_within(w)``; :meth:`reach` settles one
+    search to all its targets.
 
-    * blocking only removes paths, so a kept channel that avoids every
-      newly blocked switch is still feasible and still of least weight;
-    * float path sums are monotone, so each node on it keeps its weight;
-    * without a tie each such node had exactly one predecessor reaching
-      its weight, and the fresh search can only pick that one.
+    A search runs again only when a fresh one could differ.  Blocking
+    only removes paths and float path sums are monotone, so a node
+    whose chain avoids the newly blocked switches keeps its weight and,
+    without an exact tie (``prev.tied`` of :func:`relay_search`), its
+    one predecessor reaching that weight.  For the switches blocked
+    since a search was last checked:
+
+    * a tied search runs again;
+    * a switch a paused search has queued, or not reached, is closed
+      in place: it was never expanded, so no other node's weight came
+      through it;
+    * a switch a paused search has settled is harmless when its subtree
+      of settled nodes holds only switches and unwanted users: no
+      queued node and no wanted target hangs on it.  Otherwise the
+      search first settles to its targets under the mask it ran under,
+      as the eager search would have, and is then complete;
+    * a complete search runs again when its channel to a wanted target
+      crosses one of them.
+
+    So a search never runs again where the eager search, complete from
+    the start, would not have.
 
     A step ranks its candidates by search weight and builds, once per
     kept search, only the channels within the rank margin of the
@@ -895,9 +1292,10 @@ class ChannelSearches:
 
     The solve must spend *ledger* only through :meth:`reserve`.  A
     source asked for a target its kept search was not run for searches
-    again; the greedy builders only ever drop targets.  Each target is
-    checked to be a quantum user once per solve, unless it is among
-    *users*, ids the caller has checked already
+    again, and so does one left out of a step and asked again later;
+    the greedy builders only ever drop targets and sources.  Each
+    target is checked to be a quantum user once per solve, unless it is
+    among *users*, ids the caller has checked already
     (:func:`~repro.core.problem.resolve_users` does).
     """
 
@@ -909,7 +1307,8 @@ class ChannelSearches:
     ) -> None:
         self._network = network
         self._ledger = ledger
-        self._kept: Dict[Hashable, _Kept] = {}
+        self._pool = _SearchPool.for_network(network)
+        self._kept: Dict[Hashable, _Search] = {}
         #: Switches the solve's reservations took below 2 free qubits.
         self._blocked: List[Hashable] = []
         #: Targets known to be quantum users.
@@ -929,30 +1328,43 @@ class ChannelSearches:
         the least entry, the first in request and target order among
         equal ones.  The sources are searched in request order."""
         steps = []
-        least = None
+        least = math.inf
+        paused = False
         for source, targets in requests:
-            kept = self._keep(source, targets)
-            weights = kept.weights
+            search = self._keep(source, targets)
+            steps.append((source, targets, search))
+            paused = paused or search.state is not None
+            weights = search.weights
             for target in targets:
                 weight = weights.get(target)
-                if weight is not None and (least is None or weight < least):
+                if weight is not None and weight < least:
                     least = weight
-            steps.append((source, targets, kept))
-        if least is None:
-            return None
+        if paused:
+
+            def arrive(weight: float, search: _Search, node: int) -> float:
+                nonlocal least
+                if weight < least:
+                    least = weight
+                return _within(least)
+
+            self._retire_others(steps)
+            self._pool.settle(_within(least), arrive)
+            self._pool.publish()
+        if least == math.inf:
+            return None  # reached weights are finite
         limit = _within(least)
         params = self._network.params
         best = None
-        for source, targets, kept in steps:
-            weights = kept.weights
-            ranked = kept.ranked
+        for source, targets, search in steps:
+            weights = search.weights
+            ranked = search.ranked
             for target in targets:
                 weight = weights.get(target)
                 if weight is None or weight > limit:
                     continue
                 entry = ranked.get(target)
                 if entry is None:
-                    channel = kept.prev.channel(source, target, params)
+                    channel = search.prev.channel(source, target, params)
                     entry = ranked[target] = (channel_sort_key(channel), channel)
                 if best is None or entry[0] < best[0]:
                     best = entry
@@ -962,8 +1374,13 @@ class ChannelSearches:
         self, source: Hashable, targets: Collection[Hashable]
     ) -> Dict[Hashable, float]:
         """Search weight of each of *targets* that *source* reaches under
-        the ledger, as :meth:`best` ranks them; builds no channel."""
-        weights = self._keep(source, targets).weights
+        the ledger, as :meth:`best` ranks them; builds no channel.  The
+        search settles until every target is settled or unreachable."""
+        search = self._keep(source, targets)
+        if search.state is not None:
+            self._retire_others(((source, targets, search),))
+            self._pool.finish(search)
+        weights = search.weights
         return {target: weights[target] for target in targets if target in weights}
 
     def reserve(self, channel: Channel) -> None:
@@ -977,43 +1394,80 @@ class ChannelSearches:
             if ledger.available(s) < QUBITS_PER_CHANNEL
         )
 
-    def _keep(self, source: Hashable, targets: Collection[Hashable]) -> _Kept:
-        kept = self._kept.get(source)
-        if kept is None or not self._exact(source, kept, targets):
-            kept = self._kept[source] = self._search(source, targets)
-        return kept
+    def _retire_others(
+        self, steps: Sequence[Tuple[Hashable, Collection[Hashable], _Search]]
+    ) -> None:
+        """Retire the paused searches of sources a step left out, so
+        that the pool settles only searches checked against every
+        reservation."""
+        if len(steps) < len(self._kept):
+            asked = {source for source, _, _ in steps}
+            for source, search in self._kept.items():
+                if search.state is not None and source not in asked:
+                    search.state = None
+                    search.targets = set()  # asked again, it runs again
 
-    def _search(self, source: Hashable, targets: Collection[Hashable]) -> _Kept:
+    def _keep(self, source: Hashable, targets: Collection[Hashable]) -> _Search:
+        search = self._kept.get(source)
+        if search is None or not self._exact(source, search, targets):
+            if search is not None:
+                search.state = None  # retired
+            search = self._kept[source] = self._search(source, targets)
+        return search
+
+    def _search(self, source: Hashable, targets: Collection[Hashable]) -> _Search:
         users = self._users
         if not users.issuperset(targets):
             unchecked = [target for target in targets if target not in users]
             _require_users(self._network, unchecked)
             users.update(unchecked)
         target_list = list(targets)
-        prev, weights = _search_from(
-            self._network, source, target_list, self._ledger
+        search = self._pool.open(
+            self._network, source, self._ledger, target_list
         )
-        return _Kept(set(target_list), weights, prev, len(self._blocked))
+        search.targets = set(target_list)
+        search.seen = len(self._blocked)
+        search.ranked = {}
+        metrics = obs_metrics.active()
+        if metrics is not None:
+            metrics.inc("core.channel_search.single_source_calls")
+        return search
 
     def _exact(
-        self, source: Hashable, kept: _Kept, targets: Collection[Hashable]
+        self, source: Hashable, search: _Search, targets: Collection[Hashable]
     ) -> bool:
-        """Whether *kept* still answers a fresh search for *targets*."""
-        if not kept.targets.issuperset(targets):
+        """Whether *search* still answers a fresh search for *targets*;
+        narrows it to them and closes the newly blocked switches it has
+        not settled."""
+        if not search.targets.issuperset(targets):
             return False
         blocked = self._blocked
-        if kept.seen == len(blocked):
+        unchanged = search.seen == len(blocked)
+        if (search.state is not None or not unchanged) and len(
+            search.targets
+        ) > len(targets):
+            search.targets = set(targets)
+            self._pool.narrow(search, search.targets)
+        if unchanged:
             return True
-        prev = kept.prev
+        prev = search.prev
         if prev.tied:
             return False
-        fresh = set(blocked[kept.seen :])
-        weights = kept.weights
-        for target in targets:
-            if target in weights and prev.relays_any(source, target, fresh):
+        fresh = blocked[search.seen :]
+        if search.state is not None and not self._pool.block(search, fresh):
+            # Settle it to its targets under the mask it ran under, as
+            # an eager search would have been; a tie hands it over under
+            # the current mask, which a fresh search redoes.
+            self._pool.finish(search)
+            if search.prev is not prev:
                 return False
-        kept.targets = set(targets)
-        kept.seen = len(blocked)
+        if search.state is None:
+            weights = search.weights
+            crossed = set(fresh)
+            for target in targets:
+                if target in weights and prev.relays_any(source, target, crossed):
+                    return False
+        search.seen = len(blocked)
         return True
 
 
@@ -1062,33 +1516,86 @@ def ranked_pair_channels(
     :func:`~repro.core.problem.channel_sort_key` order (stable in pair
     order), built as the caller reaches them: Algorithm 2's scan.
 
-    All ``|U| - 1`` searches run first.  The pairs are then sorted by
-    search weight and cut into groups wherever a weight lies more than
-    the rank margin above the one before it (the module docstring), so
-    every channel of a group ranks before every channel of the next.
-    Each group's channels are built and sorted when the scan reaches
-    the group.  A pair for which ``skip(source, target)`` holds when its
-    group comes up is left out unbuilt; a Kruskal scan passes
-    "already joined", a test that stays true once true.
+    All ``|U| - 1`` searches start together in one
+    :class:`_SearchPool`.  The pairs, sorted by search weight, are cut
+    into groups wherever a weight lies more than the rank margin above
+    the one before it (the module docstring), so every channel of a
+    group ranks before every channel of the next.  A group's first pair
+    is known once every search's next entry lies above the least
+    settled pair; the group is complete once every search's next entry,
+    and every pair a hand-over reached, lies beyond the margin of its
+    last weight.  Its channels are then built and sorted by
+    ``(channel_sort_key, (source index, target index))``, the eager
+    sort's order.  The searches settle no further than the group the
+    caller stops in.  A pair for which ``skip(source,
+    target)`` holds when its group comes up is left out unbuilt; a
+    Kruskal scan passes "already joined", a test that stays true once
+    true.
     """
-    pairs = []
-    for source, prev, reached in _pair_searches(network, users, residual):
-        for target, weight in reached.items():
-            pairs.append((weight, len(pairs), source, target, prev))
-    pairs.sort(key=itemgetter(0))  # stable: equal weights in pair order
+    _require_users(network, users)
+    pool = _SearchPool.for_network(network)
+    for index, source in enumerate(users[:-1]):
+        pool.open(network, source, residual, users[index + 1 :])
+    metrics = obs_metrics.active()
+    if metrics is not None:
+        metrics.inc(
+            "core.channel_search.single_source_calls", len(pool.searches)
+        )
+    position = {user: index for index, user in enumerate(users)}
+    ids = pool.graph.ids
+    # (weight, (source index, target index), search, target id), for
+    # every settled pair not yet in a group.
+    known: List[Tuple[float, Tuple[int, int], _Search, Hashable]] = []
+
+    def add(weight: float, search: _Search, target: Hashable) -> None:
+        heapq.heappush(
+            known, (weight, (search.key, position[target]), search, target)
+        )
+
+    def least_known(weight: float, search: _Search, node: int) -> float:
+        add(weight, search, ids[node])
+        return known[0][0]
+
+    for search in pool.searches:
+        if search.state is None:  # joined complete
+            for target, weight in search.weights.items():
+                add(weight, search, target)
     params = network.params
-    end = 0
-    while end < len(pairs):
-        start = end
-        end += 1
-        while end < len(pairs) and pairs[end][0] <= _within(pairs[end - 1][0]):
-            end += 1
+    while True:
+        # The group's first pair is the least pair left: settle until
+        # the pool's next entry lies above the least known pair.
+        pool.settle(known[0][0] if known else math.inf, least_known)
+        if not known:
+            break
+        pairs = [heapq.heappop(known)]
+        last = pairs[0][0]
+
+        def extend(weight: float, search: _Search, node: int) -> float:
+            nonlocal last
+            add(weight, search, ids[node])
+            if weight <= _within(last) and weight > last:
+                last = weight
+            return _within(last)
+
+        while True:
+            # Pairs a hand-over reached may extend the group once they
+            # are moved in; settle again until it stops growing.
+            limit = _within(last)
+            pool.settle(limit, extend)
+            while known and known[0][0] <= _within(last):
+                pairs.append(heapq.heappop(known))
+                last = max(last, pairs[-1][0])
+            if _within(last) == limit:
+                break
+        pool.publish()
         group = []
-        for _, position, source, target, prev in pairs[start:end]:
+        for _, pair, search, target in pairs:
+            source = users[pair[0]]
             if skip is not None and skip(source, target):
                 continue
-            channel = prev.channel(source, target, params)
-            group.append((channel_sort_key(channel), position, channel))
+            channel = search.prev.channel(source, target, params)
+            group.append((channel_sort_key(channel), pair, channel))
         group.sort(key=itemgetter(0, 1))
         for entry in group:
             yield entry[2]
+    pool.publish()

@@ -408,6 +408,11 @@ class CapacityLedger:
         Nested transactions compose: an inner rollback undoes only the
         inner block's changes; an inner commit folds them into the
         enclosing transaction (so an outer rollback still undoes them).
+
+        A rollback publishes ``core.ledger.rollbacks`` and, as
+        ``core.ledger.qubits_rolled_back``, the reserved qubits it gave
+        back, each counted by the one rollback that undid it.  A
+        release it undoes stays counted in ``qubits_released``.
         """
         journal: List[Tuple[Hashable, int, Optional[int]]] = []
         self._journals.append(journal)
@@ -418,10 +423,11 @@ class CapacityLedger:
         try:
             yield self
         except BaseException:
-            self._rollback(journal)
+            returned = self._rollback(journal)
             self._peak_global = peak_global
             if metrics is not None:
                 metrics.inc("core.ledger.rollbacks")
+                metrics.inc("core.ledger.qubits_rolled_back", returned)
             raise
         finally:
             popped = self._journals.pop()
@@ -432,8 +438,13 @@ class CapacityLedger:
 
     def _rollback(
         self, journal: List[Tuple[Hashable, int, Optional[int]]]
-    ) -> None:
+    ) -> int:
+        """Undo *journal* and clear it, so an enclosing rollback does
+        not undo it again; returns the reserved qubits it gave back."""
+        returned = 0
         for switch, delta, peak in reversed(journal):
+            if delta < 0:
+                returned -= delta
             old = self._avail.get(switch, 0)
             new = old - delta
             self._avail[switch] = new
@@ -444,6 +455,7 @@ class CapacityLedger:
             else:
                 self._peak[switch] = peak
         journal.clear()
+        return returned
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         reserved = sum(

@@ -793,13 +793,15 @@ def result_payload(result: Any) -> Any:
     Covers every shape the experiment catalogue returns
     (:class:`~repro.experiments.runner.ExperimentResult`,
     :class:`~repro.experiments.sweeps.SweepResult`,
-    :class:`~repro.experiments.fig7_edges.EdgeRemovalResult`) plus
-    nested tuples/lists of them.  Determinism checks serialize this
+    :class:`~repro.experiments.fig7_edges.EdgeRemovalResult`,
+    :class:`~repro.experiments.headline.HeadlineResult`) plus nested
+    tuples/lists of them.  Determinism checks serialize this
     payload with sorted keys and compare bytes — byte equality of the
     payloads is the definition of "``--workers N`` produced identical
     results".
     """
     from repro.experiments.fig7_edges import EdgeRemovalResult
+    from repro.experiments.headline import HeadlineResult
     from repro.experiments.runner import ExperimentResult
     from repro.experiments.sweeps import SweepResult
 
@@ -820,6 +822,17 @@ def result_payload(result: Any) -> Any:
             "kind": "edge-removal",
             "ratios": list(result.ratios),
             "series": {m: list(v) for m, v in result.series.items()},
+        }
+    if isinstance(result, HeadlineResult):
+        return {
+            "kind": "headline",
+            "n_configurations": result.n_configurations,
+            "improvements": [
+                [algorithm, baseline, percent]
+                for (algorithm, baseline), percent in sorted(
+                    result.improvements.items()
+                )
+            ],
         }
     if isinstance(result, (tuple, list)):
         return [result_payload(r) for r in result]

@@ -6,6 +6,11 @@ EXPERIMENTS.md's tables) on the serial engine, hashed over
 :func:`~repro.exec.engine.result_payload` with sorted keys, the payload
 the determinism checks compare.  A change that moves any reproduced
 rate fails here.
+
+The headline (the largest finite improvement per algorithm and
+baseline over every sweep) is pinned the same way over its own payload,
+built here from the result's fields so the pin does not depend on the
+payload code it guards.
 """
 
 from __future__ import annotations
@@ -37,3 +42,45 @@ def test_default_figure_payload_is_pinned(name):
     ).hexdigest()
     if digest != PAYLOAD_SHA256[name]:
         raise AssertionError(f"{name} payload {digest}")
+
+
+HEADLINE_SHA256 = (
+    "56d782ab6c81dcca03c0c47493ad28f2b4f5e0be846838cdad8d007d847d7c31"
+)
+
+
+def _digest(payload) -> str:
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def _headline_payload(result):
+    """The headline's fields as JSON: its configuration count and one
+    ``[algorithm, baseline, percent]`` row per pair, in pair order."""
+    return {
+        "kind": "headline",
+        "n_configurations": result.n_configurations,
+        "improvements": [
+            [algorithm, baseline, percent]
+            for (algorithm, baseline), percent in sorted(
+                result.improvements.items()
+            )
+        ],
+    }
+
+
+@pytest.fixture(scope="module")
+def headline():
+    return run_named("headline")
+
+
+def test_default_headline_payload_is_pinned(headline):
+    digest = _digest(_headline_payload(headline))
+    if digest != HEADLINE_SHA256:
+        raise AssertionError(f"headline payload {digest}")
+
+
+def test_headline_result_payload_is_json(headline):
+    payload = result_payload(headline)
+    if payload != _headline_payload(headline):
+        raise AssertionError(f"headline result_payload {payload!r}")
+    json.dumps(payload, sort_keys=True)

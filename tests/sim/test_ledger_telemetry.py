@@ -4,6 +4,9 @@ Every request of a fault-free run ends released, so when no solve
 rolls back the qubits the ledgers reserved must equal the qubits they
 released.  Routing on a fork and then reserving the same tree on the
 live ledger counted each admitted tree twice on the reserve side only.
+A solve that gets stuck rolls its reservations back, and the rollback
+counts them in ``core.ledger.qubits_rolled_back``, once however deep
+the transactions nest.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 import repro.obs.metrics as obs_metrics
+from repro.core.ledger import CapacityLedger
 from repro.sim.online import OnlineScheduler
 from repro.sim.workload import WorkloadSpec, generate_workload
 from repro.tenancy import ReplicationPolicy
@@ -42,3 +46,44 @@ def test_fault_free_run_reserves_what_it_releases(method, k):
         counters["core.ledger.qubits_reserved"]
         == counters["core.ledger.qubits_released"]
     )
+
+
+def test_rolled_back_solves_are_counted():
+    # Seed 14 on a 15-switch Waxman network: three Prim solves reserve
+    # channels, get stuck and roll them back.
+    network = generate(
+        "waxman", TopologyConfig(n_switches=15, n_users=6), rng=14
+    )
+    spec = WorkloadSpec(arrival_rate=5.0, horizon=8, mean_hold=6.0, max_wait=2)
+    requests = generate_workload(network.user_ids, spec, rng=14)
+    with obs_metrics.collecting() as registry:
+        OnlineScheduler(network, method="prim", rng=14).run(requests)
+    counters = registry.counters()
+    assert counters["core.ledger.rollbacks"] > 0
+    assert counters["core.ledger.qubits_rolled_back"] > 0
+    assert (
+        counters["core.ledger.qubits_reserved"]
+        == counters["core.ledger.qubits_released"]
+        + counters["core.ledger.qubits_rolled_back"]
+    )
+
+
+def test_nested_rollbacks_count_each_qubit_once():
+    ledger = CapacityLedger({"s": 8, "t": 8})
+    with obs_metrics.collecting() as registry:
+        with pytest.raises(RuntimeError):
+            with ledger.transaction():
+                ledger.reserve({"s": 2})
+                with ledger.transaction():
+                    ledger.reserve({"t": 4})
+                with pytest.raises(KeyError):
+                    with ledger.transaction():
+                        ledger.reserve({"s": 2, "t": 2})
+                        raise KeyError("inner")
+                raise RuntimeError("outer")
+    counters = registry.counters()
+    assert ledger.as_dict() == {"s": 8, "t": 8}
+    assert counters["core.ledger.rollbacks"] == 2
+    # inner: 4 qubits; outer: its own 2 and the committed inner 4.
+    assert counters["core.ledger.qubits_rolled_back"] == 10
+    assert counters["core.ledger.qubits_reserved"] == 10
