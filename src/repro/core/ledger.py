@@ -14,8 +14,9 @@ transaction semantics:
 * **transaction()** scopes a group of reservations: leaving the block
   through an exception rolls every change inside it back, peaks
   included, leaving the account bit-identical to the entry snapshot;
-* **fork()** copies the account, so a caller can try a route on the
-  copy before installing it on the live ledger.
+* **fork()** copies the account for the trial-only searches (k-best
+  spurs, N-FUSION's centers, LP rounding); solvers and repairs spend on
+  the ledger they are given.
 
 The ledger also keeps a high-water mark per switch (peak usage
 telemetry).  Most ledgers live for one solve and touch a few switches,

@@ -8,12 +8,13 @@ remaining capacity.
 
 :func:`repair_solution` implements that: it classifies channels into
 survivors and casualties (:func:`channel_broken`), charges only the
-survivors to a fork of the caller's :class:`~repro.core.ledger.
-CapacityLedger`, and reconnects the split user components with
-Algorithm 3's Phase-2 loop (:func:`repro.core.conflict_free.reconnect`).
-The result is either a valid repaired tree or an infeasible marker when
-the damage is fatal.  A splice (:func:`repro.incremental.tree.
-splice_solution`) is this repair on a ledger masked to :func:`region_of`.
+survivors to the caller's :class:`~repro.core.ledger.CapacityLedger`,
+and reconnects the split user components on it with Algorithm 3's
+Phase-2 loop (:func:`repro.core.conflict_free.reconnect`).  The result
+is either a valid repaired tree, held there, or an infeasible marker
+(rolled back) when the damage is fatal.  A splice (:func:`repro.
+incremental.tree.splice_solution`) is this repair on a ledger masked to
+:func:`region_of`.
 
 :func:`recover` is the one ladder every serving path shares: repair,
 then an optional replan, then degradation to the largest still-spanned
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import logging
 import math
-from contextlib import nullcontext as _nullcontext
+from contextlib import nullcontext as _nullcontext, suppress
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -57,6 +58,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.verify.verifier import SolutionVerifier
 
 logger = logging.getLogger("repro.extensions.recovery")
+
+
+class _Unserved(Exception):
+    """Internal control flow: roll back a repair that cannot serve."""
+
 
 #: The :func:`recover` step that produced an installed tree.
 STEP_REPAIR = "repair"
@@ -142,9 +148,10 @@ def repair_solution(
             reservations.  When given, replacement channels are routed
             within it — the contract the online scheduler relies on so
             repairs never overbook switches shared with other in-flight
-            requests.  The repair spends from a fork, so *residual* is
-            left untouched.  Defaults to the damaged network's full
-            budget (single-tenant repair).
+            requests.  A feasible repair (an unbroken tree too) leaves
+            its tree held on *residual*, kept channels charged capped;
+            an infeasible one rolls back.  Defaults to the damaged
+            network's full budget (single-tenant repair).
         damaged: Optional pre-built damaged view (exactly what
             :func:`apply_failures` over the same failure sets would
             return).  Callers that already maintain one — the online
@@ -173,6 +180,8 @@ def repair_solution(
             kept.append(channel)
 
     if not broken:
+        if residual is not None:
+            residual.reserve_capped(channel_usage(kept))
         return RepairReport(
             solution=solution,
             kept_channels=tuple(kept),
@@ -190,14 +199,18 @@ def repair_solution(
     )
     method = solution.method + "+repair"
     ledger = (
-        residual.fork()
+        residual
         if residual is not None
         else CapacityLedger.from_network(damaged)
     )
-    new_channels, n_components = _reconnect_kept(
-        damaged, solution.users, kept, ledger
-    )
-    if n_components > 1:
+    try:
+        with ledger.transaction():
+            new_channels, n_components = _reconnect_kept(
+                damaged, solution.users, kept, ledger
+            )
+            if n_components > 1:
+                raise _Unserved()
+    except _Unserved:
         logger.info(
             "repair failed: %d user components cannot be reconnected",
             n_components,
@@ -320,12 +333,13 @@ def recover(
     A step runs only when the one before yielded no tree that passes
     *verifier*'s audit against *damaged* (the network minus every failed
     element); each audit is recorded in *report* under *name*.  Repair
-    spends *residual* as in :func:`repair_solution`, *replan* is a
-    zero-argument planner, and *allow_degradation* adds the largest user
-    subset (>= 2) the surviving channels still span.  Returns ``(step,
-    solution, repair)``: a ``STEP_*`` name and its audited tree, or
-    ``""`` and an infeasible marker named after the last method tried,
-    plus the repair attempt the ladder started with.
+    spends *residual* as in :func:`repair_solution` and rolls back if
+    the audit fails, *replan* is a zero-argument planner, and
+    *allow_degradation* adds the largest user subset (>= 2) the
+    surviving channels still span, held capped on *residual*.  Returns
+    ``(step, solution, repair)``: a ``STEP_*`` name and its audited
+    tree, or ``""`` and an infeasible marker named after the last method
+    tried, plus the repair attempt the ladder started with.
     """
 
     def audited(candidate: MUERPSolution, users) -> bool:
@@ -338,11 +352,15 @@ def recover(
             )
         return not issues
 
-    rep = repair_solution(
-        damaged, solution, failed_fibers, failed_switches, residual, damaged
-    )
-    if rep.repaired and audited(rep.solution, solution.users):
-        return STEP_REPAIR, rep.solution, rep
+    held = residual.transaction() if residual is not None else _nullcontext()
+    with suppress(_Unserved), held:
+        rep = repair_solution(
+            damaged, solution, failed_fibers, failed_switches, residual, damaged
+        )
+        if rep.repaired:
+            if audited(rep.solution, solution.users):
+                return STEP_REPAIR, rep.solution, rep
+            raise _Unserved()  # rolls the refused repair back
     last = rep.solution
     if replan is not None:
         last = replan()
@@ -359,5 +377,7 @@ def recover(
             feasible=True,
         )
         if audited(degraded, subset):
+            if residual is not None:
+                residual.reserve_capped(degraded.switch_usage())
             return STEP_DEGRADE, degraded, rep
     return "", infeasible_solution(solution.users, last.method), rep

@@ -46,7 +46,7 @@ reserved), matching the online scheduler's semantics.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
@@ -76,6 +76,10 @@ ACTIONS = ("noop", "splice", "escalate", "reacquire", "lost")
 #: Per-event rng streams must be identical across modes and runs; the
 #: stride keeps them disjoint from the initial-solve stream.
 _RNG_STRIDE = 1_000_003
+
+
+class _Rejected(Exception):
+    """Internal control flow: roll back an escalation the audit refused."""
 
 
 @dataclass(frozen=True)
@@ -319,63 +323,57 @@ class IncrementalRouter:
     def _maintain_tree(
         self, event: DeltaEvent, index: int
     ) -> Tuple[str, str]:
+        reacquire = not self.solution.feasible
+        broken: Tuple = ()
         if self.mode == "resolve":
             # Naive baseline: any topology change -> full re-solve.
-            return "resolve", self._escalate(
-                index, reacquire=not self.solution.feasible
-            )
-        if not self.solution.feasible:
+            classification = "resolve"
+        elif reacquire:
             # No served tree: every structural event is a chance to
             # reacquire one (restores may have made it possible again).
-            return STRUCTURAL, self._escalate(index, reacquire=True)
-
-        restoring = event.kind in (
+            classification = STRUCTURAL
+        elif event.kind in (
             DeltaKind.FIBER_RESTORE,
             DeltaKind.SWITCH_RECOVER,
-        )
-        if restoring:
+        ):
             # A restoration cannot break a valid tree; rate maintenance
             # (re-optimizing onto restored elements) is out of scope.
             return DISJOINT, "noop"
-
-        if self.mode == "incremental":
-            # The serving tree provably avoids every previously-active
-            # failed element (it was routed and verified on the damaged
-            # view), so testing the firing element alone equals testing
-            # the full active set.
-            cuts = {event.target} if event.is_fiber else set()
-            darks = set() if event.is_fiber else {event.target}
         else:
-            cuts = set(self.active_cuts)
-            darks = set(self.active_darks)
-        classification, broken = classify_break(
-            self.solution, cuts, darks
-        )
-        if classification == DISJOINT:
-            return classification, "noop"
-        if classification == REPLACEABLE:
-            if self._try_splice(broken[0]):
-                return classification, "splice"
-        return classification, self._escalate(index)
+            if self.mode == "incremental":
+                # The serving tree provably avoids every previously-active
+                # failed element (it was routed and verified on the
+                # damaged view), so testing the firing element alone
+                # equals testing the full active set.
+                cuts = {event.target} if event.is_fiber else set()
+                darks = set() if event.is_fiber else {event.target}
+            else:
+                cuts = set(self.active_cuts)
+                darks = set(self.active_darks)
+            classification, broken = classify_break(
+                self.solution, cuts, darks
+            )
+            if classification == DISJOINT:
+                return classification, "noop"
+        # The tree's own qubits go back once; a splice or an escalation
+        # then spends on the live ledger.
+        if self.usage:
+            self.ledger.release(self.usage)
+            self.usage = {}
+        if classification == REPLACEABLE and self._try_splice(broken[0]):
+            return classification, "splice"
+        return classification, self._escalate(index, reacquire)
 
     # ------------------------------------------------------------------
     # Repair ladder
     # ------------------------------------------------------------------
-    def _own_budget(self) -> CapacityLedger:
-        """A fork of the ledger with the tree's own reservations freed
-        (the repair contract)."""
-        budget = self.ledger.fork()
-        if self.usage:
-            budget.release(self.usage)
-        return budget
-
     def _try_splice(self, broken) -> bool:
         damaged = self._damaged_view()
         spliced = splice_solution(
             damaged,
             self.solution,
             broken,
-            self._own_budget(),
+            self.ledger,
             radius=self.radius,
         )
         if spliced is not None and self.verifier is not None:
@@ -389,41 +387,27 @@ class IncrementalRouter:
                 spliced = None
         if spliced is None:
             return False
-        self._install(spliced)
+        self.usage = spliced.switch_usage()
+        self.ledger.reserve(self.usage)
+        self.solution = spliced
         return True
 
-    def _escalate(self, index: int, reacquire: bool = False) -> str:
+    def _escalate(self, index: int, reacquire: bool) -> str:
         damaged = self._damaged_view()
-        solution = self._solve_full(
-            damaged, self._own_budget(), event_index=index
-        )
-        if solution.feasible and self.verifier is not None:
-            issues = self.verifier.audit(
-                damaged, solution, users=self.users
-            )
-            if issues:
-                solution = infeasible_solution(
-                    self.users, solution.method
-                )
-        if solution.feasible:
-            self._install(solution)
-            return "reacquire" if reacquire else "escalate"
-        if self.usage:
-            self.ledger.release(self.usage)
+        with suppress(_Rejected), self.ledger.transaction():
+            solution = self._solve_full(damaged, self.ledger, index)
+            if solution.feasible:
+                if self.verifier is not None and self.verifier.audit(
+                    damaged, solution, users=self.users
+                ):
+                    raise _Rejected()  # rolls the refused tree back
+                self.solution = solution
+                self.usage = solution.switch_usage()
+                return "reacquire" if reacquire else "escalate"
         self.solution = infeasible_solution(
             self.users, self.method + "+lost"
         )
-        self.usage = {}
         return "lost"
-
-    def _install(self, solution: MUERPSolution) -> None:
-        new_usage = solution.switch_usage()
-        with self.ledger.transaction():
-            if self.usage:
-                self.ledger.release(self.usage)
-            self.ledger.reserve(new_usage)
-        self.solution = solution
-        self.usage = new_usage
 
     def _solve_full(
         self,

@@ -109,8 +109,9 @@ def splice_solution(
         broken: The casualty channel.
         residual: Ledger whose free qubits *include* this tree's own
             reservations (the same contract as :func:`repro.extensions.
-            recovery.repair_solution`); it is left untouched.  Defaults
-            to the damaged network's full budget.
+            recovery.repair_solution`), which the splice only reads: it
+            spends on a copy masked to the region.  Defaults to the
+            damaged network's full budget.
         radius: Fiber-hop radius of the search region around the broken
             channel's path.
 

@@ -672,26 +672,23 @@ class _Run:
         """
         res.hit_by_fault = True
         cuts, darks = self.active_sig
-        # Capacity-aware repair: the reservation's own qubits plus the
-        # global residual are available.
-        avail = self.ledger.fork()
-        avail.release(res.usage)
-        step, fixed, rep = recover(
-            # Phase 0 rebuilt the damaged view for this fault signature;
-            # every broken reservation reuses it.
-            self.damaged,
-            res.solution,
-            cuts,
-            darks,
-            residual=avail,
-            allow_degradation=self.scheduler.allow_degradation,
-            verifier=self.verifier,
-            report=self.report,
-            name=res.request.name,
-        )
+        # Capacity-aware repair: the reservation's own qubits go back,
+        # and the live ledger holds whatever tree recover keeps.
+        with self.ledger.transaction():
+            self.ledger.release(res.usage)
+            step, fixed, rep = recover(
+                self.damaged,  # rebuilt once per fault signature
+                res.solution,
+                cuts,
+                darks,
+                residual=self.ledger,
+                allow_degradation=self.scheduler.allow_degradation,
+                verifier=self.verifier,
+                report=self.report,
+                name=res.request.name,
+            )
         if not step:
             # No repair, no viable subset.
-            self.ledger.release(res.usage)
             detail_parts = []
             if cuts:
                 detail_parts.append(f"cut fibers {sorted(cuts, key=repr)!r}")
@@ -708,14 +705,8 @@ class _Run:
                 res=res,
             )
             return False
-        # Move onto the fixed tree's qubits in one transaction, so an
-        # exception between release and reserve can never leak.
-        usage = fixed.switch_usage()
-        with self.ledger.transaction():
-            self.ledger.release(res.usage)
-            self.ledger.reserve(usage)
         res.solution = fixed
-        res.usage = usage
+        res.usage = fixed.switch_usage()
         if step == STEP_REPAIR:
             res.reroutes += 1
             self.count("sim.online.repairs")

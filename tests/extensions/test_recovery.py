@@ -125,6 +125,7 @@ class TestRepair:
         charges the kept channels flooring the hub at 0 free qubits: it
         must not raise, and the hub stays blocked, so d reconnects over
         the longer s2 corridor rather than the shorter one via the hub.
+        The repaired tree stays held on the ledger, capped at the hub.
         """
         builder = NetworkBuilder(params_q09)
         builder.user("a", (0, 0)).user("b", (1000, 0))
@@ -151,7 +152,24 @@ class TestRepair:
             ("a", "s2", "d"),
         ]
         assert [c.path for c in report.broken_channels] == [("c", "s1", "d")]
-        assert ledger.as_dict() == net.residual_qubits()  # spent a fork
+        assert ledger.as_dict() == {"hub": 0, "s1": 2, "s2": 0}
+
+    def test_infeasible_repair_leaves_the_ledger_unchanged(
+        self, star_network
+    ):
+        solution = solve_conflict_free(star_network)
+        ledger = CapacityLedger.from_network(star_network)
+        ledger.reserve({"hub": 1})
+        before = (ledger.as_dict(), ledger.peak_usage())
+        report = repair_solution(
+            star_network,
+            solution,
+            failed_fibers=[("carol", "hub")],
+            residual=ledger,
+        )
+        assert not report.repaired
+        assert report.kept_channels
+        assert (ledger.as_dict(), ledger.peak_usage()) == before
 
     def test_infeasible_input_rejected(self, star_network):
         from repro.core.problem import infeasible_solution

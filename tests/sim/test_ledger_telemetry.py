@@ -1,12 +1,15 @@
 """The online loop's ledger telemetry counts each admitted tree once.
 
-Every request of a fault-free run ends released, so when no solve
-rolls back the qubits the ledgers reserved must equal the qubits they
-released.  Routing on a fork and then reserving the same tree on the
-live ledger counted each admitted tree twice on the reserve side only.
-A solve that gets stuck rolls its reservations back, and the rollback
-counts them in ``core.ledger.qubits_rolled_back``, once however deep
-the transactions nest.
+Every request of a run ends released, so when no solve rolls back the
+qubits the ledgers reserved must equal the qubits they released.
+Routing on a fork and then reserving the same tree on the live ledger
+counted each admitted tree twice on the reserve side only.  A solve
+that gets stuck rolls its reservations back, and the rollback counts
+them in ``core.ledger.qubits_rolled_back``, once however deep the
+transactions nest.  Faulty runs balance the same way: a repair spends
+on the live ledger, so a kept tree is released once when it ends and a
+refused one is rolled back, where repairs on forks published reserves
+and releases that no tree kept.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import pytest
 
 import repro.obs.metrics as obs_metrics
 from repro.core.ledger import CapacityLedger
+from repro.resilience.faults import FaultInjector, random_schedule
 from repro.sim.online import OnlineScheduler
 from repro.sim.workload import WorkloadSpec, generate_workload
 from repro.tenancy import ReplicationPolicy
@@ -45,6 +49,32 @@ def test_fault_free_run_reserves_what_it_releases(method, k):
     assert (
         counters["core.ledger.qubits_reserved"]
         == counters["core.ledger.qubits_released"]
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_faulty_run_reserves_what_it_releases_or_rolls_back(seed, k):
+    network = generate(
+        "waxman", TopologyConfig(n_switches=15, n_users=6), rng=seed
+    )
+    requests = generate_workload(
+        network.user_ids, WorkloadSpec(arrival_rate=3, horizon=6), rng=seed
+    )
+    schedule = random_schedule(network, n_faults=4, horizon=6, rng=seed)
+    with obs_metrics.collecting() as registry:
+        result = OnlineScheduler(
+            network,
+            rng=seed,
+            replication=ReplicationPolicy(k=k),
+            fault_injector=FaultInjector(schedule, network),
+        ).run(requests)
+    counters = registry.counters()
+    assert len(result.outcomes) == len(requests)
+    assert (
+        counters["core.ledger.qubits_reserved"]
+        == counters["core.ledger.qubits_released"]
+        + counters.get("core.ledger.qubits_rolled_back", 0)
     )
 
 
